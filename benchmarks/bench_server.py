@@ -62,6 +62,11 @@ def server_bundle():
     )
 
 
+#: The node type each ``_prepare_all`` handle is probed with: PATTERN
+#: relates areas to areas, ``p-in.p-in-`` papers to papers.
+PROBE_TYPES = ("area", "paper", "area")
+
+
 def _prepare_all(target):
     """The serving workload: three algorithms sharing one engine."""
     return [
@@ -91,33 +96,34 @@ def test_warm_start_speedup(emit, tmp_path, server_bundle):
     database_path = str(tmp_path / "serving_db.json")
     snapshot_path = str(tmp_path / "serving.npz")
     save_json(server_bundle.database, database_path)
-    probes = sample_queries_by_degree(
-        server_bundle.database, "proc", NUM_PROBES, seed=0
-    )
+    probes = [
+        sample_queries_by_degree(
+            server_bundle.database, node_type, NUM_PROBES, seed=0
+        )
+        for node_type in PROBE_TYPES
+    ]
+
+    def first_rankings(session):
+        return [
+            list(handle.run(node).items())
+            for handle, nodes in zip(_prepare_all(session), probes)
+            for node in nodes
+        ]
 
     def cold_boot():
         start = time.perf_counter()
         session = SimilaritySession(load_json(database_path))
-        prepared = _prepare_all(session)
-        rankings = [
-            list(handle.run(node).items())
-            for handle in prepared
-            for node in probes
-        ]
+        rankings = first_rankings(session)
         return time.perf_counter() - start, session, rankings
 
     def warm_boot():
         start = time.perf_counter()
         session, info = load_session(snapshot_path)
-        prepared = _prepare_all(session)
-        rankings = [
-            list(handle.run(node).items())
-            for handle in prepared
-            for node in probes
-        ]
+        rankings = first_rankings(session)
         return time.perf_counter() - start, session, rankings
 
     cold_seconds, session, reference = cold_boot()
+    assert all(reference), "empty reference ranking"
     stats = save_snapshot(snapshot_path, session)
     for _ in range(2):
         cold_seconds = min(cold_seconds, cold_boot()[0])

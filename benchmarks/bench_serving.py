@@ -66,7 +66,8 @@ def _shm_entries():
 def _serving_setup(bundle):
     database = bundle.database
     session = SimilaritySession(database)
-    queries = sample_queries_by_degree(database, "proc", NUM_QUERIES, seed=0)
+    # SIMPLE_PATTERN relates areas to areas: area queries rank non-empty.
+    queries = sample_queries_by_degree(database, "area", NUM_QUERIES, seed=0)
     prepared = session.prepare(
         algorithm="relsim",
         pattern=SIMPLE_PATTERN,
@@ -123,6 +124,7 @@ def test_prepared_hot_path_speedup(emit, dblp_large_bundle):
     )
 
     for node in queries:
+        assert baseline[node].items(), node
         assert served[node].items() == baseline[node].items(), node
     assert speedup >= PREPARED_SPEEDUP_GATE, (
         "prepared path {:.2f}x over per-call; gate is {}x".format(
@@ -159,6 +161,7 @@ def test_concurrent_serving_scales_with_identical_results(
 
     # Identical results: every concurrent ranking matches the
     # single-threaded reference bit for bit.
+    assert all(ranking.items() for ranking in sequential.values())
     for node, ranking in zip(workload, concurrent):
         assert ranking.items() == sequential[node].items(), node
 

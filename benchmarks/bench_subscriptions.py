@@ -31,26 +31,33 @@ TOP_K = 10
 PARITY_EDGES = 3
 PRUNE_ITERATIONS = 200
 
-#: One prepared-query spec per registered algorithm (mirrors the
-#: delta-parity suite, including RelSim's Algorithm-1 expansion
-#: variant).
+#: One prepared-query spec per registered algorithm (including
+#: RelSim's Algorithm-1 expansion variant), each with the node type it
+#: is subscribed at: a pattern only ranks nodes of the type it relates
+#: (``p-in-.r-a.r-a-.p-in`` procs, ``p-in.p-in-`` papers), and no two
+#: procs share a neighbour.
 SPECS = [
-    ("relsim", {"pattern": "r-a-.p-in.p-in-.r-a"}),
+    ("relsim", {"pattern": "p-in-.r-a.r-a-.p-in"}, "proc"),
     (
         "relsim",
         {
-            "pattern": "r-a-.p-in.p-in-.r-a",
+            "pattern": "p-in-.r-a.r-a-.p-in",
             "expand": {"max_patterns": 8},
         },
+        "proc",
     ),
-    ("pathsim", {"pattern": "p-in.p-in-"}),
-    ("hetesim", {"pattern": "p-in-.p-in", "answer_type": "proc"}),
-    ("rwr", {}),
-    ("simrank", {}),
-    ("pattern-rwr", {"pattern": "p-in.p-in-"}),
-    ("pattern-simrank", {"pattern": "p-in.p-in-"}),
-    ("common-neighbors", {}),
-    ("katz", {}),
+    ("pathsim", {"pattern": "p-in.p-in-"}, "paper"),
+    (
+        "hetesim",
+        {"pattern": "p-in-.r-a.r-a-.p-in", "answer_type": "proc"},
+        "proc",
+    ),
+    ("rwr", {}, "proc"),
+    ("simrank", {}, "proc"),
+    ("pattern-rwr", {"pattern": "p-in.p-in-"}, "paper"),
+    ("pattern-simrank", {"pattern": "p-in.p-in-"}, "paper"),
+    ("common-neighbors", {}, "paper"),
+    ("katz", {}, "proc"),
 ]
 
 
@@ -65,7 +72,7 @@ def parity_bundle():
 def _prepare_all(target):
     return [
         target.prepare(algorithm=name, top_k=TOP_K, **options)
-        for name, options in SPECS
+        for name, options, _ in SPECS
     ]
 
 
@@ -75,27 +82,40 @@ def test_maintained_topk_matches_fresh_run_for_every_algorithm(
     database = parity_bundle.database
     service = SimilarityService(database)
     prepared = _prepare_all(service)
-    node = sorted(database.nodes_of_type("proc"))[0]
-    subscriptions = [
-        service.subscribe(handle, node) for handle in prepared
-    ]
-
     # Toggle existing p-in edges so every apply is a genuine
     # single-edge delta and the graph ends where it started.
     edges = sorted(database.edges("p-in"))[:PARITY_EDGES]
     assert len(edges) == PARITY_EDGES
+    # A toggled paper loses its only proc and would rank nothing, so
+    # subscriptions sit on untoggled nodes.
+    toggled = {source for source, _, _ in edges}
+    nodes = [
+        next(
+            node
+            for node in sorted(database.nodes_of_type(node_type))
+            if node not in toggled
+        )
+        for _, _, node_type in SPECS
+    ]
+    subscriptions = [
+        service.subscribe(handle, node)
+        for handle, node in zip(prepared, nodes)
+    ]
     checks = 0
     for edge in edges:
         for delta in ({"edges_removed": [edge]}, {"edges_added": [edge]}):
             service.apply(incremental=True, **delta)
             fresh = SimilaritySession(service.database)
-            for (name, options), subscription in zip(SPECS, subscriptions):
+            for (name, options, _), node, subscription in zip(
+                SPECS, nodes, subscriptions
+            ):
                 reference = fresh.prepare(
                     algorithm=name, top_k=TOP_K, **options
+                ).run(node).items()
+                assert reference, "algorithm {!r}: empty reference".format(
+                    name
                 )
-                assert (
-                    subscription.items() == reference.run(node).items()
-                ), (
+                assert subscription.items() == reference, (
                     "algorithm {!r}: maintained subscription diverged "
                     "from a fresh run after {!r}".format(name, delta)
                 )
@@ -139,7 +159,7 @@ def test_irrelevant_delta_is_cheaper_than_one_rescore(
     # exactly the delta shape standing queries must shrug off.
     irrelevant = DeltaReport(labels=frozenset({"w"}), grew=False)
     subscription.poll(irrelevant)  # warm
-    prepared.run(node, top_k=TOP_K)  # warm
+    assert prepared.run(node, top_k=TOP_K).items()  # warm, non-empty
 
     start = time.perf_counter()
     for _ in range(PRUNE_ITERATIONS):

@@ -78,10 +78,9 @@ class SimilarityService:
     **session_options:
         Forwarded to every :class:`SimilaritySession` the service
         builds, now and after each swap (``max_star_depth``,
-        ``max_cached_matrices``, ``memory_budget``).  The incremental
-        path forks the current engine instead of rebuilding, and a fork
-        inherits the same limits, so the byte budget holds across live
-        updates either way.
+        ``memory_budget``).  The incremental path forks the current
+        engine instead of rebuilding, and a fork inherits the same
+        budget, so it holds across live updates either way.
 
     Usage::
 

@@ -4,9 +4,9 @@ The seed library made every caller hand-wire ``GraphDatabase`` +
 ``CommutingMatrixEngine`` + pattern parsing + per-algorithm
 constructors, and each algorithm silently built its *own* engine,
 re-materializing the same sparse matrices.  A session inverts that: it
-owns one shared engine (with an optional bounded LRU over commuting
-matrices and column norms) and every algorithm constructed through it
-reuses those matrices.
+owns one shared engine (with an optional byte budget over commuting
+matrices and their derived vectors) and every algorithm constructed
+through it reuses those matrices.
 
 Four levels of API, lowest to highest::
 
@@ -62,9 +62,6 @@ class SimilaritySession:
         when comparing scores across structural variants.
     max_star_depth:
         Forwarded to the engine (Kleene-star expansion bound).
-    max_cached_matrices:
-        When set, the engine keeps at most this many commuting matrices
-        (LRU eviction).  Default: keep everything.
     memory_budget:
         When set, a byte bound on the engine's cache (matrices plus
         derived vectors): the engine evicts by measured bytes, spills
@@ -89,7 +86,6 @@ class SimilaritySession:
         database,
         engine=None,
         max_star_depth=None,
-        max_cached_matrices=None,
         memory_budget=None,
     ):
         self._database = database
@@ -97,7 +93,6 @@ class SimilaritySession:
             engine = CommutingMatrixEngine(
                 database,
                 max_star_depth=max_star_depth,
-                max_cached_matrices=max_cached_matrices,
                 memory_budget=memory_budget,
             )
         self._engine = engine
@@ -135,9 +130,8 @@ class SimilaritySession:
         """The shared engine's cache counters and memory accounting.
 
         Includes ``nnz`` (total cached nonzeros) and ``bytes``
-        (approximate resident bytes across matrices and column norms),
-        so ``max_cached_matrices`` can be tuned by measured size rather
-        than guessed entry count.
+        (approximate resident bytes across matrices and their derived
+        vectors), so ``memory_budget`` can be tuned by measured size.
         """
         return self._engine.cache_info()
 

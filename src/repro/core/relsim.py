@@ -110,12 +110,11 @@ class RelSim(SimilarityAlgorithm):
 
         After this, :meth:`score_rows` runs on immutable local state —
         no plan compilation, no engine cache probing, no per-call
-        ``matrix.diagonal()`` extraction.  When the engine's LRU cap is
-        smaller than the pattern set — or its byte ``memory_budget``
-        smaller than the set's estimated resident size — pinning every
-        matrix at once would defeat the limit, so only the compile pass
-        runs and the per-call path is kept (same rule as
-        :meth:`score_rows` warming).
+        ``matrix.diagonal()`` extraction.  When the engine's byte
+        ``memory_budget`` is smaller than the set's estimated resident
+        size, pinning every matrix at once would defeat the budget, so
+        only the compile pass runs and the per-call path is kept (same
+        rule as :meth:`score_rows` warming).
         """
         if self._prepared_state is not None:
             return self
@@ -258,12 +257,11 @@ class RelSim(SimilarityAlgorithm):
         sees every pattern before any chain order is chosen and the
         shared prefixes/sub-chains of an Algorithm-1 expansion are
         multiplied once and reused (cross-pattern CSE).  When the set
-        fits under the engine's limits (LRU cap and byte budget), the
-        matrices are also warmed through ``matrices_many`` so the
-        per-pattern scoring below is pure cache hits; with limits
-        tighter than the set, warming would defeat them (pin every
-        matrix at once) and be evicted before use, so only the compile
-        pass runs.
+        fits under the engine's byte budget, the matrices are also
+        warmed through ``matrices_many`` so the per-pattern scoring
+        below is pure cache hits; with a budget tighter than the set,
+        warming would defeat it (pin every matrix at once) and be
+        evicted before use, so only the compile pass runs.
         """
         queries = list(queries)
         indices = self.engine.query_indices(queries)

@@ -34,7 +34,7 @@ benchmarked against.
 
 import itertools
 import threading
-from collections import Counter, OrderedDict
+from collections import Counter, OrderedDict, namedtuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,6 +81,40 @@ from repro.lang.plan import (
 #: Sentinel for a cache entry the delta pass cannot maintain cheaply —
 #: it is dropped (lazily recomputed on next use) instead of patched.
 _INVALID = object()
+
+#: A cached product whose input delta is denser than this fraction of
+#: the input's nnz is invalidated (lazily recomputed) instead of patched.
+DELTA_REBUILD_THRESHOLD = 0.25
+
+
+class PlanEntry(namedtuple("PlanEntry", "matrix norms diagonal bytes")):
+    """One engine cache record: a plan's matrix and its derived vectors.
+
+    ``norms`` (cosine column norms) and ``diagonal`` (PathSim
+    denominators) are ``None`` until first asked for; ``bytes`` counts
+    every buffer the record holds.  Records are replaced, never
+    mutated, because a forked engine shares them with the snapshot
+    that is still serving.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, matrix, norms=None, diagonal=None):
+        """A record for ``matrix`` and its vectors, ``bytes`` filled in."""
+        size = (
+            matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        )
+        for vector in (norms, diagonal):
+            if vector is not None:
+                size += vector.nbytes
+        return cls(matrix, norms, diagonal, size)
+
+    def with_vector(self, field, vector):
+        """A copy with ``field`` (``"norms"`` or ``"diagonal"``) set."""
+        vectors = {"norms": self.norms, "diagonal": self.diagonal}
+        vectors[field] = vector
+        return PlanEntry.of(self.matrix, **vectors)
 
 
 class ViewStats:
@@ -153,6 +187,12 @@ def pathsim_rows(matrix, indices, diagonal=None, out=None):
             values = data[start:end]
         scores[i, cols] += 2.0 * values / denominator
     return scores
+
+
+def _cosine_norms(matrix):
+    """Euclidean norm of each column of ``matrix`` (dense vector)."""
+    squared = matrix.multiply(matrix).sum(axis=0)
+    return np.sqrt(np.asarray(squared).ravel())
 
 
 def pathsim_columns(matrix, row, diagonal, columns, out):
@@ -267,53 +307,43 @@ class CommutingMatrixEngine:
     max_star_depth:
         Expansion bound for Kleene star counting; default is the node
         count.  Divergence raises :class:`StarDivergenceError`.
-    max_cached_matrices:
-        When set, bound the number of memoized commuting matrices (and
-        their derived column norms) with LRU eviction.  ``None`` (the
-        default) keeps every matrix, matching the paper's
-        "materialize and pre-load" setting; a session serving many
-        ad-hoc patterns caps memory with this knob.  ``cache_info()``
-        reports the cached total nnz and approximate bytes, so the cap
-        can be tuned by measured size rather than guessed count.
     memory_budget:
         When set, a *byte* bound on the cache (CSR buffers plus derived
-        norm/diagonal vectors).  A count cap alone cannot prevent OOM —
-        a handful of dense-ish plan products can dwarf a thousand
-        sparse ones — so the budget evicts LRU-first by measured bytes
-        at every publish.  A single product larger than the whole
-        budget is still *computed and returned* to its caller, just
-        never retained (it "spills": the next use recomputes), so
-        queries complete with bitwise-identical results instead of
-        dying.  The budget also arms the streaming chain executor: an
-        oversized uncached chain intermediate is evaluated in row
-        blocks under the budget instead of materialized whole.
-        ``cache_info()`` reports ``memory_budget`` / ``budget_used`` /
-        ``spilled`` / ``streamed``.
+        norm/diagonal vectors).  ``None`` (the default) keeps every
+        matrix, matching the paper's "materialize and pre-load"
+        setting.  The budget evicts LRU-first by measured bytes at
+        every publish.  A single product larger than the whole budget
+        is still *computed and returned* to its caller, just never
+        retained (it "spills": the next use recomputes), so queries
+        complete with bitwise-identical results instead of dying.  The
+        budget also arms the streaming chain executor: an oversized
+        uncached chain intermediate is evaluated in row blocks under
+        the budget instead of materialized whole.  ``cache_info()``
+        reports ``memory_budget`` / ``budget_used`` / ``spilled`` /
+        ``streamed``.
 
     The cache is keyed on canonical *plan nodes*, not raw ASTs: any two
     patterns with the same canonical form — ``(a.b)-`` and ``b-.a-``,
     ``a+b`` and ``b+a``, re-parenthesized concatenations — share one
     entry, and intermediate chain products live in the same LRU, so a
-    sub-chain shared across patterns is computed once.  (Plan nodes and
+    sub-chain shared across patterns is computed once.  Each entry is
+    one immutable :class:`PlanEntry` holding the matrix together with
+    its derived vectors, so eviction, forks, delta patches and
+    snapshots always move a vector with its matrix.  (Plan nodes and
     the pattern->plan memo are retained for the engine's lifetime; they
     are a few hundred bytes each, negligible next to one matrix.)
 
-    The engine is thread-safe: the matrix and column-norm LRUs are
-    lock-guarded with double-checked access — products are computed
-    *outside* the lock and published under it, so N serving threads
-    share one engine without serializing on sparse multiplications (a
-    concurrent duplicate computation loses the publish race and adopts
-    the winner's matrix).  The plan compiler carries its own lock for
-    the interning tables and chain-ordering decisions.
+    The engine is thread-safe: the LRU is lock-guarded with
+    double-checked access — products are computed *outside* the lock
+    and published under it, so N serving threads share one engine
+    without serializing on sparse multiplications (a concurrent
+    duplicate computation loses the publish race and adopts the
+    winner's matrix).  The plan compiler carries its own lock for the
+    interning tables and chain-ordering decisions.
     """
 
     def __init__(
-        self,
-        database_or_view,
-        max_star_depth=None,
-        max_cached_matrices=None,
-        memory_budget=None,
-        delta_rebuild_threshold=0.25,
+        self, database_or_view, max_star_depth=None, memory_budget=None
     ):
         if isinstance(database_or_view, MatrixView):
             self._view = database_or_view
@@ -322,12 +352,6 @@ class CommutingMatrixEngine:
         self._default_star_depth = max_star_depth is None
         if max_star_depth is None:
             max_star_depth = max(self._view.num_nodes(), 1)
-        if max_cached_matrices is not None and max_cached_matrices < 1:
-            raise ConfigurationError(
-                "max_cached_matrices must be >= 1 or None, got {}".format(
-                    max_cached_matrices
-                )
-            )
         if memory_budget is not None and memory_budget < 1:
             raise ConfigurationError(
                 "memory_budget must be >= 1 byte or None, got {}".format(
@@ -335,11 +359,9 @@ class CommutingMatrixEngine:
                 )
             )
         self._max_star_depth = max_star_depth
-        self._max_cached = max_cached_matrices
         self._memory_budget = (
             None if memory_budget is None else int(memory_budget)
         )
-        self._rebuild_threshold = float(delta_rebuild_threshold)
         # Every new pattern is statically type-checked against the
         # database schema before it compiles: ill-typed patterns raise
         # PatternTypeError here instead of evaluating to an empty or
@@ -351,8 +373,6 @@ class CommutingMatrixEngine:
         self._compiler = PlanCompiler(checker=self._checker)
         self._lock = threading.RLock()
         self._cache = OrderedDict()
-        self._column_norms = OrderedDict()
-        self._diagonals = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._spilled = 0
@@ -378,38 +398,29 @@ class CommutingMatrixEngine:
         return self._compiler
 
     @property
-    def max_cached_matrices(self):
-        """The LRU cap (``None`` = keep everything)."""
-        return self._max_cached
-
-    @property
     def memory_budget(self):
         """The cache byte budget (``None`` = unbounded)."""
         return self._memory_budget
 
     def warm_exceeds_limits(self, patterns):
-        """True when pinning the whole pattern set would defeat the cache.
+        """True when pinning the whole pattern set would defeat the budget.
 
         The serving layers ask this before *warming* a pattern set (and
-        holding strong references to every matrix at once): a set larger
-        than ``max_cached_matrices``, or whose estimated resident bytes
-        exceed ``memory_budget``, would thrash the LRU during the warm
-        and then bypass the limit through the pinned references.  Such
-        callers fall back to the per-call compute path — same results,
-        bounded memory.
+        holding strong references to every matrix at once): a set whose
+        estimated resident bytes exceed ``memory_budget`` would thrash
+        the LRU during the warm and then bypass the budget through the
+        pinned references.  Such callers fall back to the per-call
+        compute path — same results, bounded memory.
         """
         plans = [self.compile(pattern) for pattern in patterns]
-        if self._max_cached is not None and len(plans) > self._max_cached:
-            return True
-        if self._memory_budget is not None:
-            n = self._view.num_nodes()
-            estimated = sum(
-                estimate_bytes(plan, self._leaf_nnz, n)
-                for plan in dict.fromkeys(plans)
-            )
-            if estimated > self._memory_budget:
-                return True
-        return False
+        if self._memory_budget is None:
+            return False
+        n = self._view.num_nodes()
+        estimated = sum(
+            estimate_bytes(plan, self._leaf_nnz, n)
+            for plan in dict.fromkeys(plans)
+        )
+        return estimated > self._memory_budget
 
     # ------------------------------------------------------------------
     # Compile and execute
@@ -480,16 +491,14 @@ class CommutingMatrixEngine:
 
         The plan compiler is shared (canonical plan nodes keep keying
         both engines' caches — that sharing is what lets the fork patch
-        the parent's materialized products), as are the LRU cap, star
-        bound, rebuild threshold, and hit/miss counters.
+        the parent's materialized products), as are the byte budget,
+        star bound, and hit/miss counters.
         """
         clone = CommutingMatrixEngine.__new__(CommutingMatrixEngine)
         clone._view = self._view.fork(database)
         clone._default_star_depth = self._default_star_depth
         clone._max_star_depth = self._max_star_depth
-        clone._max_cached = self._max_cached
         clone._memory_budget = self._memory_budget
-        clone._rebuild_threshold = self._rebuild_threshold
         # Shared with the compiler: a delta never changes the schema, so
         # the parent's checker stays exact for the fork (its density
         # *estimates* read the parent view — a warning-tier approximation).
@@ -498,8 +507,6 @@ class CommutingMatrixEngine:
         clone._lock = threading.RLock()
         with self._lock:
             clone._cache = OrderedDict(self._cache)
-            clone._column_norms = OrderedDict(self._column_norms)
-            clone._diagonals = OrderedDict(self._diagonals)
             clone._hits = self._hits
             clone._misses = self._misses
             clone._spilled = self._spilled
@@ -527,8 +534,8 @@ class CommutingMatrixEngine:
         updated **exactly once**; entries whose labels the delta does
         not touch are kept as-is without being examined (beyond a
         memoized label-set check).  An entry whose input delta is denser
-        than ``delta_rebuild_threshold`` x the input's nnz — or whose
-        cheap-update inputs are missing (LRU-evicted children, a
+        than :data:`DELTA_REBUILD_THRESHOLD` x the input's nnz — or
+        whose cheap-update inputs are missing (LRU-evicted children, a
         changed Kleene-star base) — is **invalidated**: dropped from
         the cache and lazily recomputed on next use, never silently
         served stale.
@@ -536,9 +543,9 @@ class CommutingMatrixEngine:
         All patch arithmetic is exact: commuting matrices hold integer
         instance counts (float64 is exact below ``2**53``), so a patched
         matrix — and the rankings computed from it — is bitwise
-        identical to a full rebuild.  The cached PathSim diagonals are
-        patched in place (``old + Δ.diagonal()``); cosine column norms
-        of changed matrices are dropped and recomputed on demand.
+        identical to a full rebuild.  A patched entry's PathSim diagonal
+        is patched too (``old + Δ.diagonal()``); its cosine column norms
+        are dropped and recomputed on demand.
 
         Readers racing an in-place ``apply_delta`` are generation-fenced
         (a compute begun on the old snapshot never publishes into the
@@ -725,7 +732,7 @@ class CommutingMatrixEngine:
         grew = delta.grew
         patches = delta.patches
         touched = frozenset(patches)
-        threshold = self._rebuild_threshold
+        threshold = DELTA_REBUILD_THRESHOLD
         old_cache = self._cache
         zero = sp.csr_matrix((n, n), dtype=np.float64)
         ipatch = (
@@ -764,7 +771,8 @@ class CommutingMatrixEngine:
             return (matrix, zero, matrix)
 
         def compute(node):
-            old = old_cache.get(node)
+            entry = old_cache.get(node)
+            old = None if entry is None else entry.matrix
             # Fast path: the delta cannot touch this plan's matrix
             # (disjoint labels, and no embedded identity when the node
             # set grew) — keep the entry, at most resized.
@@ -955,19 +963,23 @@ class CommutingMatrixEngine:
                 return _INVALID
             raise TypeError("unhandled plan node kind {!r}".format(node.kind))
 
+        pad = np.zeros(n - delta.old_num_nodes, dtype=np.float64)
+
+        def padded(vector):
+            # New nodes have empty rows and columns: zero norm/diagonal.
+            if vector is None or not grew:
+                return vector
+            return np.concatenate([vector, pad])
+
         patched = kept = invalidated = 0
         new_cache = OrderedDict()
         plan_deltas = {}
-        pad = np.zeros(n - delta.old_num_nodes, dtype=np.float64)
-        for plan in list(old_cache):
+        for plan, entry in old_cache.items():
             result = resolve(plan)
             if result is _INVALID:
                 invalidated += 1
-                self._column_norms.pop(plan, None)
-                self._diagonals.pop(plan, None)
                 continue
             new, d, _ = result
-            new_cache[plan] = new
             if d is not None:
                 # Per-plan sparse deltas (zero for kept entries) feed
                 # the subscription layer's targeted rescoring; a plan
@@ -976,40 +988,30 @@ class CommutingMatrixEngine:
                 plan_deltas[plan] = d
             if d is not None and d.nnz == 0:
                 kept += 1
-                if grew:
-                    # Unchanged values, larger shape: pad the derived
-                    # vectors (new columns are empty — zero norm/diag).
-                    diag = self._diagonals.get(plan)
-                    if diag is not None:
-                        self._diagonals[plan] = np.concatenate([diag, pad])
-                    norms = self._column_norms.get(plan)
-                    if norms is not None:
-                        self._column_norms[plan] = np.concatenate(
-                            [norms, pad]
-                        )
-                continue
-            patched += 1
-            diag = self._diagonals.get(plan)
-            if diag is not None:
-                if d is None:
-                    self._diagonals[plan] = new.diagonal()
-                else:
-                    if grew:
-                        diag = np.concatenate([diag, pad])
-                    self._diagonals[plan] = diag + d.diagonal()
-            self._column_norms.pop(plan, None)
-        # Sweep derived vectors whose matrix is gone (invalidated above,
-        # or orphaned by an eviction race): a vector with no cached
-        # matrix cannot be patched and must never be served stale.
-        for store in (self._column_norms, self._diagonals):
-            for plan in [key for key in store if key not in new_cache]:
-                del store[plan]
+                if new is entry.matrix:
+                    new_cache[plan] = entry
+                    continue
+                norms, diagonal = padded(entry.norms), padded(entry.diagonal)
+            else:
+                patched += 1
+                norms = None
+                diagonal = entry.diagonal
+                if diagonal is not None:
+                    if d is None:
+                        diagonal = new.diagonal()
+                    else:
+                        diagonal = padded(diagonal) + d.diagonal()
+            new_cache[plan] = PlanEntry.of(new, norms, diagonal)
+        # resolve and compute call each other through their closures: a
+        # reference cycle that would keep memo and old_cache (every
+        # pre-delta matrix) alive until the next full collection.
+        resolve = compute = None
         self._cache = new_cache
         self._patched += patched
         self._invalidated += invalidated
         # Patched entries can be larger than what they replaced (a
-        # delta that densifies a product); re-assert the cache limits
-        # so the byte budget holds across live updates too.
+        # delta that densifies a product); re-assert the budget so it
+        # holds across live updates too.
         self._evict()
         return {
             "patched": patched,
@@ -1032,23 +1034,23 @@ class CommutingMatrixEngine:
         # against the patched snapshot.
         while True:
             with self._lock:
-                cached = self._cache.get(node)
-                if cached is not None:
+                entry = self._cache.get(node)
+                if entry is not None:
                     self._hits += 1
                     self._cache.move_to_end(node)
-                    return cached
+                    return entry.matrix
                 generation = self._generation
             computed = self._execute(node)
             with self._lock:
-                cached = self._cache.get(node)
-                if cached is not None:
+                entry = self._cache.get(node)
+                if entry is not None:
                     self._hits += 1
                     self._cache.move_to_end(node)
-                    return cached
+                    return entry.matrix
                 if self._generation != generation:
                     continue
                 self._misses += 1
-                self._cache[node] = computed
+                self._cache[node] = PlanEntry.of(computed)
                 self._evict()
             return computed
 
@@ -1191,64 +1193,20 @@ class CommutingMatrixEngine:
             return blocks[0]
         return sp.vstack(blocks, format="csr")
 
-    @staticmethod
-    def _matrix_bytes(matrix):
-        return (
-            matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-        )
-
-    def _cached_bytes_locked(self):
-        """Resident cache bytes: CSR buffers plus derived vectors."""
-        total = 0
-        for matrix in self._cache.values():
-            total += self._matrix_bytes(matrix)
-        for store in (self._column_norms, self._diagonals):
-            for vector in store.values():
-                total += vector.nbytes
-        return total
-
-    def _drop_lru_locked(self):
-        """Evict the least-recently-used matrix *with* its derived state.
-
-        A norm/diagonal vector is only meaningful alongside the matrix
-        it was reduced from — an orphaned vector can never be patched by
-        delta maintenance and must never be served — so eviction drops
-        the three stores as one unit, keyed by the evicted plan.
-        Returns the bytes freed.
-        """
-        plan, matrix = self._cache.popitem(last=False)
-        freed = self._matrix_bytes(matrix)
-        for store in (self._column_norms, self._diagonals):
-            vector = store.pop(plan, None)
-            if vector is not None:
-                freed += vector.nbytes
-        return freed
-
     def _evict(self):
-        if self._max_cached is not None:
-            while len(self._cache) > self._max_cached:
-                self._drop_lru_locked()
-        if self._memory_budget is not None:
-            used = self._cached_bytes_locked()
-            while used > self._memory_budget and self._cache:
-                used -= self._drop_lru_locked()
-                # Includes the just-published entry when it alone busts
-                # the budget: the caller keeps the returned matrix, the
-                # cache does not — the next use recomputes ("spill").
-                self._spilled += 1
-        # Coherence sweep: the publish paths only store a derived vector
-        # alongside its cached matrix, so the stores can never outgrow
-        # the matrix cache — unless an orphan slipped in through an
-        # older snapshot or a bug.  Historically this trimmed the
-        # derived stores by their *own* LRU order, which could pop a
-        # live matrix's vectors while keeping the orphan; drop exactly
-        # the keys with no cached matrix instead.
-        if len(self._column_norms) > len(self._cache) or len(
-            self._diagonals
-        ) > len(self._cache):
-            for store in (self._column_norms, self._diagonals):
-                for plan in [key for key in store if key not in self._cache]:
-                    del store[plan]
+        """Drop least-recently-used records until the budget holds.
+
+        A record leaves whole, its vectors with its matrix.  The
+        just-published record goes too when it alone busts the budget:
+        the caller keeps the returned value, the cache does not — the
+        next use recomputes ("spill").
+        """
+        if self._memory_budget is None:
+            return
+        used = sum(entry.bytes for entry in self._cache.values())
+        while used > self._memory_budget:
+            used -= self._cache.popitem(last=False)[1].bytes
+            self._spilled += 1
 
     def column_norms(self, pattern):
         """Euclidean norm of each column of ``M_pattern`` (cached).
@@ -1256,77 +1214,58 @@ class CommutingMatrixEngine:
         Shared denominator of the cosine scoring mode; caching it here
         (instead of per algorithm instance) lets every algorithm built on
         the same engine — e.g. through one ``SimilaritySession`` — reuse
-        the vector.  Keyed on the canonical plan node, like the matrix
-        cache.  Delta maintenance drops the entry when the pattern's
+        the vector.  Kept in the pattern's plan record, next to its
+        matrix.  Delta maintenance drops the vector when the pattern's
         matrix changes, so a stale norm vector is never served.
         """
-        plan = self.compile(pattern)
-        while True:
-            with self._lock:
-                norms = self._column_norms.get(plan)
-                if norms is not None:
-                    self._refresh_derived_locked(plan, self._column_norms)
-                    return norms
-                generation = self._generation
-            matrix = self._plan_matrix(plan)
-            squared = matrix.multiply(matrix).sum(axis=0)
-            computed = np.sqrt(np.asarray(squared).ravel())
-            with self._lock:
-                norms = self._column_norms.get(plan)
-                if norms is not None:
-                    self._refresh_derived_locked(plan, self._column_norms)
-                    return norms
-                if self._generation != generation:
-                    continue
-                if plan in self._cache:
-                    # Only store alongside a cached matrix: a vector
-                    # published after a concurrent eviction would be
-                    # orphaned, and delta maintenance (which walks the
-                    # matrix cache) could then never patch or drop it.
-                    self._column_norms[plan] = computed
-                    self._evict()
-            return computed
+        return self._vector(pattern, "norms", _cosine_norms)
 
     def diagonal(self, pattern):
         """The main diagonal of ``M_pattern`` as a dense vector (cached).
 
-        The PathSim denominator terms (Equation 1).  Keyed on the
-        canonical plan node like the matrix cache, so every algorithm on
-        the engine shares one extraction per pattern, and prepared
-        queries re-pin it for free after a live update: delta
-        maintenance *patches* the vector (old + Δ.diagonal(), exact in
-        integer float64) instead of invalidating it.
+        The PathSim denominator terms (Equation 1).  Kept in the
+        pattern's plan record, so every algorithm on the engine shares
+        one extraction per pattern, and prepared queries re-pin it for
+        free after a live update: delta maintenance *patches* the vector
+        (old + Δ.diagonal(), exact in integer float64) instead of
+        invalidating it.
+        """
+        return self._vector(
+            pattern, "diagonal", lambda matrix: matrix.diagonal()
+        )
+
+    def _vector(self, pattern, field, reduce):
+        """The cached ``field`` vector of a pattern's plan record.
+
+        A hit refreshes the record's LRU slot — a use of the vector is
+        a use of its matrix.  A miss reduces the matrix outside the
+        lock and publishes the vector into the record only while that
+        record still holds the very matrix it was reduced from, so a
+        vector never outlives or disagrees with its matrix.
         """
         plan = self.compile(pattern)
         while True:
             with self._lock:
-                diag = self._diagonals.get(plan)
-                if diag is not None:
-                    self._refresh_derived_locked(plan, self._diagonals)
-                    return diag
+                entry = self._cache.get(plan)
+                if entry is not None and getattr(entry, field) is not None:
+                    self._cache.move_to_end(plan)
+                    return getattr(entry, field)
                 generation = self._generation
-            computed = self._plan_matrix(plan).diagonal()
+            matrix = self._plan_matrix(plan)
+            computed = reduce(matrix)
             with self._lock:
-                diag = self._diagonals.get(plan)
-                if diag is not None:
-                    self._refresh_derived_locked(plan, self._diagonals)
-                    return diag
                 if self._generation != generation:
                     continue
-                if plan in self._cache:
-                    # Same orphan guard as column_norms: derived
-                    # vectors only live alongside their cached matrix.
-                    self._diagonals[plan] = computed
-                    self._evict()
+                entry = self._cache.get(plan)
+                if entry is None or entry.matrix is not matrix:
+                    return computed
+                if getattr(entry, field) is not None:
+                    self._cache.move_to_end(plan)
+                    return getattr(entry, field)
+                self._cache[plan] = entry.with_vector(field, computed)
+                self._cache.move_to_end(plan)
+                self._evict()
             return computed
-
-    def _refresh_derived_locked(self, plan, store):
-        store.move_to_end(plan)
-        # A derived-vector hit is a use of the pattern's matrix too:
-        # refresh its LRU slot so a hot pattern's matrix is not evicted
-        # out from under its surviving norms/diagonal.
-        if plan in self._cache:
-            self._cache.move_to_end(plan)
 
     # ------------------------------------------------------------------
     # Materialization (the paper pre-loads meta-paths up to length 3)
@@ -1346,9 +1285,10 @@ class CommutingMatrixEngine:
         empty chains like ``p-in.p-in``) are pruned up front.
 
         Raises :class:`~repro.exceptions.EvaluationError` when the
-        requested pattern set does not fit under
-        ``max_cached_matrices`` — materialization under a too-small cap
-        would evict each matrix as the next is built.
+        requested pattern set's estimated bytes do not fit under
+        ``memory_budget`` — "pre-load everything" and "stay under B
+        bytes" are contradictory requests, and materialization would
+        evict each matrix as the next is built.
         """
         if labels is None:
             labels = sorted(self._view.database.used_labels())
@@ -1368,22 +1308,7 @@ class CommutingMatrixEngine:
             for pattern in patterns
             if not has_errors(self._checker.check(pattern))
         ]
-        if self._max_cached is not None and len(patterns) > self._max_cached:
-            # Materializing past the cap would silently thrash the
-            # LRU (each new matrix evicting the last) and return a
-            # capped, misleading count.
-            raise EvaluationError(
-                "materializing {} simple patterns (labels={}, "
-                "max_length={}) exceeds max_cached_matrices={}; raise "
-                "the cap or materialize fewer patterns".format(
-                    len(patterns), sorted(labels), max_length,
-                    self._max_cached
-                )
-            )
         if self._memory_budget is not None:
-            # Same rule for the byte budget, by nnz estimate: "pre-load
-            # everything" and "stay under B bytes" are contradictory
-            # requests when the set cannot fit.
             n = self._view.num_nodes()
             estimated = sum(
                 estimate_bytes(self.compile(pattern), self._leaf_nnz, n)
@@ -1409,18 +1334,19 @@ class CommutingMatrixEngine:
         """Cache counters plus memory accounting.
 
         Keys: ``matrices`` / ``column_norms`` / ``diagonals`` (entry
-        counts), ``hits`` / ``misses``, ``max_cached``, the size-based
-        pair the LRU cap can be tuned against — ``nnz`` (total stored
-        nonzeros across cached matrices) and ``bytes`` (approximate
-        resident bytes of matrices *and* derived vectors: CSR data +
-        indices + indptr buffers plus norm/diagonal array buffers) —
-        the byte-budget triple ``memory_budget`` (configured bytes or
-        None) / ``budget_used`` (same accounting as ``bytes``: what the
-        budget currently holds) / ``spilled`` (matrices computed but
-        evicted by the budget — each spill is a future recompute), the
-        ``streamed`` count of chain products evaluated in row blocks,
-        and the delta-maintenance counters ``patched`` /
-        ``invalidated`` / ``delta_applies``.
+        counts), ``hits`` / ``misses``, the size-based pair the budget
+        can be tuned against — ``nnz`` (total stored nonzeros across
+        cached matrices) and ``bytes`` (approximate resident bytes of
+        matrices *and* derived vectors: CSR data + indices + indptr
+        buffers plus norm/diagonal array buffers, summed over the
+        records' ``bytes`` fields) — the byte-budget triple
+        ``memory_budget`` (configured bytes or None) / ``budget_used``
+        (same accounting as ``bytes``: what the budget currently holds)
+        / ``spilled`` (matrices computed but evicted by the budget —
+        each spill is a future recompute), the ``streamed`` count of
+        chain products evaluated in row blocks, and the
+        delta-maintenance counters ``patched`` / ``invalidated`` /
+        ``delta_applies``.
 
         The accounting is live: patched matrices report their
         post-patch buffers (cancelled entries are eliminated, never
@@ -1428,37 +1354,22 @@ class CommutingMatrixEngine:
         drop out of every figure the moment they leave the cache.
         """
         with self._lock:
-            matrices = list(self._cache.values())
-            norm_vectors = list(self._column_norms.values())
-            diagonal_vectors = list(self._diagonals.values())
+            entries = list(self._cache.values())
             hits, misses = self._hits, self._misses
             spilled, streamed = self._spilled, self._streamed
             patched, invalidated = self._patched, self._invalidated
             delta_applies = self._delta_applies
-        nnz = 0
-        matrix_bytes = 0
-        for matrix in matrices:
-            nnz += matrix.nnz
-            matrix_bytes += (
-                matrix.data.nbytes
-                + matrix.indices.nbytes
-                + matrix.indptr.nbytes
-            )
-        vector_bytes = sum(
-            vector.nbytes
-            for vector in itertools.chain(norm_vectors, diagonal_vectors)
-        )
+        used = sum(entry.bytes for entry in entries)
         return {
-            "matrices": len(matrices),
-            "column_norms": len(norm_vectors),
-            "diagonals": len(diagonal_vectors),
+            "matrices": len(entries),
+            "column_norms": sum(entry.norms is not None for entry in entries),
+            "diagonals": sum(entry.diagonal is not None for entry in entries),
             "hits": hits,
             "misses": misses,
-            "max_cached": self._max_cached,
-            "nnz": int(nnz),
-            "bytes": int(matrix_bytes + vector_bytes),
+            "nnz": int(sum(entry.matrix.nnz for entry in entries)),
+            "bytes": used,
             "memory_budget": self._memory_budget,
-            "budget_used": int(matrix_bytes + vector_bytes),
+            "budget_used": used,
             "spilled": spilled,
             "streamed": streamed,
             "patched": patched,
@@ -1486,20 +1397,22 @@ class CommutingMatrixEngine:
         replaced), so exporting is cheap and safe under concurrency.
         """
         with self._lock:
-            return {
-                "matrices": [
-                    (str(plan), matrix)
-                    for plan, matrix in self._cache.items()
-                ],
-                "column_norms": [
-                    (str(plan), vector)
-                    for plan, vector in self._column_norms.items()
-                ],
-                "diagonals": [
-                    (str(plan), vector)
-                    for plan, vector in self._diagonals.items()
-                ],
-            }
+            records = [
+                (str(plan), entry) for plan, entry in self._cache.items()
+            ]
+        return {
+            "matrices": [(text, entry.matrix) for text, entry in records],
+            "column_norms": [
+                (text, entry.norms)
+                for text, entry in records
+                if entry.norms is not None
+            ],
+            "diagonals": [
+                (text, entry.diagonal)
+                for text, entry in records
+                if entry.diagonal is not None
+            ],
+        }
 
     def export_shm(self):
         """:meth:`export_cache` plus the leaf state a worker attach needs.
@@ -1562,8 +1475,8 @@ class CommutingMatrixEngine:
         or a matrix whose shape does not match this engine's node count
         — are *skipped*, never installed: a warm start is an
         optimization, and a skipped entry merely recomputes lazily.
-        Derived vectors are only installed alongside their cached
-        matrix (the same orphan rule the runtime caches follow).
+        Derived vectors are only installed into the record of a cached
+        matrix; a preloaded matrix replaces any record for its plan.
 
         Preloading counts toward neither hits nor misses.  Returns
         ``{"matrices": n, "column_norms": n, "diagonals": n,
@@ -1592,22 +1505,22 @@ class CommutingMatrixEngine:
                 skipped += 1
                 continue
             plan_matrices.append((plan, matrix))
-        plan_norms = _compiled(column_norms)
-        plan_diagonals = _compiled(diagonals)
+        vectors = [
+            ("norms", _compiled(column_norms), "column_norms"),
+            ("diagonal", _compiled(diagonals), "diagonals"),
+        ]
         loaded = {"matrices": 0, "column_norms": 0, "diagonals": 0}
         with self._lock:
             for plan, matrix in plan_matrices:
-                self._cache[plan] = matrix
+                self._cache[plan] = PlanEntry.of(matrix)
                 loaded["matrices"] += 1
-            for store, pairs, key in (
-                (self._column_norms, plan_norms, "column_norms"),
-                (self._diagonals, plan_diagonals, "diagonals"),
-            ):
+            for field, pairs, key in vectors:
                 for plan, vector in pairs:
-                    if len(vector) != n or plan not in self._cache:
+                    entry = self._cache.get(plan)
+                    if len(vector) != n or entry is None:
                         skipped += 1
                         continue
-                    store[plan] = vector
+                    self._cache[plan] = entry.with_vector(field, vector)
                     loaded[key] += 1
             self._evict()
         loaded["skipped"] = skipped

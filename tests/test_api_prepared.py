@@ -187,15 +187,18 @@ def test_prepare_scoring_is_idempotent(fig1):
 
 
 def test_prepare_scoring_respects_lru_cap(fig1):
-    session = SimilaritySession(fig1, max_cached_matrices=1)
-    prepared = session.prepare(
-        algorithm="relsim", patterns=[PATTERN, "r-a-.r-a"], top_k=5
+    patterns = [PATTERN, "r-a-.r-a"]
+    peak = SimilaritySession(fig1)
+    peak.prepare(algorithm="relsim", patterns=patterns, top_k=5)
+    session = SimilaritySession(
+        fig1, memory_budget=peak.cache_info()["bytes"] // 8
     )
-    # Pinning 2 matrices under a cap of 1 would defeat the cap; the
-    # prepared query degrades to the per-call path with identical
-    # results.
+    prepared = session.prepare(algorithm="relsim", patterns=patterns, top_k=5)
+    # Pinning both matrices under a budget far below their size would
+    # defeat the budget; the prepared query degrades to the per-call
+    # path with identical results.
     assert not prepared.algorithm.is_prepared
-    unprepared = session.algorithm("relsim", patterns=[PATTERN, "r-a-.r-a"])
+    unprepared = session.algorithm("relsim", patterns=patterns)
     assert (
         prepared.run("DataMining", top_k=5).items()
         == unprepared.rank("DataMining", top_k=5).items()
@@ -203,7 +206,11 @@ def test_prepare_scoring_respects_lru_cap(fig1):
 
 
 def test_rank_many_does_not_pin_state_on_caller_instances(fig1):
-    session = SimilaritySession(fig1, max_cached_matrices=2)
+    peak = SimilaritySession(fig1)
+    peak.rank_many(["DataMining", "Databases"], pattern=PATTERN, top_k=5)
+    session = SimilaritySession(
+        fig1, memory_budget=peak.cache_info()["bytes"] // 3
+    )
     instance = session.algorithm("relsim", pattern=PATTERN)
     looped = {
         q: instance.rank(q, top_k=5) for q in ("DataMining", "Databases")

@@ -1,6 +1,7 @@
 """Tests for SimilarityService: live updates, concurrency, freshness."""
 
 import gc
+import sys
 import threading
 
 import pytest
@@ -384,6 +385,55 @@ def test_eight_thread_cold_engine_shares_one_matrix(dblp_small):
     assert not failures, failures
     assert len(results) == 8
     assert all(matrix is results[0] for matrix in results)
+
+
+def test_eight_thread_vector_publishes_share_one_record(dblp_small):
+    # Norm and diagonal publishes race on the same plan records; each
+    # replaces its record under the lock, so neither may drop the other.
+    # A dropped vector is recomputed as a second object, which the
+    # identity check below catches.
+    patterns = [
+        parse_pattern(text)
+        for text in ("w-.w", "p-in.p-in-", "r-a-.r-a", PATTERN)
+    ]
+
+    def race(engine):
+        readers = (engine.column_norms, engine.diagonal)
+        results = []
+        failures = []
+        barrier = threading.Barrier(8)
+
+        def publish(read):
+            try:
+                barrier.wait(timeout=30)
+                for pattern in patterns:
+                    results.append((read, pattern, read(pattern)))
+            except Exception as error:  # pragma: no cover - surfaced below
+                failures.append(error)
+
+        threads = [
+            threading.Thread(target=publish, args=(readers[i % 2],))
+            for i in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+        info = engine.cache_info()
+        assert info["column_norms"] == info["diagonals"] == len(patterns)
+        assert len(results) == 8 * len(patterns)
+        for read, pattern, vector in results:
+            assert read(pattern) is vector
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            race(SimilaritySession(dblp_small.database).engine)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ----------------------------------------------------------------------

@@ -141,11 +141,17 @@ def test_session_pattern_patterns_normalization(fig1):
 
 
 def test_session_lru_bounds_engine_cache(fig1):
-    session = SimilaritySession(fig1, max_cached_matrices=2)
-    session.algorithm("relsim", pattern="r-a").rank("DataMining")
-    session.algorithm("relsim", pattern="p-in.p-in-").rank("DataMining")
-    session.algorithm("relsim", pattern=PATTERN).rank("DataMining")
-    assert session.cache_info()["matrices"] <= 2
+    def rank_three(session):
+        for pattern in ("r-a", "p-in.p-in-", PATTERN):
+            session.algorithm("relsim", pattern=pattern).rank("DataMining")
+
+    peak = SimilaritySession(fig1)
+    rank_three(peak)
+    budget = peak.cache_info()["bytes"] // 3
+    session = SimilaritySession(fig1, memory_budget=budget)
+    rank_three(session)
+    assert session.cache_info()["bytes"] <= budget
+    assert session.cache_info()["spilled"] > 0
 
 
 # ----------------------------------------------------------------------

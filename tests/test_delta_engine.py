@@ -8,6 +8,9 @@ resolved once, threshold-based invalidation, and live ``cache_info``
 accounting after patches and invalidations.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from repro.exceptions import (
     UnknownLabelError,
 )
 from repro.graph.matrices import MatrixView, resized
+from repro.lang import matrix_semantics
 from repro.lang.matrix_semantics import CommutingMatrixEngine
 from repro.lang.parser import parse_pattern
 
@@ -189,26 +193,6 @@ def test_view_retyping_untyped_node_invalidates_new_types_candidates(dblp):
     assert view.candidate_index("proc")[0] == fresh.candidate_index("proc")[0]
 
 
-def test_engine_delta_sweeps_orphaned_derived_vectors(dblp):
-    engine, _ = _loaded_engine(dblp)
-    pattern = parse_pattern("p-in.p-in-")
-    plan = engine.compile(pattern)
-    # Simulate the eviction race: a derived vector whose matrix is no
-    # longer cached must be dropped by the next delta pass, never
-    # patched-in-place against nothing or served stale.
-    with engine._lock:
-        del engine._cache[plan]
-        assert plan in engine._diagonals
-    edge = sorted(dblp.edges("p-in"))[0]
-    engine.apply_delta(edges_removed=[edge])
-    with engine._lock:
-        assert plan not in engine._diagonals
-        assert plan not in engine._column_norms
-    assert np.array_equal(
-        engine.diagonal(pattern), CommutingMatrixEngine(dblp).diagonal(pattern)
-    )
-
-
 def test_view_fork_isolates_the_original(dblp):
     view = MatrixView(dblp)
     original = view.adjacency("p-in")
@@ -272,8 +256,11 @@ def test_engine_delta_resolves_shared_subchains_once(dblp):
     assert stats["entries"] == entries - stats["invalidated"]
 
 
-def test_engine_zero_threshold_invalidates_then_recomputes_exactly(dblp):
-    engine, patterns = _loaded_engine(dblp, delta_rebuild_threshold=0.0)
+def test_engine_zero_threshold_invalidates_then_recomputes_exactly(
+    dblp, monkeypatch
+):
+    monkeypatch.setattr(matrix_semantics, "DELTA_REBUILD_THRESHOLD", 0.0)
+    engine, patterns = _loaded_engine(dblp)
     edge = sorted(dblp.edges("p-in"))[0]
     stats = engine.apply_delta(edges_removed=[edge])
     assert stats["invalidated"] > 0  # every touched product is dropped
@@ -282,6 +269,24 @@ def test_engine_zero_threshold_invalidates_then_recomputes_exactly(dblp):
         assert _structurally_equal(
             engine.matrix(pattern), fresh.matrix(pattern)
         )
+
+
+def test_engine_delta_frees_pre_delta_matrices_without_gc(dblp):
+    # The delta pass must leave no reference cycle behind: the
+    # pre-delta matrix of a patched plan is freed by reference
+    # counting alone, not at the next full collection.
+    engine = CommutingMatrixEngine(dblp)
+    pattern = parse_pattern("p-in.p-in-")
+    engine.diagonal(pattern)
+    before = weakref.ref(engine.matrix(pattern))
+    edge = sorted(dblp.edges("p-in"))[0]
+    gc.disable()
+    try:
+        stats = engine.apply_delta(edges_removed=[edge])
+        assert stats["patched"] > 0
+        assert before() is None
+    finally:
+        gc.enable()
 
 
 def test_engine_star_with_changed_base_is_invalidated_not_stale(dblp):
@@ -300,12 +305,18 @@ def test_engine_star_with_changed_base_is_invalidated_not_stale(dblp):
 
 def test_engine_fork_leaves_parent_serving_old_snapshot(dblp):
     engine, patterns = _loaded_engine(dblp)
-    reference = {p: engine.matrix(p) for p in patterns}
+    reference = {
+        p: (engine.matrix(p), engine.diagonal(p), engine.column_norms(p))
+        for p in patterns
+    }
     fork = engine.fork(dblp.copy())
     edge = sorted(dblp.edges("p-in"))[0]
     fork.apply_delta(edges_removed=[edge])
     for pattern in patterns:
-        assert engine.matrix(pattern) is reference[pattern]
+        matrix, diagonal, norms = reference[pattern]
+        assert engine.matrix(pattern) is matrix
+        assert engine.diagonal(pattern) is diagonal
+        assert engine.column_norms(pattern) is norms
     assert dblp.has_edge(*edge)
     changed = parse_pattern("p-in.p-in-")
     assert not _structurally_equal(
@@ -317,11 +328,14 @@ def test_engine_fork_leaves_parent_serving_old_snapshot(dblp):
 # cache_info accuracy (no stale accounting after patches/evictions)
 # ----------------------------------------------------------------------
 def _expected_accounting(engine):
-    with engine._lock:
-        matrices = list(engine._cache.values())
-        vectors = list(engine._column_norms.values()) + list(
-            engine._diagonals.values()
-        )
+    """``(nnz, bytes)`` recounted from every buffer the cache exports."""
+    state = engine.export_cache()
+    matrices = [matrix for _, matrix in state["matrices"]]
+    vectors = [
+        vector
+        for key in ("column_norms", "diagonals")
+        for _, vector in state[key]
+    ]
     nnz = sum(matrix.nnz for matrix in matrices)
     size = sum(
         matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
@@ -330,7 +344,9 @@ def _expected_accounting(engine):
     return nnz, size
 
 
-def test_cache_info_accurate_after_patches_and_invalidations(dblp):
+def test_cache_info_accurate_after_patches_and_invalidations(
+    dblp, monkeypatch
+):
     engine, patterns = _loaded_engine(dblp)
     present = sorted(dblp.edges("p-in"))[0]
     engine.apply_delta(edges_removed=[present])
@@ -351,7 +367,8 @@ def test_cache_info_accurate_after_patches_and_invalidations(dblp):
         fresh_total += fresh._plan_matrix(plan).nnz
     assert info["nnz"] == fresh_total
     # Invalidated entries drop out of the figures immediately.
-    strict = _loaded_engine(dblp, delta_rebuild_threshold=0.0)[0]
+    monkeypatch.setattr(matrix_semantics, "DELTA_REBUILD_THRESHOLD", 0.0)
+    strict = _loaded_engine(dblp)[0]
     before = strict.cache_info()
     stats = strict.apply_delta(edges_added=[present])
     after = strict.cache_info()
@@ -362,14 +379,45 @@ def test_cache_info_accurate_after_patches_and_invalidations(dblp):
 
 
 def test_cache_info_accurate_after_lru_eviction(dblp):
-    engine = CommutingMatrixEngine(dblp, max_cached_matrices=2)
-    for text in ("p-in.p-in-", "w-.w", "r-a-.r-a"):
+    texts = ("p-in.p-in-", "w-.w", "r-a-.r-a")
+    probe = CommutingMatrixEngine(dblp)
+    records = []
+    for text in texts:
+        before = probe.cache_info()["bytes"]
+        probe.matrix(parse_pattern(text))
+        probe.diagonal(parse_pattern(text))
+        records.append(probe.cache_info()["bytes"] - before)
+    # Room for the last two patterns' records (sub-plans included), so
+    # the first pattern's must be evicted.
+    budget = sum(records[1:])
+    engine = CommutingMatrixEngine(dblp, memory_budget=budget)
+    for text in texts:
         engine.matrix(parse_pattern(text))
         engine.diagonal(parse_pattern(text))
     info = engine.cache_info()
-    assert info["matrices"] <= 2 and info["diagonals"] <= 2
+    assert info["bytes"] <= budget and info["diagonals"] <= 2
+    assert info["spilled"] > 0
     nnz, size = _expected_accounting(engine)
     assert info["nnz"] == nnz and info["bytes"] == size
+
+
+def test_cache_info_accurate_after_preload(dblp):
+    engine, _ = _loaded_engine(dblp)
+    state = engine.export_cache()
+    target = CommutingMatrixEngine(dblp)
+    target.matrix(parse_pattern("w-.w"))  # replaced by the preload
+    loaded = target.preload(
+        state["matrices"],
+        column_norms=state["column_norms"],
+        diagonals=state["diagonals"],
+    )
+    assert loaded["skipped"] == 0
+    info = target.cache_info()
+    assert info["column_norms"] == len(state["column_norms"])
+    assert info["diagonals"] == len(state["diagonals"])
+    nnz, size = _expected_accounting(target)
+    assert info["nnz"] == nnz and info["bytes"] == size
+    assert info["bytes"] == engine.cache_info()["bytes"]
 
 
 def test_resized_preserves_values_and_shares_buffers(dblp):

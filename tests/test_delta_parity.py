@@ -125,11 +125,23 @@ def test_all_specs_cover_every_registered_algorithm():
     assert {name for name, _ in SPECS} == set(available_algorithms())
 
 
-@pytest.mark.parametrize("seed", [SEED, SEED + 1])
-def test_delta_fuzz_incremental_parity_all_algorithms(seed):
+@pytest.mark.parametrize(
+    "seed, budgeted",
+    [(SEED, False), (SEED + 1, False), (SEED, True), (SEED + 1, True)],
+    ids=[str(SEED), str(SEED + 1)]
+    + ["{}-budget".format(seed) for seed in (SEED, SEED + 1)],
+)
+def test_delta_fuzz_incremental_parity_all_algorithms(seed, budgeted):
     rng = random.Random(seed)
     database = _tiny_dblp(seed)
-    service = SimilarityService(database)
+    budget = None
+    if budgeted:
+        # A third of what the prepared specs hold unbudgeted: every
+        # delta lands on a cache that is evicting and recomputing.
+        peak = SimilaritySession(database)
+        _prepare_all(peak)
+        budget = peak.cache_info()["bytes"] // 3
+    service = SimilarityService(database, memory_budget=budget)
     prepared = _prepare_all(service)
 
     for step in range(STEPS):
@@ -162,6 +174,10 @@ def test_delta_fuzz_incremental_parity_all_algorithms(seed):
                         step, name, query
                     )
                 )
+        if budget is not None:
+            assert service.session.cache_info()["bytes"] <= budget, step
+    if budget is not None:
+        assert service.session.cache_info()["spilled"] > 0
 
 
 def test_delta_fuzz_subscriptions_track_fresh_rankings():

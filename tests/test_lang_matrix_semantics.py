@@ -139,63 +139,59 @@ def test_shared_indexer_alignment(tiny_db):
 
 
 # ----------------------------------------------------------------------
-# LRU recency and materialization under a cache cap
+# LRU recency and materialization under a memory budget
 # ----------------------------------------------------------------------
 def test_column_norm_hit_refreshes_matrix_recency(tiny_db):
-    # A norms hit must also refresh the pattern's *matrix* LRU slot —
-    # otherwise a hot pattern's matrix is evicted while its norms
-    # survive, and the next score pays a recompute.
-    engine = CommutingMatrixEngine(tiny_db, max_cached_matrices=2)
+    # A norms hit is a use of the pattern's whole cache record: it must
+    # refresh the LRU slot, or a hot pattern's matrix is evicted and
+    # the next score pays a recompute.
     pa, pb, pc = (parse_pattern(text) for text in ("a", "b", "c"))
+    probe = CommutingMatrixEngine(tiny_db)
+    probe.column_norms(pa)
+    record_a = probe.cache_info()["bytes"]
+    probe.matrix(pb)
+    record_b = probe.cache_info()["bytes"] - record_a
+    probe.matrix(pc)
+    record_c = probe.cache_info()["bytes"] - record_a - record_b
+    # Room for pa's record plus one more matrix, never all three.
+    engine = CommutingMatrixEngine(
+        tiny_db, memory_budget=record_a + max(record_b, record_c)
+    )
     engine.matrix(pa)
     engine.column_norms(pa)
     engine.matrix(pb)
     engine.column_norms(pa)  # hit: refreshes pa's matrix recency
     engine.matrix(pc)  # evicts pb (the true LRU), not pa
+    assert engine.cache_info()["spilled"] == 1
     misses = engine.cache_info()["misses"]
     engine.matrix(pa)
     assert engine.cache_info()["misses"] == misses
 
 
+def _materialized_bytes(database):
+    full = CommutingMatrixEngine(database)
+    full.materialize_simple_patterns(max_length=2, labels=["a", "b"])
+    return full.cache_info()["bytes"]
+
+
 def test_materialize_over_cache_cap_raises(tiny_db):
     from repro.exceptions import EvaluationError
 
-    # 4 steps (a, a-, b, b-): 4 + 16 = 20 patterns will not fit in 3
-    # slots; silently thrashing the LRU and returning a capped count
-    # would be misleading.
-    engine = CommutingMatrixEngine(tiny_db, max_cached_matrices=3)
+    # 4 steps (a, a-, b, b-): 4 + 16 = 20 patterns will not fit in a
+    # third of their bytes; silently thrashing the LRU and returning a
+    # capped count would be misleading.
+    budget = _materialized_bytes(tiny_db) // 3
+    engine = CommutingMatrixEngine(tiny_db, memory_budget=budget)
     with pytest.raises(EvaluationError):
         engine.materialize_simple_patterns(max_length=2, labels=["a", "b"])
 
 
 def test_materialize_under_cache_cap_succeeds(tiny_db):
-    engine = CommutingMatrixEngine(tiny_db, max_cached_matrices=100)
+    # The guard plans on nnz estimates, which run above the measured
+    # bytes; twice the measured size leaves room for the estimate.
+    budget = 2 * _materialized_bytes(tiny_db)
+    engine = CommutingMatrixEngine(tiny_db, memory_budget=budget)
     cached = engine.materialize_simple_patterns(
         max_length=2, labels=["a", "b"]
     )
     assert cached >= 20
-
-
-def test_evict_drops_orphaned_derived_state_only(tiny_db):
-    # Regression: the old eviction trimmed the norm/diagonal stores by
-    # their *own* LRU order whenever they outgrew the matrix cache,
-    # which could pop a live matrix's vectors while keeping an orphan.
-    # The rewrite drops exactly the keys with no cached matrix.
-    engine = CommutingMatrixEngine(tiny_db)
-    engine.matrix(parse_pattern("a"))
-    engine.column_norms(parse_pattern("a"))
-    engine.diagonal(parse_pattern("a"))
-    engine.matrix(parse_pattern("b"))
-    engine.column_norms(parse_pattern("b"))
-    pa = engine.compile(parse_pattern("a"))
-    pb = engine.compile(parse_pattern("b"))
-    ghost = engine.compile(parse_pattern("c"))
-    with engine._lock:
-        # Simulate an orphan slipping in (older snapshot / bug): a norm
-        # vector with no matrix, *older* in the store than pb's.
-        engine._column_norms[ghost] = engine._column_norms[pb]
-        engine._column_norms.move_to_end(pb)
-        engine._evict()
-        assert ghost not in engine._column_norms
-        assert pa in engine._column_norms and pb in engine._column_norms
-        assert pa in engine._diagonals

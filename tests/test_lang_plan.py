@@ -249,20 +249,24 @@ def test_relsim_scores_unchanged_by_plan_layer(fig1):
 
 
 def test_relsim_respects_small_cache_cap(fig1):
-    # With an LRU cap smaller than the pattern set, score_rows must not
+    # With a budget smaller than the pattern set, score_rows must not
     # pre-materialize every matrix (that would pin the whole set and be
     # evicted before use); results stay identical to the uncapped path.
     from repro.api import SimilaritySession
 
     patterns = ["p-in.p-in-", "p-in-.r-a", "p-in-.p-in", "p-in.p-in-.p-in.p-in-"]
-    capped = SimilaritySession(fig1, max_cached_matrices=2)
     uncapped = SimilaritySession(fig1)
     queries = ["DataMining", "Databases"]
-    a = capped.rank_many(queries, patterns=patterns, top_k=5)
     b = uncapped.rank_many(queries, patterns=patterns, top_k=5)
+    budget = uncapped.cache_info()["bytes"] // 8
+    capped = SimilaritySession(fig1, memory_budget=budget)
+    assert capped.engine.warm_exceeds_limits(
+        [parse_pattern(text) for text in patterns]
+    )
+    a = capped.rank_many(queries, patterns=patterns, top_k=5)
     for query in queries:
         assert a[query].items() == b[query].items()
-    assert capped.cache_info()["matrices"] <= 2
+    assert capped.cache_info()["bytes"] <= budget
 
 
 def test_compiler_prunes_singleton_subchain_counts(tiny_db):
@@ -310,7 +314,14 @@ def test_cache_info_reports_nnz_and_bytes(tiny_db):
 
 
 def test_cache_info_shrinks_on_eviction(tiny_db):
-    engine = CommutingMatrixEngine(tiny_db, max_cached_matrices=1)
+    probe = CommutingMatrixEngine(tiny_db)
+    sizes = []
+    for text in ("a", "b"):
+        before = probe.cache_info()["bytes"]
+        probe.matrix(parse_pattern(text))
+        sizes.append(probe.cache_info()["bytes"] - before)
+    # Room for one of the two matrices, never both.
+    engine = CommutingMatrixEngine(tiny_db, memory_budget=max(sizes))
     engine.matrix(parse_pattern("a"))
     engine.matrix(parse_pattern("b"))
     info = engine.cache_info()

@@ -5,12 +5,15 @@ recompute) without ever changing *what* a query returns — every test
 here compares budgeted runs against unbudgeted ones bitwise.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.api import SimilarityService, SimilaritySession
 from repro.exceptions import ConfigurationError, EvaluationError
 from repro.lang import CommutingMatrixEngine, parse_pattern
+from repro.lang.plan import estimate_bytes
 
 PATTERN = "r-a-.p-in.p-in-.r-a"
 
@@ -157,13 +160,27 @@ def test_budget_holds_after_apply_delta(dblp_small):
 # ----------------------------------------------------------------------
 # Warm-set and materialization guards
 # ----------------------------------------------------------------------
-def test_warm_exceeds_limits_by_bytes_and_count(dblp_small):
+def test_warm_exceeds_limits_by_bytes(dblp_small):
     database = dblp_small.database
     patterns = [parse_pattern(text) for text in CHAIN_PATTERNS]
-    assert not CommutingMatrixEngine(database).warm_exceeds_limits(patterns)
+    probe = CommutingMatrixEngine(database)
+    assert not probe.warm_exceeds_limits(patterns)
     tight = CommutingMatrixEngine(database, memory_budget=1)
     assert tight.warm_exceeds_limits(patterns)
-    capped = CommutingMatrixEngine(database, max_cached_matrices=2)
+    # The check plans on nnz estimates: a budget of exactly the first
+    # two patterns' estimate admits them and refuses the whole set.
+    n = probe.view.num_nodes()
+    budget = math.ceil(
+        sum(
+            estimate_bytes(
+                probe.compile(pattern),
+                lambda label: probe.view.adjacency(label).nnz,
+                n,
+            )
+            for pattern in patterns[:2]
+        )
+    )
+    capped = CommutingMatrixEngine(database, memory_budget=budget)
     assert capped.warm_exceeds_limits(patterns)
     assert not capped.warm_exceeds_limits(patterns[:2])
 
