@@ -205,8 +205,9 @@ def test_coalescing_throughput(emit, server_bundle):
     # window has real work to amortize (relsim's per-query sparse row
     # slice is already near the HTTP floor).
     prepared = service.prepare(algorithm="hetesim", pattern=PATTERN, top_k=TOP_K)
+    # PATTERN relates areas to areas: area probes rank non-empty.
     nodes = sample_queries_by_degree(
-        server_bundle.database, "proc", REQUESTS_PER_CLIENT, seed=1
+        server_bundle.database, "area", REQUESTS_PER_CLIENT, seed=1
     )
     # Each client replays its node list three times: a longer measured
     # window damps scheduler noise in the throughput ratio.
@@ -216,6 +217,7 @@ def test_coalescing_throughput(emit, server_bundle):
         node: [[n, s] for n, s in prepared.run(node).items()]
         for node in nodes
     }
+    assert all(reference.values()), "empty reference ranking"
 
     measured = {}
     batcher = {}
@@ -289,7 +291,7 @@ def test_backpressure_and_apply_safety(emit, server_bundle):
         top_k=TOP_K,
     )
     nodes = sample_queries_by_degree(
-        server_bundle.database, "proc", REQUESTS_PER_CLIENT, seed=2
+        server_bundle.database, "area", REQUESTS_PER_CLIENT, seed=2
     )
     workload = [list(nodes) for _ in range(CLIENTS)]
 
@@ -305,6 +307,7 @@ def test_backpressure_and_apply_safety(emit, server_bundle):
         probe = nodes[0]
         status, before = _call(address, "POST", "/query", {"node": probe})
         assert status == 200
+        assert before["ranking"], "empty probe ranking"
 
         # Saturate: every request must come back 200 or 503, nothing
         # may hang or be dropped, and health stays reachable.

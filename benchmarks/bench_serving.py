@@ -1,6 +1,6 @@
-"""Serving-path gates: prepared hot path, thread ceiling, process scaling.
+"""Serving-path gates: prepared hot path and thread ceiling.
 
-Three gates behind the serving layer:
+Two gates behind the serving layer:
 
 1. **Prepared hot path**: running a prepared query
    (``session.prepare(...)`` once, then ``prepared.run(node)`` per
@@ -14,38 +14,23 @@ Three gates behind the serving layer:
 2. **Thread ceiling**: 8 threads hammering one prepared query must
    return results identical to the single-threaded run and must not
    degrade past the single-thread wall time (the locks guard, they
-   must not serialize).  The GIL caps this path below 1x — which is
-   the measured motivation for gate 3.
-
-3. **Process scaling**: the shared-memory worker pool
-   (:mod:`repro.server.workers`) swept at 1/2/4/8 workers must return
-   results **bitwise-identical** to the in-process reference at every
-   width, must leak **zero** ``/dev/shm`` segments after shutdown, and
-   — on hosts with at least 4 usable cores — the 8-worker pool must
-   clear **3x** the single-worker throughput.  (Identity and zero-leak
-   gate unconditionally; the scaling ratio is meaningless on the
-   1-2 core CI boxes, where the sweep still runs and reports.)
+   must not serialize).
 
 Set ``REPRO_BENCH_SCALE=smoke`` (the CI smoke job does) to run on the
 reduced DBLP workload; the thresholds are ratios, so they hold at
 either size.
 """
 
-import glob
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.api import SimilaritySession
 from repro.datasets import sample_queries_by_degree
-from repro.server.workers import WorkerPool
 
 PREPARED_SPEEDUP_GATE = 3.0
 THREADS = 8
 CONCURRENT_SLOWDOWN_GATE = 2.0
-WORKER_SWEEP = (1, 2, 4, 8)
-WORKER_SCALING_GATE = 3.0  # 8 workers vs 1 worker, needs >= this ratio
-WORKER_SCALING_MIN_CORES = 4
 SIMPLE_PATTERN = "r-a-.p-in.p-in-.r-a"
 MAX_EXPAND = 16
 NUM_QUERIES = 30
@@ -57,10 +42,6 @@ def _usable_cores():
         return len(os.sched_getaffinity(0))
     except AttributeError:  # non-Linux
         return os.cpu_count() or 1
-
-
-def _shm_entries():
-    return set(glob.glob("/dev/shm/psm_*"))
 
 
 def _serving_setup(bundle):
@@ -136,12 +117,7 @@ def test_prepared_hot_path_speedup(emit, dblp_large_bundle):
 def test_concurrent_serving_scales_with_identical_results(
     emit, dblp_large_bundle
 ):
-    """Threads (the GIL ceiling) and processes (the way past it).
-
-    One combined table: the 8-thread measurement that motivated the
-    worker pool, then the 1/2/4/8 process sweep over shared-memory
-    snapshots — every width bitwise-identical, every pool leak-free.
-    """
+    """8 threads on one prepared query: identical results, bounded wall."""
     session, queries, prepared = _serving_setup(dblp_large_bundle)
     rounds = 4
     workload = queries * rounds
@@ -165,35 +141,6 @@ def test_concurrent_serving_scales_with_identical_results(
     for node, ranking in zip(workload, concurrent):
         assert ranking.items() == sequential[node].items(), node
 
-    # Process sweep: one pool per width over the same workload.
-    spec = prepared.export_spec()
-    worker_seconds = {}
-    for count in WORKER_SWEEP:
-        shm_before = _shm_entries()
-        pool = WorkerPool(spec, session, workers=count)
-        try:
-            pool.run(queries[0])  # absorb first-touch before timing
-            with ThreadPoolExecutor(max_workers=count) as dispatch:
-                start = time.perf_counter()
-                answers = list(dispatch.map(pool.run, workload))
-                worker_seconds[count] = time.perf_counter() - start
-        finally:
-            pool.shutdown()
-        # Bitwise identity at every pool width (unconditional gate).
-        for node, ranking in zip(workload, answers):
-            assert ranking.items() == sequential[node].items(), (
-                "worker pool ({} workers) diverged on {!r}".format(
-                    count, node
-                )
-            )
-        # Zero-leak after shutdown (unconditional gate).
-        leaked = _shm_entries() - shm_before
-        assert not leaked, (
-            "worker pool ({} workers) leaked segments: {}".format(
-                count, sorted(leaked)
-            )
-        )
-
     sequential_qps = len(workload) / max(sequential_seconds, 1e-9)
     concurrent_qps = len(workload) / max(concurrent_seconds, 1e-9)
     cores = _usable_cores()
@@ -205,19 +152,8 @@ def test_concurrent_serving_scales_with_identical_results(
             THREADS, concurrent_qps,
             concurrent_qps / max(sequential_qps, 1e-9),
         ),
+        "  results identical across threads: yes",
     ]
-    for count in WORKER_SWEEP:
-        qps = len(workload) / max(worker_seconds[count], 1e-9)
-        lines.append(
-            "  {} worker process{}: {:.0f} queries/s ({:.2f}x)".format(
-                count,
-                "es" if count > 1 else " ",
-                qps,
-                qps / max(sequential_qps, 1e-9),
-            )
-        )
-    lines.append("  results identical across threads and workers: yes")
-    lines.append("  shared-memory segments leaked: 0")
     emit("serving_concurrent", "\n".join(lines))
 
     # The locks must not serialize the thread path into a slowdown.
@@ -226,13 +162,3 @@ def test_concurrent_serving_scales_with_identical_results(
             THREADS, concurrent_seconds, sequential_seconds
         )
     )
-    # The scaling gate needs real cores to mean anything.
-    if cores >= WORKER_SCALING_MIN_CORES:
-        scaling = (
-            worker_seconds[1] / max(worker_seconds[max(WORKER_SWEEP)], 1e-9)
-        )
-        assert scaling >= WORKER_SCALING_GATE, (
-            "{} workers only {:.2f}x over 1 worker; gate is {}x".format(
-                max(WORKER_SWEEP), scaling, WORKER_SCALING_GATE
-            )
-        )

@@ -294,75 +294,6 @@ class PreparedQuery:
             )
         return bound.session.explain(list(bound.patterns))
 
-    def export_spec(self):
-        """This query's shape as a picklable, process-portable dict.
-
-        Everything a worker process needs to rebuild an equivalent
-        prepared handle on its own attached session: the registry name,
-        options with patterns flattened to canonical text (which
-        re-parses to the same interned plan anywhere), the normalized
-        expansion request, the default ``top_k`` — and, when expansion
-        ran, the already-expanded pattern set as text, so workers reuse
-        it via :meth:`from_spec` instead of re-running Algorithm 1
-        (deltas never change the schema's constraints, so the set stays
-        exact; custom constraint objects also need not cross the
-        process boundary).  Instance-bound queries cannot be exported,
-        for the same reason they cannot be re-bound.
-        """
-        algorithm, options, expand = self._spec
-        if not isinstance(algorithm, str):
-            raise EvaluationError(
-                "cannot export a query prepared from a pre-built "
-                "instance; prepare by registry name for process workers"
-            )
-        portable = {}
-        for key, value in options.items():
-            if isinstance(value, Pattern):
-                value = str(value)
-            elif isinstance(value, (list, tuple)):
-                value = [
-                    str(item) if isinstance(item, Pattern) else item
-                    for item in value
-                ]
-            portable[key] = value
-        spec = {
-            "algorithm": algorithm,
-            "options": portable,
-            "expand": None,
-            "top_k": self._top_k,
-            "expanded_patterns": None,
-        }
-        if expand is not None:
-            spec["expand"] = dict(expand, constraints=None)
-            spec["expanded_patterns"] = [
-                str(pattern) for pattern in self._bound.patterns
-            ]
-        return spec
-
-    @classmethod
-    def from_spec(cls, session, spec):
-        """Rebuild an exported query shape on ``session`` (worker side).
-
-        The inverse of :meth:`export_spec`: binds (and warms) the same
-        algorithm/options/top_k against the given session, reusing the
-        exported Algorithm-1 expansion instead of re-running it.
-        """
-        prepared = cls.__new__(cls)
-        prepared._spec = (
-            spec["algorithm"],
-            dict(spec.get("options") or {}),
-            normalize_expand(spec.get("expand")),
-        )
-        prepared._top_k = spec.get("top_k")
-        prepared._warm = True
-        prepared._bound = bind(
-            session,
-            prepared._spec,
-            warm=True,
-            expanded_patterns=spec.get("expanded_patterns"),
-        )
-        return prepared
-
     # ------------------------------------------------------------------
     # Execution (hot path)
     # ------------------------------------------------------------------

@@ -125,7 +125,6 @@ class SimilarityService:
         self._snapshot = _Snapshot(initial, 1)
         self._mutate_lock = threading.RLock()
         self._handles = []
-        self._publish_hooks = []
         self._last_error = None
         self.checkpoint = checkpoint
         self._delta_stats = {
@@ -197,29 +196,6 @@ class SimilarityService:
                 "time": time.time(),
                 "version": self._snapshot.version,
             }
-
-    def on_publish(self, callback):
-        """Register ``callback(session, version)`` to run on every swap.
-
-        Invoked under the mutation lock, immediately after the new
-        snapshot is published (so in-process prepared handles are
-        already re-bound) and before ``apply``/``swap`` returns — the
-        hook by which the process worker pool re-publishes each new
-        snapshot into shared memory and migrates its workers.  A hook
-        failure is recorded in :attr:`last_error` (operation
-        ``"publish-hook"``), never raised: the swap itself already
-        succeeded, exactly like a checkpoint failure.  Returns an
-        unregister callable.
-        """
-        with self._mutate_lock:
-            self._publish_hooks.append(callback)
-
-        def unregister():
-            with self._mutate_lock:
-                if callback in self._publish_hooks:
-                    self._publish_hooks.remove(callback)
-
-        return unregister
 
     def _checkpoint_after(self, version):
         # The swap is already published; a checkpoint failure degrades
@@ -503,11 +479,6 @@ class SimilarityService:
             handle._swap_bound(bound)
         self._snapshot = _Snapshot(session, self._snapshot.version + 1)
         version = self._snapshot.version
-        for hook in list(self._publish_hooks):
-            try:
-                hook(session, version)
-            except Exception as error:
-                self._record_error("publish-hook", error)
         # Standing queries last: handles are re-bound and the snapshot
         # is published, so maintenance scores the new state.  Without a
         # delta report (full rebuild) every subscription re-ranks.

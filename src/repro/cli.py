@@ -53,7 +53,6 @@ from repro.lang import parse_pattern
 from repro.patterns import generate_patterns
 from repro.server import (
     ReproServer,
-    WorkerPool,
     load_service,
     load_session,
     save_snapshot,
@@ -352,13 +351,6 @@ def _add_serving_flags(parser, threads):
     )
     parser.add_argument("--top", type=int, default=10)
     parser.add_argument("--threads", type=int, default=threads)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="process workers serving over shared-memory snapshots "
-        "(0 = in-process threads only)",
-    )
     parser.add_argument(
         "--expand",
         action="store_true",
@@ -794,7 +786,6 @@ def _cmd_serve(args, out):
         max_batch=args.max_batch,
         max_inflight=args.max_inflight,
         threads=args.threads,
-        workers=args.workers,
         snapshot_path=args.snapshot,
     )
     if args.snapshot is not None and not os.path.exists(args.snapshot):
@@ -966,26 +957,6 @@ def _cmd_serve_bench(args, out):
         threaded[node].items() == baseline[node].items() for node in queries
     )
 
-    worker_seconds = None
-    if args.workers > 0:
-        worker_pool = WorkerPool(
-            prepared.export_spec(), session, workers=args.workers
-        )
-        try:
-            worker_pool.run(queries[0])  # warm the dispatch path
-            with ThreadPoolExecutor(max_workers=args.workers) as dispatch:
-                start = time.perf_counter()
-                process_served = dict(
-                    zip(queries, dispatch.map(worker_pool.run, queries))
-                )
-                worker_seconds = time.perf_counter() - start
-            identical = identical and all(
-                process_served[node].items() == baseline[node].items()
-                for node in queries
-            )
-        finally:
-            worker_pool.shutdown()
-
     count = len(queries)
     print(
         "serving benchmark: {} x {} queries of type {!r} (top {})".format(
@@ -1015,16 +986,6 @@ def _cmd_serve_bench(args, out):
         ),
         file=out,
     )
-    if worker_seconds is not None:
-        print(
-            "  {} workers, processes  : {:8.2f} ms/query wall "
-            "({:.0f} queries/s)".format(
-                args.workers,
-                1000.0 * worker_seconds / count,
-                count / max(worker_seconds, 1e-9),
-            ),
-            file=out,
-        )
     print(
         "  results identical      : {}".format("yes" if identical else "NO"),
         file=out,

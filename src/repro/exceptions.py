@@ -178,17 +178,6 @@ class SnapshotError(ReproError):
     """
 
 
-class WorkerError(ReproError):
-    """A process worker failed to boot, adopt a snapshot, or answer.
-
-    Raised by :mod:`repro.server.workers` when a worker process dies
-    mid-request, cannot attach a published shared-memory segment, or
-    misses an adoption deadline.  Per-request failures inside a healthy
-    worker re-raise the worker's own exception type instead, so the
-    server's error mapping is identical with and without workers.
-    """
-
-
 class RegistryError(ReproError):
     """The algorithm registry rejected a lookup or registration.
 

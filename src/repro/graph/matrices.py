@@ -17,7 +17,7 @@ import threading
 import numpy as np
 import scipy.sparse as sp
 
-from repro.exceptions import ConfigurationError, UnknownNodeError
+from repro.exceptions import UnknownNodeError
 
 
 class NodeIndexer:
@@ -217,28 +217,6 @@ class MatrixView:
             (data, (row_array, col_array)), shape=(n, n), dtype=np.float64
         )
         matrix.sum_duplicates()
-        return matrix
-
-    def install_adjacency(self, label, matrix):
-        """Adopt a prebuilt adjacency matrix for ``label`` (trusted).
-
-        The zero-copy attach path: a process worker reconstructs
-        ``A_label`` over shared-memory buffers and installs it here, so
-        the view never rebuilds from edge iteration what the parent
-        already materialized.  The label must exist in the schema and
-        the shape must match this view's node count; the matrix is
-        adopted by reference (callers guarantee canonical CSR form,
-        exactly as :meth:`adjacency` builds it).
-        """
-        self._database.schema.require_label(label)
-        n = len(self._indexer)
-        if matrix.shape != (n, n):
-            raise ConfigurationError(
-                "adjacency for {!r} has shape {}, view has {} "
-                "nodes".format(label, matrix.shape, n)
-            )
-        with self._lock:
-            self._cache[label] = matrix
         return matrix
 
     def fork(self, database):

@@ -1414,55 +1414,6 @@ class CommutingMatrixEngine:
             ],
         }
 
-    def export_shm(self):
-        """:meth:`export_cache` plus the leaf state a worker attach needs.
-
-        The shared-memory publication superset: everything
-        :meth:`export_cache` returns, plus ``"adjacency"`` — ``(label,
-        csr)`` pairs for every edge label the database uses (built now
-        if not yet demanded) — and ``"num_nodes"``.  With the leaf
-        adjacencies shipped too, an attached engine can evaluate *any*
-        pattern (cached or not) without ever iterating edges, and the
-        cached product matrices stay pure zero-copy views.
-        """
-        state = self.export_cache()
-        state["adjacency"] = [
-            (label, self._view.adjacency(label))
-            for label in sorted(self._view.database.used_labels())
-        ]
-        state["num_nodes"] = self._view.num_nodes()
-        return state
-
-    def attach_shm(self, state):
-        """Install :meth:`export_shm` state (typically shared-memory views).
-
-        Adjacencies land in the matrix view by reference
-        (:meth:`MatrixView.install_adjacency`); cached products and
-        derived vectors go through :meth:`preload`.  Entries that no
-        longer fit — unknown label, shape mismatch, unparseable pattern
-        text — are skipped, not installed, exactly like a warm start:
-        a skipped entry merely recomputes lazily.  Returns the preload
-        counts plus ``"adjacency"``.
-        """
-        n = self._view.num_nodes()
-        adjacency = 0
-        skipped = 0
-        for label, matrix in state.get("adjacency", ()):
-            try:
-                self._view.install_adjacency(label, matrix)
-            except ReproError:
-                skipped += 1
-                continue
-            adjacency += 1
-        loaded = self.preload(
-            state.get("matrices", ()),
-            column_norms=state.get("column_norms", ()),
-            diagonals=state.get("diagonals", ()),
-        )
-        loaded["adjacency"] = adjacency
-        loaded["skipped"] += skipped
-        return loaded
-
     def preload(self, matrices, column_norms=(), diagonals=()):
         """Install previously exported cache entries (the warm start).
 

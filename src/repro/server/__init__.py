@@ -14,46 +14,25 @@ package is what turns it into a deployable service:
 * :mod:`repro.server.snapshot` — save/load of a full serving snapshot
   (database + materialized commuting matrices + derived vectors) so a
   restarted server warm-starts from disk instead of recomputing;
-* :mod:`repro.server.shm` — the same snapshot state published into
-  ``multiprocessing`` shared-memory segments (pooled-array layout,
-  versioned, reaper-guarded) for zero-copy cross-process attach;
-* :mod:`repro.server.workers` — the spawn-context process pool that
-  serves ``run``/``run_many`` over attached segments without sharing
-  a GIL (``repro serve --workers N``), migrating atomically on every
-  snapshot publication;
 * :mod:`repro.server.protocol` — the JSON wire format and the mapping
   from library exceptions to HTTP statuses.
 """
 
 from repro.server.app import BackgroundServer, ReproServer
 from repro.server.batching import CoalescingBatcher
-from repro.server.shm import (
-    SHM_FORMAT,
-    AttachedSession,
-    SegmentRegistry,
-    attach_session,
-    publish_session,
-)
 from repro.server.snapshot import (
     SNAPSHOT_FORMAT,
     load_service,
     load_session,
     save_snapshot,
 )
-from repro.server.workers import WorkerPool
 
 __all__ = [
-    "AttachedSession",
     "BackgroundServer",
     "CoalescingBatcher",
     "ReproServer",
-    "SegmentRegistry",
-    "SHM_FORMAT",
     "SNAPSHOT_FORMAT",
-    "WorkerPool",
-    "attach_session",
     "load_service",
     "load_session",
-    "publish_session",
     "save_snapshot",
 ]

@@ -107,14 +107,6 @@ class ReproServer:
         connection and a live subscription); excess gets 503.
     threads:
         Worker threads for similarity execution.
-    workers:
-        Process workers (default 0 = execute in-process on ``threads``).
-        With ``N > 0`` the server publishes each snapshot into shared
-        memory and dispatches ``/query``/``/rank_many`` to a
-        :class:`~repro.server.workers.WorkerPool` of ``N`` spawned
-        interpreters — GIL-free parallelism with bitwise-identical
-        results.  Live updates still go through the service in this
-        process; every publication migrates the workers atomically.
     snapshot_path:
         When set, the service checkpoints to this file after every
         successful apply/swap (atomic replace).
@@ -132,7 +124,6 @@ class ReproServer:
         max_inflight=64,
         max_subscribers=32,
         threads=4,
-        workers=0,
         snapshot_path=None,
     ):
         if max_inflight < 1:
@@ -142,10 +133,6 @@ class ReproServer:
         if max_subscribers < 0:
             raise ConfigurationError(
                 "max_subscribers must be >= 0, got {}".format(max_subscribers)
-            )
-        if workers < 0:
-            raise ConfigurationError(
-                "workers must be >= 0, got {}".format(workers)
             )
         self.service = service
         self.prepared = prepared
@@ -158,14 +145,8 @@ class ReproServer:
         self._max_inflight = max_inflight
         self._max_subscribers = max_subscribers
         self._sse_active = 0
-        self._workers = workers
-        self._pool = None
-        self._unregister_publish = None
         self._executor = concurrent.futures.ThreadPoolExecutor(
-            # Every blocked pool dispatch occupies a thread, so the
-            # executor must never have fewer threads than workers or
-            # the pool idles behind the thread pool it feeds.
-            max_workers=max(threads, workers),
+            max_workers=threads,
             thread_name_prefix="repro-serve",
         )
         self._batcher = None  # built on the serving loop
@@ -202,24 +183,9 @@ class ReproServer:
         """
         self._loop = asyncio.get_running_loop()
         self._shutdown = asyncio.Event()
-        if self._workers and self._pool is None:
-            # Boot the process pool before accepting connections: spawn
-            # + zero-copy attach happen once, off the serving path, and
-            # a pool that cannot boot fails startup loudly.
-            from repro.server.workers import WorkerPool
-
-            self._pool = WorkerPool(
-                self.prepared.export_spec(),
-                self.service.session,
-                version=self.service.version,
-                workers=self._workers,
-            )
-            self._unregister_publish = self.service.on_publish(
-                self._pool.publish
-            )
         if self._coalesce:
             self._batcher = CoalescingBatcher(
-                self._query_target,
+                self.prepared,
                 window=self._coalesce_window,
                 max_batch=self._max_batch,
                 executor=self._executor,
@@ -244,16 +210,7 @@ class ReproServer:
                 await asyncio.gather(
                     *self._connections, return_exceptions=True
                 )
-            # Drain order matters: the executor finishes in-flight
-            # dispatches (which may be blocked on worker answers), and
-            # only then do the workers stop and their segments unlink.
             self._executor.shutdown(wait=True)
-            if self._unregister_publish is not None:
-                self._unregister_publish()
-                self._unregister_publish = None
-            if self._pool is not None:
-                self._pool.shutdown()
-                self._pool = None
 
     def serve_forever(self):
         """Run the server on a fresh loop until SIGTERM/SIGINT.
@@ -463,11 +420,6 @@ class ReproServer:
             self._executor, partial(func, *args, **kwargs)
         )
 
-    @property
-    def _query_target(self):
-        """Who executes ``/query``/``/rank_many``: the pool, else in-process."""
-        return self._pool if self._pool is not None else self.prepared
-
     def _requested_top_k(self, payload):
         # Three-valued: absent -> the prepared default; present and
         # null -> explicitly the full ranking; present -> that cutoff.
@@ -481,10 +433,10 @@ class ReproServer:
         if self._batcher is not None:
             ranking = await self._batcher.submit(node, top_k)
         elif top_k is PREPARED_DEFAULT:
-            ranking = await self._run_blocking(self._query_target.run, node)
+            ranking = await self._run_blocking(self.prepared.run, node)
         else:
             ranking = await self._run_blocking(
-                self._query_target.run, node, top_k=top_k
+                self.prepared.run, node, top_k=top_k
             )
         return {
             "node": node,
@@ -499,11 +451,11 @@ class ReproServer:
         top_k = self._requested_top_k(payload)
         if top_k is PREPARED_DEFAULT:
             rankings = await self._run_blocking(
-                self._query_target.run_many, nodes
+                self.prepared.run_many, nodes
             )
         else:
             rankings = await self._run_blocking(
-                self._query_target.run_many, nodes, top_k=top_k
+                self.prepared.run_many, nodes, top_k=top_k
             )
         return {
             "version": self.service.version,
@@ -565,13 +517,22 @@ class ReproServer:
             loop.call_soon_threadsafe(enqueue, event)
 
         kwargs = {} if top_k is PREPARED_DEFAULT else {"top_k": top_k}
-        # subscribe() computes the initial ranking (and validates the
-        # node — an unknown one 404s here, before any SSE bytes).  The
-        # snapshot event arrives through ``deliver`` like every other.
-        stream.subscription = await self._run_blocking(
-            self.service.subscribe, self.prepared, node, deliver, **kwargs
-        )
+        # Reserve the slot before awaiting: requests that arrive while
+        # subscribe() runs must see it taken, or they all pass the
+        # limit check above.  ``_stream_events`` releases it.
         self._sse_active += 1
+        try:
+            # subscribe() computes the initial ranking (and validates
+            # the node — an unknown one 404s here, before any SSE
+            # bytes).  The snapshot event arrives through ``deliver``
+            # like every other.
+            stream.subscription = await self._run_blocking(
+                self.service.subscribe, self.prepared, node, deliver,
+                **kwargs
+            )
+        except BaseException:
+            self._sse_active -= 1
+            raise
         return stream
 
     async def _stream_events(self, writer, stream):
@@ -657,15 +618,6 @@ class ReproServer:
             stats["queued"] = self._batcher.queued
             stats["coalesce_window"] = self._coalesce_window
             stats["batcher"] = self._batcher.stats()
-        if self._pool is not None:
-            workers = self._pool.stats()
-            stats["workers"] = {
-                "count": len(workers),
-                "published_version": self._pool.version,
-                "completed": sum(entry["completed"] for entry in workers),
-                "pending": sum(entry["pending"] for entry in workers),
-                "per_worker": workers,
-            }
         return stats
 
 

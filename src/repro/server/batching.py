@@ -47,11 +47,6 @@ class CoalescingBatcher:
         with ``run(node, top_k=...)`` / ``run_many(nodes, top_k=...)``)
         that executes batches.  Service-issued handles stay valid
         across live updates, so the batcher never needs rebinding.
-        With process-parallel serving the server hands a
-        :class:`~repro.server.workers.WorkerPool` here instead — its
-        ``run_many`` shards each coalesced batch across worker
-        processes, so coalescing *compounds* with multi-core
-        parallelism rather than serializing behind one GIL.
     window:
         Seconds the first request of a batch waits for company.  ``0``
         still coalesces whatever arrives during the same event-loop

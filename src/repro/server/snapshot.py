@@ -25,11 +25,7 @@ buffers of one kind are concatenated into a single pooled array per
 dtype (``mdata_float64``, ``midx_int32``, ...), with per-entry lengths
 in the manifest; loading slices views back out of a handful of big
 reads.  Pools are segregated by dtype, never cast, so the restored
-buffers are bit-for-bit the saved ones.  The pooling helpers
-(:func:`pool_matrices` / :func:`pool_vectors` / :class:`PoolReader` /
-:func:`unpool_matrices` / :func:`unpool_vectors`) are shared with
-:mod:`repro.server.shm`, which publishes the same layout into
-shared-memory segments for zero-copy process workers.
+buffers are bit-for-bit the saved ones.
 
 Writes are atomic (temp file + ``os.replace``): the serving layer
 checkpoints after every successful ``apply``/``swap``, and a crash
@@ -60,7 +56,7 @@ _MAGIC = "repro-serving-snapshot"
 
 
 # ----------------------------------------------------------------------
-# Pooled-array layout (shared with repro.server.shm)
+# Pooled-array layout
 # ----------------------------------------------------------------------
 def pool_matrices(pools, prefix, entries):
     """Append each CSR's buffers to the dtype-segregated pools.
@@ -103,10 +99,9 @@ class PoolReader:
     """Sequentially slice per-entry buffers back out of pooled arrays.
 
     ``arrays`` is any mapping from pool key (``mdata_float64``, ...) to
-    a 1-D ndarray — an ``np.load`` archive or a dict of shared-memory
-    views.  Entries must be taken in the order they were pooled; a
-    short pool raises ``ValueError`` (callers map it to their own
-    corruption error).
+    a 1-D ndarray, such as an ``np.load`` archive.  Entries must be
+    taken in the order they were pooled; a short pool raises
+    ``ValueError`` (callers map it to their own corruption error).
     """
 
     def __init__(self, arrays):
@@ -123,7 +118,7 @@ class PoolReader:
         self._offsets[key] = start + count
         chunk = self._pools[key][start : start + count]
         if len(chunk) != count:
-            # repro-lint: ok(exception-taxonomy) internal control flow; callers convert it to SnapshotError/ShmError
+            # repro-lint: ok(exception-taxonomy) internal control flow; callers convert it to SnapshotError
             raise ValueError("pool {} exhausted at {}".format(key, start))
         return chunk
 

@@ -285,59 +285,6 @@ def test_valueerror_outside_public_modules_allowed():
     ) == []
 
 
-# -- shm-lifecycle -----------------------------------------------------
-
-
-def test_bare_shared_memory_create_flagged():
-    violations = lint(
-        """
-        from multiprocessing import shared_memory
-
-        def publish(size):
-            return shared_memory.SharedMemory(create=True, size=size)
-        """
-    )
-    assert rules_of(violations) == ["shm-lifecycle"]
-    assert "SegmentRegistry.create" in violations[0].message
-
-
-def test_direct_import_shared_memory_create_flagged():
-    assert rules_of(
-        lint(
-            """
-            from multiprocessing.shared_memory import SharedMemory
-            segment = SharedMemory(create=True, size=1024)
-            """
-        )
-    ) == ["shm-lifecycle"]
-
-
-def test_shared_memory_attach_allowed():
-    # Attaching (no create=True) is fine anywhere; so is create=False.
-    assert lint(
-        """
-        from multiprocessing import shared_memory
-        a = shared_memory.SharedMemory(name="psm_abc")
-        b = shared_memory.SharedMemory(name="psm_abc", create=False)
-        """
-    ) == []
-
-
-def test_registry_create_is_whitelisted():
-    code = """
-    from multiprocessing import shared_memory
-
-    class SegmentRegistry:
-        def create(self, size):
-            return shared_memory.SharedMemory(create=True, size=size)
-    """
-    assert lint(code, path="src/repro/server/shm.py") == []
-    # The same code anywhere else is flagged.
-    assert rules_of(lint(code, path="src/repro/server/other.py")) == [
-        "shm-lifecycle"
-    ]
-
-
 # -- suppressions ------------------------------------------------------
 
 

@@ -446,6 +446,55 @@ def test_subscribe_unknown_node_is_404_not_a_stream(serving):
     assert status == 404
     assert "NoSuchNode" in payload["error"]
     assert headers["Content-Type"] == "application/json"
+    _, stats, _ = _call(address, "GET", "/statz")
+    assert stats["subscriptions"]["sse_streams"] == 0
+
+
+def _open_subscribe(address, node):
+    connection = http.client.HTTPConnection(*address, timeout=30)
+    connection.request("POST", "/subscribe", body=json.dumps({"node": node}))
+    return connection
+
+
+def test_concurrent_subscribes_cannot_exceed_the_limit(fig1, monkeypatch):
+    # The first /subscribe is held inside service.subscribe while a
+    # second one arrives: the held request must already count against
+    # max_subscribers, so the second is shed.
+    service = SimilarityService(fig1)
+    prepared = service.prepare(algorithm="relsim", pattern=PATTERN, top_k=2)
+    subscribe = service.subscribe
+    entered = threading.Event()
+    release = threading.Event()
+    calls = []
+
+    def gated(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            entered.set()
+            release.wait(timeout=10)
+        return subscribe(*args, **kwargs)
+
+    monkeypatch.setattr(service, "subscribe", gated)
+    with BackgroundServer(
+        service, prepared, port=0, max_subscribers=1
+    ) as background:
+        address = background.address
+        first = _open_subscribe(address, QUERIES[0])
+        second = None
+        try:
+            assert entered.wait(timeout=10)
+            second = _open_subscribe(address, QUERIES[1])
+            second_status = second.getresponse().status
+            release.set()
+            first_status = first.getresponse().status
+            _, stats, _ = _call(address, "GET", "/statz")
+        finally:
+            release.set()
+            first.close()
+            if second is not None:
+                second.close()
+    assert [first_status, second_status] == [200, 503]
+    assert stats["subscriptions"]["sse_streams"] == 1
 
 
 def test_subscriber_limit_sheds_with_retry_after(fig1):

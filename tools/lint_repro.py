@@ -40,13 +40,6 @@ Rules
     the library taxonomy.  (``TypeError`` for caller programming errors
     is conventional and allowed.)
 
-``shm-lifecycle``
-    No bare ``SharedMemory(create=True)``.  Segment creation must go
-    through :meth:`repro.server.shm.SegmentRegistry.create` (the
-    ``SHM_WHITELIST`` below), which registers every segment with the
-    atexit/SIGTERM reaper — a segment created anywhere else can outlive
-    the process and leak ``/dev/shm`` entries on a crash.
-
 Suppressions
 ------------
 A finding is waived by a comment on the same line or the line above::
@@ -95,20 +88,11 @@ DENSE_WHITELIST = {
         "k x n accumulator summed across the prepared patterns",
 }
 
-#: The only site allowed to call ``SharedMemory(create=True)``, keyed
-#: like DENSE_WHITELIST.  Creation must imply reaper registration.
-SHM_WHITELIST = {
-    ("repro/server/shm.py", "SegmentRegistry.create"):
-        "the registry's own create(); it records the segment and "
-        "installs the atexit/SIGTERM reaper before handing it out",
-}
-
 RULES = (
     "dense-materialization",
     "lock-discipline",
     "int32-index",
     "exception-taxonomy",
-    "shm-lifecycle",
 )
 
 #: Exception names public api/server modules may not raise bare.
@@ -130,11 +114,9 @@ def _posix(path):
     return path.replace(os.sep, "/")
 
 
-def _is_whitelisted(path, qualname, table=None):
+def _is_whitelisted(path, qualname):
     posix = _posix(path)
-    for (suffix, allowed), _reason in (
-        DENSE_WHITELIST if table is None else table
-    ).items():
+    for (suffix, allowed), _reason in DENSE_WHITELIST.items():
         if posix.endswith(suffix) and qualname == allowed:
             return True
     return False
@@ -226,7 +208,6 @@ class _Linter(ast.NodeVisitor):
             self._check_attribute_call(node, func)
         self._check_callback_dispatch(node, func)
         self._check_int32_args(node)
-        self._check_shm_create(node, func)
         self.generic_visit(node)
 
     def _check_callback_dispatch(self, node, func):
@@ -246,33 +227,6 @@ class _Linter(ast.NodeVisitor):
                 "callback dispatched inside a `with ..._lock:` block in "
                 "{}; enqueue the event and invoke callbacks from a "
                 "notifier thread with no lock held".format(self.qualname),
-            )
-
-    def _check_shm_create(self, node, func):
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name != "SharedMemory":
-            return
-        creates = any(
-            keyword.arg == "create"
-            and isinstance(keyword.value, ast.Constant)
-            and keyword.value.value is True
-            for keyword in node.keywords
-        )
-        if creates and not _is_whitelisted(
-            self.path, self.qualname, SHM_WHITELIST
-        ):
-            self.report(
-                node,
-                "shm-lifecycle",
-                "bare SharedMemory(create=True) in {}; create segments "
-                "through repro.server.shm.SegmentRegistry.create so the "
-                "reaper can unlink them on every exit path".format(
-                    self.qualname
-                ),
             )
 
     def _check_attribute_call(self, node, func):
