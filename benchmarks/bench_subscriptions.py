@@ -1,14 +1,14 @@
 """Standing-query gate: maintained top-k exactness and pruning payoff.
 
 The subscription layer (``service.subscribe``) keeps a top-k ranking
-current under live deltas through a three-rung maintenance ladder:
-footprint pruning (O(1) label intersection), a targeted-rescore
-certificate, and a full re-rank fallback.  Two claims are gated:
+current under live deltas with two maintenance rungs: footprint
+pruning (O(1) label intersection), or a full re-rank fallback.  Two
+claims are gated:
 
 1. **Exactness** — after every applied delta, each live subscription's
    maintained ranking must be **bitwise identical** to a fresh
    ``prepared.run()`` on a session built from scratch, for every
-   registered algorithm.  The ladder is an optimization of *when* to
+   registered algorithm.  Pruning is an optimization of *when* to
    recompute, never of *what* the ranking is.
 2. **Pruning payoff** — maintaining a subscription through a
    footprint-disjoint (irrelevant) single-edge delta must be at least
@@ -122,8 +122,8 @@ def test_maintained_topk_matches_fresh_run_for_every_algorithm(
                 checks += 1
 
     stats = service.subscription_stats
-    ladder = stats["pruned"] + stats["rescored"] + stats["fallbacks"]
-    assert ladder == len(SPECS) * 2 * PARITY_EDGES
+    maintained = stats["pruned"] + stats["fallbacks"]
+    assert maintained == len(SPECS) * 2 * PARITY_EDGES
     emit(
         "subscription_parity",
         "\n".join(
@@ -134,9 +134,8 @@ def test_maintained_topk_matches_fresh_run_for_every_algorithm(
                 ),
                 "  maintained top-k == fresh prepared.run(): {}/{} "
                 "checks bitwise identical".format(checks, checks),
-                "  maintenance ladder: {} pruned, {} rescore-certified, "
-                "{} full fallbacks".format(
-                    stats["pruned"], stats["rescored"], stats["fallbacks"]
+                "  maintenance: {} pruned, {} full fallbacks".format(
+                    stats["pruned"], stats["fallbacks"]
                 ),
             ]
         ),

@@ -272,16 +272,6 @@ class PreparedQuery:
         labels, embeds = pattern_footprint(plans)
         return labels, algorithm.delta_growth_sensitive or embeds
 
-    def bound_snapshot(self):
-        """``(session, algorithm)`` read atomically from the bound state.
-
-        One read of the bound reference, so the pair is always mutually
-        consistent even against a concurrent rebind — unlike reading
-        :attr:`session` and :attr:`algorithm` separately.
-        """
-        bound = self._bound
-        return bound.session, bound.algorithm
-
     def explain(self):
         """The compiled plan report for the prepared pattern set."""
         bound = self._bound

@@ -436,7 +436,6 @@ class SimilarityService:
         report = DeltaReport(
             labels=frozenset(stats["labels"]),
             grew=stats["nodes_added"] > 0,
-            plan_deltas=stats["plan_deltas"],
         )
         version = self._publish_locked(
             session, reuse_expansion=True, report=report

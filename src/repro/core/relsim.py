@@ -24,11 +24,7 @@ import numpy as np
 from repro.exceptions import EvaluationError
 from repro.graph.matrices import dense_rows
 from repro.lang.ast import Pattern
-from repro.lang.matrix_semantics import (
-    CommutingMatrixEngine,
-    pathsim_columns,
-    pathsim_rows,
-)
+from repro.lang.matrix_semantics import CommutingMatrixEngine, pathsim_rows
 from repro.lang.parser import parse_pattern
 from repro.similarity.base import SimilarityAlgorithm
 
@@ -127,7 +123,6 @@ class RelSim(SimilarityAlgorithm):
         )
         state = []
         for pattern, matrix in zip(self.patterns, matrices):
-            matrix.sum_duplicates()  # dense_rows needs canonical CSR
             # Engine-cached: shared across algorithms and patched in
             # place by delta maintenance, so re-pinning after a live
             # update only recomputes what actually changed.
@@ -144,64 +139,6 @@ class RelSim(SimilarityAlgorithm):
             state.append((matrix, diagonal, norms))
         self._prepared_state = tuple(state)
         return self
-
-    def delta_rescore(self, query_index, plan_deltas):
-        """Targeted rescore of the candidates a delta touched (or None).
-
-        Every cached plan delta names exactly which matrix entries (and,
-        through its diagonal, which PathSim denominators) moved; a
-        candidate column outside that set provably kept its score.  The
-        touched columns are rescored from the pinned state with the
-        same elementwise arithmetic as :meth:`score_rows`, accumulated
-        in the same pattern order, so the returned scores are bitwise
-        comparable with a full re-rank.  Unsupported cases — unpinned
-        state, cosine's whole-row norms, a missing plan delta, or a
-        delta to the query's own diagonal (every denominator moves) —
-        return None.
-        """
-        state = self._prepared_state
-        if state is None or self.scoring == "cosine":
-            return None
-        deltas = []
-        for pattern in self.patterns:
-            d = plan_deltas.get(self.engine.compile(pattern))
-            if d is None:
-                return None
-            deltas.append(d)
-        affected = set()
-        for d in deltas:
-            if d.nnz == 0:
-                continue
-            start, end = d.indptr[query_index], d.indptr[query_index + 1]
-            affected.update(int(col) for col in d.indices[start:end])
-            if self.scoring == "pathsim":
-                diagonal_delta = d.diagonal()
-                if diagonal_delta[query_index] != 0:
-                    return None
-                affected.update(
-                    int(row) for row in np.flatnonzero(diagonal_delta)
-                )
-        if not affected:
-            return np.empty(0, dtype=np.intp), np.zeros(0)
-        columns = np.array(sorted(affected), dtype=np.intp)
-        scores = np.zeros(len(columns))
-        for matrix, diagonal, _norms in state:
-            if self.scoring == "pathsim":
-                pathsim_columns(matrix, query_index, diagonal, columns, scores)
-                continue
-            # count: the stored row values at the selected columns,
-            # added in pattern order exactly like the dense_rows path.
-            start, end = (
-                matrix.indptr[query_index],
-                matrix.indptr[query_index + 1],
-            )
-            cols = matrix.indices[start:end]
-            positions = np.searchsorted(columns, cols)
-            inside = positions < len(columns)
-            selected = inside.copy()
-            selected[inside] = columns[positions[inside]] == cols[inside]
-            scores[positions[selected]] += matrix.data[start:end][selected]
-        return columns, scores
 
     def _prepared_pattern_rows(self, entry, indices, out):
         """Score rows for one pattern from pinned state (no engine).

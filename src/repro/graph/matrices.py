@@ -82,6 +82,36 @@ def resized(matrix, n):
     return grown
 
 
+def trusted_csr(data, indices, indptr, n):
+    """An ``(n, n)`` canonical CSR around trusted buffers, unvalidated.
+
+    SciPy's constructor re-derives index dtypes and checks formats — an
+    O(nnz) scan per call.  Callers guarantee sorted, deduplicated,
+    zero-free buffers; the matrix shares them.
+    """
+    matrix = sp.csr_matrix((n, n), dtype=np.float64)
+    matrix.data = data
+    matrix.indices = indices
+    matrix.indptr = indptr
+    matrix.has_canonical_format = True
+    return matrix
+
+
+def add_patch(matrix, patch):
+    """``matrix + patch`` as a canonical CSR with no explicit zeros.
+
+    Both operands must be canonical CSR of one shape.  SciPy's merge of
+    two canonical operands is canonical, so the sum is flagged without
+    a re-scan; cancelled entries are pruned when the patch can cancel
+    (holds a negative value).
+    """
+    result = matrix + patch
+    result.has_canonical_format = True
+    if patch.nnz and patch.data.min() < 0:
+        result.eliminate_zeros()
+    return result
+
+
 def identity_patch(indices, n):
     """Ones on the diagonal at ``indices`` — the ``I`` growth of eps/star.
 
@@ -298,8 +328,7 @@ class MatrixView:
                 patched = resized(matrix, n)
                 patch = patches.get(label)
                 if patch is not None:
-                    patched = (patched + patch).tocsr()
-                    patched.eliminate_zeros()
+                    patched = add_patch(patched, patch)
                 if patched is not matrix:
                     self._cache[label] = patched
             # Scoped candidate invalidation: types of genuinely new

@@ -48,11 +48,13 @@ from repro.exceptions import (
 )
 from repro.graph.matrices import (
     MatrixView,
+    add_patch,
     boolean,
     dense_rows,
     diagonal_of,
     identity_patch,
     resized,
+    trusted_csr,
 )
 from repro.lang.ast import (
     Concat,
@@ -193,39 +195,6 @@ def _cosine_norms(matrix):
     """Euclidean norm of each column of ``matrix`` (dense vector)."""
     squared = matrix.multiply(matrix).sum(axis=0)
     return np.sqrt(np.asarray(squared).ravel())
-
-
-def pathsim_columns(matrix, row, diagonal, columns, out):
-    """Add one row's PathSim contributions at selected ``columns`` only.
-
-    The column-restricted form of :func:`pathsim_rows`, used by
-    standing-query maintenance to rescore just the candidates a delta
-    touched.  ``columns`` must be a sorted index array and ``out`` a
-    parallel accumulator.  Every arithmetic step is the same elementwise
-    operation :func:`pathsim_rows` performs on the full stored row
-    (``2.0 * value / (diag[row] + diag[col])`` over stored entries with
-    a positive denominator), so the accumulated scores are bitwise
-    identical to the corresponding slots of a full scoring pass.
-    """
-    start, end = matrix.indptr[row], matrix.indptr[row + 1]
-    cols = matrix.indices[start:end]
-    positions = np.searchsorted(columns, cols)
-    inside = positions < len(columns)
-    selected = inside.copy()
-    selected[inside] = columns[positions[inside]] == cols[inside]
-    if not selected.any():
-        return out
-    cols = cols[selected]
-    values = matrix.data[start:end][selected]
-    positions = positions[selected]
-    denominator = diagonal[row] + diagonal[cols]
-    positive = denominator > 0
-    if not positive.all():
-        positions = positions[positive]
-        values = values[positive]
-        denominator = denominator[positive]
-    out[positions] += 2.0 * values / denominator
-    return out
 
 
 def naive_matrix(view, pattern, max_star_depth=None, cache=None):
@@ -578,154 +547,17 @@ class CommutingMatrixEngine:
             return self._propagate_delta_locked(delta)
 
     @staticmethod
-    def _fast_csr(data, indices, indptr, n):
-        """A canonical CSR from trusted buffers, skipping validation.
-
-        SciPy's constructor re-derives index dtypes and checks formats —
-        an O(nnz) scan per call that dominates small-delta propagation.
-        Callers guarantee sorted, deduplicated, zero-free buffers.
-        """
-        matrix = sp.csr_matrix((n, n), dtype=np.float64)
-        matrix.data = data
-        matrix.indices = indices
-        matrix.indptr = indptr
-        matrix.has_canonical_format = True
-        return matrix
-
-    @classmethod
-    def _tiny_matmul(cls, delta, matrix, n):
-        """``delta @ matrix`` for a delta with very few entries.
-
-        Each delta entry ``(i, j, v)`` contributes ``v * matrix[j, :]``
-        to result row ``i``, so the product is a handful of scaled CSR
-        row slices — O(delta nnz x row length) with no full-matrix
-        symbolic pass.  SciPy's matmul would scan the large operand's
-        index arrays per call, which dominates single-edge delta
-        propagation.
-        """
-        coo = delta.tocoo()
-        indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-        rows, cols, vals = [], [], []
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            start, end = indptr[j], indptr[j + 1]
-            if start == end:
-                continue
-            rows.append(np.full(end - start, i, dtype=np.intp))
-            cols.append(indices[start:end])
-            vals.append(v * data[start:end])
-        if not rows:
-            return sp.csr_matrix((n, n), dtype=np.float64)
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        # Collapse duplicate (row, col) positions, drop exact cancels.
-        fresh = np.empty(len(rows), dtype=bool)
-        fresh[:1] = True
-        np.logical_or(
-            rows[1:] != rows[:-1], cols[1:] != cols[:-1], out=fresh[1:]
-        )
-        starts = np.flatnonzero(fresh)
-        sums = np.add.reduceat(vals, starts)
-        rows, cols = rows[starts], cols[starts]
-        keep = sums != 0
-        rows, cols, sums = rows[keep], cols[keep], sums[keep]
-        counts = np.bincount(rows, minlength=n)
-        result_indptr = np.zeros(n + 1, dtype=indptr.dtype)
-        np.cumsum(counts, out=result_indptr[1:])
-        return cls._fast_csr(
-            sums, cols.astype(indices.dtype), result_indptr, n
-        )
-
-    @classmethod
-    def _apply_patch(cls, old, d, n):
-        """``old + d`` as a canonical no-explicit-zeros CSR.
-
-        For a delta touching a handful of rows, the untouched row spans
-        of ``old`` are spliced through by slicing and only the touched
-        rows are merge-sorted, summed, and zero-pruned.  Wider deltas
-        fall back to SciPy's C merge, skipping its canonical re-check
-        (both operands are canonical, so the sum is) and pruning
-        explicit zeros only when the delta can cancel entries.  ``old``
-        must already be at shape ``(n, n)``; both operands canonical.
-        """
-        od, oi, op = old.data, old.indices, old.indptr
-        dd, di, dp = d.data, d.indices, d.indptr
-        touched = np.flatnonzero(np.diff(dp))
-        if len(touched) > 8:
-            new = old + d
-            new.has_canonical_format = True
-            if dd.min() < 0:
-                new.eliminate_zeros()
-            return new
-        counts = np.diff(op).copy()
-        data_parts, index_parts = [], []
-        previous = 0
-        for row in touched:
-            data_parts.append(od[op[previous]:op[row]])
-            index_parts.append(oi[op[previous]:op[row]])
-            cols = np.concatenate(
-                [oi[op[row]:op[row + 1]], di[dp[row]:dp[row + 1]]]
-            )
-            vals = np.concatenate(
-                [od[op[row]:op[row + 1]], dd[dp[row]:dp[row + 1]]]
-            )
-            order = np.argsort(cols, kind="stable")
-            cols, vals = cols[order], vals[order]
-            fresh = np.empty(len(cols), dtype=bool)
-            fresh[:1] = True
-            np.not_equal(cols[1:], cols[:-1], out=fresh[1:])
-            starts = np.flatnonzero(fresh)
-            sums = np.add.reduceat(vals, starts)
-            cols = cols[starts]
-            keep = sums != 0
-            cols, sums = cols[keep], sums[keep]
-            data_parts.append(sums)
-            index_parts.append(cols)
-            counts[row] = len(cols)
-            previous = row + 1
-        data_parts.append(od[op[previous]:])
-        index_parts.append(oi[op[previous]:])
-        indptr = np.zeros(n + 1, dtype=op.dtype)
-        np.cumsum(counts, out=indptr[1:])
-        return cls._fast_csr(
-            np.concatenate(data_parts),
-            np.concatenate(index_parts).astype(oi.dtype),
-            indptr,
-            n,
-        )
-
-    @classmethod
-    def _entries_csr(cls, rows, cols, vals, n, index_dtype):
+    def _entries_csr(rows, cols, vals, n, index_dtype):
         """A CSR from row-major-sorted, unique, nonzero entry arrays."""
         counts = np.bincount(rows, minlength=n)
         indptr = np.zeros(n + 1, dtype=index_dtype)
         np.cumsum(counts, out=indptr[1:])
-        return cls._fast_csr(
+        return trusted_csr(
             np.asarray(vals, dtype=np.float64),
             np.asarray(cols, dtype=index_dtype),
             indptr,
             n,
         )
-
-    @staticmethod
-    def _values_at(matrix, rows, cols):
-        """``matrix[rows[k], cols[k]]`` for parallel position arrays.
-
-        Binary search within each row of a canonical CSR — O(k log
-        degree), no row materialization.  The probe under the bool-node
-        delta rule (a boolean entry can only flip where the underlying
-        count changed).
-        """
-        out = np.zeros(len(rows), dtype=np.float64)
-        indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-        for k in range(len(rows)):
-            start, end = indptr[rows[k]], indptr[rows[k] + 1]
-            position = start + np.searchsorted(indices[start:end], cols[k])
-            if position < end and indices[position] == cols[k]:
-                out[k] = data[position]
-        return out
 
     def _propagate_delta_locked(self, delta):
         n = delta.num_nodes
@@ -740,19 +572,9 @@ class CommutingMatrixEngine:
         )
         memo = {}
         canonical = self._canonicalize
-        tiny_matmul = self._tiny_matmul
-        apply_patch = self._apply_patch
-        #: Use the scaled-row-slice kernel below this many delta
-        #: entries; larger deltas amortize SciPy's matmul overhead.
-        tiny_cap = 64
 
         def is_zero(d):
             return d is not None and d.nnz == 0
-
-        def product(a, b):
-            if a.nnz <= tiny_cap:
-                return tiny_matmul(a, b, n)
-            return canonical(a @ b)
 
         def resolve(node):
             # (new, delta, old) triples for nodes the pass can maintain
@@ -839,12 +661,12 @@ class CommutingMatrixEngine:
                     l_old = canonical(l_new - dl)
                 d = zero
                 if dl.nnz:
-                    d = d + product(dl, r_new)
+                    d = d + dl @ r_new
                 if dr.nnz:
                     d = d + l_old @ dr
                 d = canonical(d)
                 old = resized(old, n)
-                return (apply_patch(old, d, n), d, old)
+                return (add_patch(old, d), d, old)
             if kind == "add":
                 parts = [resolve(child) for child in node.children]
                 if any(part is _INVALID for part in parts):
@@ -871,7 +693,7 @@ class CommutingMatrixEngine:
                         d = d + part[1]
                 d = canonical(d)
                 old = resized(old, n)
-                return (apply_patch(old, d, n), d, old)
+                return (add_patch(old, d), d, old)
             if kind == "hadamard":
                 parts = [resolve(child) for child in node.children]
                 if any(part is _INVALID for part in parts):
@@ -893,39 +715,11 @@ class CommutingMatrixEngine:
                 child_new, child_delta, _ = child
                 if old is not None and is_zero(child_delta):
                     return unchanged(old)
-                if child_delta is None or old is None or (
-                    # The probe below is a per-entry binary search; for
-                    # wide deltas the vectorized full re-threshold and
-                    # diff is cheaper (same cutoff shape as the chain
-                    # threshold, plus an absolute cap on loop length).
-                    child_delta.nnz > 2048
-                    or child_delta.nnz > threshold * max(child_new.nnz, 1)
-                ):
-                    new = boolean(child_new)
-                    if old is None:
-                        return (new, None, None)
-                    old = resized(old, n)
-                    return (new, canonical(new - old), old)
-                # A boolean entry can only flip where the count changed:
-                # probe the new counts on ΔM's support instead of
-                # re-thresholding the whole matrix.
-                coo = child_delta.tocoo()
-                new_vals = self._values_at(child_new, coo.row, coo.col)
-                flips = (new_vals > 0).astype(np.float64) - (
-                    (new_vals - coo.data) > 0
-                )
-                mask = flips != 0
+                new = boolean(child_new)
+                if old is None:
+                    return (new, None, None)
                 old = resized(old, n)
-                if not mask.any():
-                    return (old, zero, old)
-                d = self._entries_csr(
-                    coo.row[mask],
-                    coo.col[mask],
-                    flips[mask],
-                    n,
-                    old.indices.dtype,
-                )
-                return (apply_patch(old, d, n), d, old)
+                return (new, canonical(new - old), old)
             if kind == "nested":
                 child = resolve(node.children[0])
                 if child is _INVALID or old is None:
@@ -946,7 +740,7 @@ class CommutingMatrixEngine:
                 d = self._entries_csr(
                     rows, rows, row_sums[rows], n, old.indices.dtype
                 )
-                return (apply_patch(old, d, n), d, old)
+                return (add_patch(old, d), d, old)
             if kind == "star":
                 child = resolve(node.children[0])
                 if child is _INVALID or old is None:
@@ -958,7 +752,7 @@ class CommutingMatrixEngine:
                     # New nodes only: the bounded power sum gains
                     # exactly the identity's new diagonal ones.
                     old = resized(old, n)
-                    return (apply_patch(old, ipatch, n), ipatch, old)
+                    return (add_patch(old, ipatch), ipatch, old)
                 # A changed star base reshapes every power — rebuild.
                 return _INVALID
             raise TypeError("unhandled plan node kind {!r}".format(node.kind))
@@ -973,19 +767,12 @@ class CommutingMatrixEngine:
 
         patched = kept = invalidated = 0
         new_cache = OrderedDict()
-        plan_deltas = {}
         for plan, entry in old_cache.items():
             result = resolve(plan)
             if result is _INVALID:
                 invalidated += 1
                 continue
             new, d, _ = result
-            if d is not None:
-                # Per-plan sparse deltas (zero for kept entries) feed
-                # the subscription layer's targeted rescoring; a plan
-                # absent from this map (invalidated, or maintained
-                # without a delta) means "changed in an unknown way".
-                plan_deltas[plan] = d
             if d is not None and d.nnz == 0:
                 kept += 1
                 if new is entry.matrix:
@@ -1020,7 +807,6 @@ class CommutingMatrixEngine:
             "entries": len(new_cache),
             "labels": sorted(patches),
             "nodes_added": len(delta.added_nodes),
-            "plan_deltas": plan_deltas,
         }
 
     def _plan_matrix(self, node):

@@ -46,7 +46,7 @@ from repro.api.service import SimilarityService
 from repro.api.session import SimilaritySession
 from repro.exceptions import SnapshotError
 from repro.graph.io import database_from_json, database_to_json
-from repro.lang.matrix_semantics import CommutingMatrixEngine
+from repro.graph.matrices import trusted_csr
 
 #: Bumped whenever the on-disk layout changes incompatibly; a loader
 #: refuses to guess at a format it does not know.
@@ -128,7 +128,7 @@ def unpool_matrices(reader, manifest_entries, prefix, n):
     return [
         (
             entry["p"],
-            CommutingMatrixEngine._fast_csr(
+            trusted_csr(
                 reader.take(prefix + "data", entry["data"], entry["nnz"]),
                 reader.take(prefix + "idx", entry["idx"], entry["nnz"]),
                 reader.take(prefix + "ptr", entry["ptr"], n + 1),

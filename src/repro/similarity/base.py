@@ -212,24 +212,6 @@ class SimilarityAlgorithm:
         """True once :meth:`prepare_scoring` has pinned scoring state."""
         return self._prepared_state is not None
 
-    def delta_rescore(self, query_index, plan_deltas):
-        """``(columns, scores)`` for candidates a delta may have rescored.
-
-        ``plan_deltas`` maps compiled plan nodes to the sparse delta the
-        engine's incremental maintenance applied to each cached matrix
-        (zero for untouched entries).  Implementations return a sorted
-        index array of every candidate column whose score for
-        ``query_index`` could differ from the pre-delta snapshot,
-        paired with those candidates' *new* scores — computed with the
-        exact same float operations as :meth:`score_rows`, so the
-        values are bitwise comparable against a full re-rank.  Return
-        ``None`` when a targeted rescore cannot be trusted for this
-        delta (missing plan delta, unpinned state, non-entry-local
-        scoring); the subscription layer then falls back to a full
-        re-rank.  The default supports nothing.
-        """
-        return None
-
     def candidates(self, query):
         """Nodes eligible as answers for ``query`` (never the query).
 

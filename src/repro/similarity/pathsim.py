@@ -11,15 +11,9 @@ see :mod:`repro.core.relsim`); classic PathSim corresponds to passing a
 simple pattern.
 """
 
-import numpy as np
-
 from repro.exceptions import AsymmetricPatternError
 from repro.lang.ast import Pattern, simple_steps
-from repro.lang.matrix_semantics import (
-    CommutingMatrixEngine,
-    pathsim_columns,
-    pathsim_rows,
-)
+from repro.lang.matrix_semantics import CommutingMatrixEngine, pathsim_rows
 from repro.lang.parser import parse_pattern
 from repro.similarity.base import SimilarityAlgorithm
 
@@ -98,40 +92,8 @@ class PathSim(SimilarityAlgorithm):
         """
         if self._prepared_state is None:
             matrix = self.engine.matrix(self.pattern)
-            matrix.sum_duplicates()  # dense_rows needs canonical CSR
             self._prepared_state = (matrix, self.engine.diagonal(self.pattern))
         return self
-
-    def delta_rescore(self, query_index, plan_deltas):
-        """Targeted rescore of delta-touched candidates (see RelSim's).
-
-        Single-pattern specialization: the affected columns are the
-        delta's stored entries on the query row plus every node whose
-        round-trip diagonal moved; a delta to the query's own diagonal
-        moves every denominator and returns None (full re-rank).
-        """
-        state = self._prepared_state
-        if state is None:
-            return None
-        d = plan_deltas.get(self.engine.compile(self.pattern))
-        if d is None:
-            return None
-        if d.nnz == 0:
-            return np.empty(0, dtype=np.intp), np.zeros(0)
-        diagonal_delta = d.diagonal()
-        if diagonal_delta[query_index] != 0:
-            return None
-        start, end = d.indptr[query_index], d.indptr[query_index + 1]
-        affected = {int(col) for col in d.indices[start:end]}
-        affected.update(int(row) for row in np.flatnonzero(diagonal_delta))
-        if not affected:
-            return np.empty(0, dtype=np.intp), np.zeros(0)
-        columns = np.array(sorted(affected), dtype=np.intp)
-        matrix, diagonal = state
-        scores = pathsim_columns(
-            matrix, query_index, diagonal, columns, np.zeros(len(columns))
-        )
-        return columns, scores
 
     def score_rows(self, queries):
         """Batch score rows from one sparse slice of the commuting matrix."""

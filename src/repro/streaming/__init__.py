@@ -1,7 +1,7 @@
 """Standing queries over the delta stream (push-based top-k).
 
-See :mod:`repro.streaming.subscription` for the maintenance ladder
-(pruned / rescored / fallback) and the bitwise-identity contract.
+See :mod:`repro.streaming.subscription` for the two maintenance rungs
+(pruned or re-ranked) and the bitwise-identity contract.
 """
 
 from repro.streaming.events import DeltaReport, RankingEvent, diff_rankings

@@ -1,11 +1,10 @@
 """Delta reports and ranking events for standing queries.
 
 A :class:`DeltaReport` is the publication-side summary of one engine
-update: which edge labels the delta touched, whether the node set grew,
-and the per-plan sparse deltas the propagation pass produced.  The
-subscription layer intersects it with each subscription's pattern
-footprint to decide, in O(1), whether the update can possibly move that
-subscription's ranking.
+update: which edge labels the delta touched and whether the node set
+grew.  The subscription layer intersects it with each subscription's
+pattern footprint to decide, in O(1), whether the update can possibly
+move that subscription's ranking; if it can, the query re-runs.
 
 A :class:`RankingEvent` is what subscribers receive: the new top-k plus
 a structured diff against the previous notification (which nodes
@@ -14,7 +13,7 @@ entered, which left, which survivors changed position).
 
 
 class DeltaReport:
-    """What one published engine update did, for pruning decisions.
+    """What one published engine update touched, for pruning decisions.
 
     Parameters
     ----------
@@ -27,17 +26,13 @@ class DeltaReport:
         floating-point results of shape-dependent reductions even for
         label-disjoint patterns, so growth-sensitive subscriptions treat
         a growing delta as relevant regardless of labels.
-    plan_deltas:
-        Mapping of plan node -> sparse delta matrix from the propagation
-        pass (empty for full rebuilds).  Feeds targeted rescoring.
     """
 
-    __slots__ = ("labels", "grew", "plan_deltas")
+    __slots__ = ("labels", "grew")
 
-    def __init__(self, labels, grew, plan_deltas=None):
+    def __init__(self, labels, grew):
         self.labels = labels
         self.grew = grew
-        self.plan_deltas = plan_deltas or {}
 
     @classmethod
     def unknown(cls):

@@ -3,24 +3,21 @@
 A :class:`Subscription` pins one ``(prepared query, query node)`` pair
 and keeps its top-k ranking current as
 :class:`~repro.api.service.SimilarityService` publishes updates,
-notifying a callback only when the ranking actually changes.  The
-maintenance ladder, cheapest rung first:
+notifying a callback only when the ranking actually changes.  Each
+published update takes one of two rungs:
 
 1. **Pruned** — the delta's :class:`~repro.streaming.events.DeltaReport`
    does not touch the subscription's pattern-label footprint: the
    ranking provably kept every bit, at the cost of one frozenset
    intersection.
-2. **Rescored** — the bound algorithm's ``delta_rescore`` names exactly
-   which candidates the delta may have moved; if none of them is a
-   current member and none can newly clear the k-th score threshold,
-   the old ranking is *certified* unchanged without a full re-rank.
-3. **Fallback** — anything the certificate cannot vouch for re-runs the
-   prepared query in full.
+2. **Fallback** — any other update re-runs the prepared query in full
+   and diffs the result against the maintained ranking.
 
-The certificate is only ever used to prove "nothing changed": whenever
-a ranking might have moved, the new ranking comes from a fresh
-``prepared.run`` — so a subscription's maintained top-k is always
-bitwise identical to re-running the query, by construction.
+The maintained ranking is therefore either the unchanged old one or a
+fresh ``prepared.run`` result — bitwise identical to re-running the
+query, by construction.  There is no rung in between: a certificate
+that tried to prove a relevant delta left the top-k unchanged cost more
+than the re-rank it skipped (see the README's "Standing queries").
 
 Callbacks are dispatched from a dedicated notifier thread, never while
 any lock is held: a slow or re-entrant subscriber cannot stall the
@@ -58,7 +55,6 @@ class Subscription:
         "_active",
         "_notified",
         "_pruned",
-        "_rescored",
         "_fallbacks",
     )
 
@@ -74,7 +70,6 @@ class Subscription:
         self._active = True
         self._notified = 0
         self._pruned = 0
-        self._rescored = 0
         self._fallbacks = 0
 
     @property
@@ -109,7 +104,6 @@ class Subscription:
             return {
                 "notified": self._notified,
                 "pruned": self._pruned,
-                "rescored": self._rescored,
                 "fallbacks": self._fallbacks,
             }
 
@@ -218,10 +212,6 @@ class SubscriptionManager:
             subscription._pruned += 1
             subscription._version = version
             return
-        if self._certified_unchanged(subscription, report):
-            subscription._rescored += 1
-            subscription._version = version
-            return
         ranking = subscription._prepared.run(
             subscription.node, top_k=subscription._top_k
         )
@@ -238,58 +228,6 @@ class SubscriptionManager:
             "update", version, new_items, entered, left, reordered
         )
         self._dispatch(subscription, event)
-
-    def _certified_unchanged(self, subscription, report):
-        """True when a targeted rescore proves the ranking kept every bit.
-
-        Sound, not complete: every ``False`` just means "fall back to a
-        full re-rank", so the maintained ranking is always either the
-        certified-unchanged old one or a fresh ``run`` result.
-        """
-        top_k = subscription._top_k
-        if top_k is not None and top_k <= 0:
-            return True  # the ranking is empty forever
-        _session, algorithm = subscription._prepared.bound_snapshot()
-        try:
-            view = algorithm._view
-            if view is None:
-                return False
-            query_index = int(view.query_indices([subscription.node])[0])
-            rescored = algorithm.delta_rescore(
-                query_index, report.plan_deltas
-            )
-            if rescored is None:
-                return False
-            columns, scores = rescored
-            if len(columns) == 0:
-                return True
-            nodes, candidate_columns = algorithm._candidate_arrays(
-                subscription.node
-            )
-        except Exception:
-            return False
-        node_of = dict(zip(candidate_columns.tolist(), nodes))
-        items = subscription._items
-        members = {node for node, _ in items}
-        kth = items[-1][1] if items else None
-        full = top_k is not None and len(items) >= top_k
-        for column, score in zip(columns.tolist(), scores):
-            if column == query_index:
-                continue
-            node = node_of.get(column)
-            if node is None:
-                continue  # not a candidate for this query
-            if node in members:
-                return False  # a member's score may have moved
-            if full:
-                # An outsider newly at/above the boundary can enter (a
-                # tie at the k-th score can displace the str-order
-                # fill), so only strictly-below scores are safe.
-                if score >= kth:
-                    return False
-            elif score > 0:
-                return False  # room in the ranking; a positive score enters
-        return True
 
     # ------------------------------------------------------------------
     # Notifier thread
@@ -340,7 +278,11 @@ class SubscriptionManager:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self):
-        """Aggregate counters across live subscriptions."""
+        """Aggregate counters across live subscriptions.
+
+        ``rescored`` is always 0: the certificate rung it counted is
+        gone, and the key stays for readers of the earlier key set.
+        """
         with self._lock:
             totals = {
                 "active": len(self._subscriptions),
@@ -353,6 +295,5 @@ class SubscriptionManager:
             for subscription in self._subscriptions:
                 totals["notified"] += subscription._notified
                 totals["pruned"] += subscription._pruned
-                totals["rescored"] += subscription._rescored
                 totals["fallbacks"] += subscription._fallbacks
         return totals

@@ -23,6 +23,7 @@ Tunables (the CI ``delta-fuzz`` job raises them):
 import os
 import random
 
+import numpy as np
 import pytest
 
 from repro.api import SimilarityService, SimilaritySession, available_algorithms
@@ -113,6 +114,21 @@ def _queries(database, rng):
     )
 
 
+def _assert_cache_canonical(service, step):
+    """Every cached matrix is canonical CSR with no stored zero.
+
+    Scanned from the buffers, not read from SciPy's flag: the delta
+    pass flags patched sums canonical without checking, prepared
+    scoring reads the buffers directly, and no caller may sort a cached
+    matrix in place because forked engines share it.
+    """
+    for text, matrix in service.session.engine.export_cache()["matrices"]:
+        rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+        same_row = rows[1:] == rows[:-1]
+        assert (np.diff(matrix.indices)[same_row] > 0).all(), (step, text)
+        assert (matrix.data != 0).all(), (step, text)
+
+
 def _expected_queries(spec_options, queries, database):
     # HeteSim's proc-to-proc meta-path only answers proc queries; every
     # other spec answers any typed query.
@@ -156,6 +172,7 @@ def test_delta_fuzz_incremental_parity_all_algorithms(seed, budgeted):
         )
         assert version == step + 2
         assert service.delta_stats["last_path"] == "incremental"
+        _assert_cache_canonical(service, step)
 
         fresh = SimilaritySession(service.database)
         fresh_prepared = _prepare_all(fresh)
@@ -183,11 +200,11 @@ def test_delta_fuzz_incremental_parity_all_algorithms(seed, budgeted):
 def test_delta_fuzz_subscriptions_track_fresh_rankings():
     """Standing queries stay bitwise-exact under random deltas.
 
-    One live subscription per registered algorithm, maintained through
-    the pruned / rescored-certificate / fallback ladder; after every
-    random delta (alternating incremental applies with full-rebuild
-    swaps) each maintained top-k must equal a fresh session's
-    ``prepared.run`` — item for item, score bit for score bit.
+    One live subscription per registered algorithm, each delta either
+    pruned or re-ranked by a fallback run; after every random delta
+    (alternating incremental applies with full-rebuild swaps) each
+    maintained top-k must equal a fresh session's ``prepared.run`` —
+    item for item, score bit for score bit.
     """
     rng = random.Random(SEED + 29)
     database = _tiny_dblp(SEED + 29)
@@ -206,6 +223,7 @@ def test_delta_fuzz_subscriptions_track_fresh_rankings():
             nodes_added=nodes_added,
             incremental=step % 2 == 0,
         )
+        _assert_cache_canonical(service, step)
         fresh = SimilaritySession(service.database)
         fresh_prepared = _prepare_all(fresh)
         for (name, _), live, reference in zip(
@@ -219,7 +237,7 @@ def test_delta_fuzz_subscriptions_track_fresh_rankings():
 
     stats = service.subscription_stats
     assert stats["active"] == len(SPECS)
-    maintained = stats["pruned"] + stats["rescored"] + stats["fallbacks"]
+    maintained = stats["pruned"] + stats["fallbacks"]
     assert maintained == len(SPECS) * STEPS
 
 
@@ -244,6 +262,7 @@ def test_delta_fuzz_mixed_incremental_and_rebuild_paths():
             nodes_added=nodes_added,
             incremental=step % 2 == 0,
         )
+        _assert_cache_canonical(service, step)
         fresh = SimilaritySession(service.database)
         reference = fresh.prepare(
             algorithm="relsim",

@@ -2,7 +2,7 @@
 
 SciPy builds CSR matrices with int32 indices while nnz fits, and
 upcasts to int64 past 2^31 entries.  The engine's direct buffer readers
-(``dense_rows``, ``pathsim_rows``, the ``_fast_csr`` constructor) and
+(``dense_rows``, ``pathsim_rows``, the ``trusted_csr`` constructor) and
 the snapshot warm-start path must therefore be dtype-agnostic: the same
 graph served through int64-index matrices has to produce bitwise
 identical rankings.  (The linter's ``int32-index`` rule bans the
@@ -15,11 +15,8 @@ import scipy.sparse as sp
 
 from repro.api import SimilaritySession
 from repro.datasets import generate_dblp
-from repro.graph.matrices import dense_rows
-from repro.lang.matrix_semantics import (
-    CommutingMatrixEngine,
-    pathsim_rows,
-)
+from repro.graph.matrices import dense_rows, trusted_csr
+from repro.lang.matrix_semantics import pathsim_rows
 
 TOP_K = 10
 
@@ -38,7 +35,7 @@ def database():
 
 def _upcast(matrix):
     """The same CSR with int64 index buffers (values untouched)."""
-    clone = CommutingMatrixEngine._fast_csr(
+    clone = trusted_csr(
         matrix.data.copy(),
         matrix.indices.astype(np.int64),
         matrix.indptr.astype(np.int64),

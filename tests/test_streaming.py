@@ -1,9 +1,9 @@
 """Standing-query subscriptions: the push-based incremental top-k layer.
 
-Covers the maintenance ladder (pruned / rescored-certificate /
-fallback), the notification contract (events only when the ranking
-actually changes, callbacks off-thread), and the bitwise-parity claim:
-a maintained ranking always equals a fresh ``prepared.run``.
+Covers the two maintenance rungs (pruned, or re-ranked by a fallback
+``prepared.run``), the notification contract (events only when the
+ranking actually changes, callbacks off-thread), and the bitwise-parity
+claim: a maintained ranking always equals a fresh ``prepared.run``.
 """
 
 import threading
@@ -206,19 +206,17 @@ def test_footprint_disjoint_delta_is_pruned(watched):
     service.subscriptions.flush()
     stats = subscription.stats()
     assert stats["pruned"] == 1
-    assert (stats["rescored"], stats["fallbacks"], stats["notified"]) == (
-        0, 0, 0,
-    )
+    assert (stats["fallbacks"], stats["notified"]) == (0, 0)
     assert [event.type for event in events] == ["snapshot"]
     assert subscription.version == service.version
     assert subscription.items() == _fresh_items(service)
 
 
-def test_relevant_delta_certified_by_targeted_rescore(watched):
+def test_relevant_delta_that_keeps_the_ranking_does_not_notify(watched):
     service, prepared, subscription, events = watched
     members = {node for node, _ in subscription.items()}
-    # A p-in edge in a different proceedings: label-relevant, but the
-    # targeted rescore proves no member moved and no outsider enters.
+    # A p-in edge in a different proceedings: label-relevant, so the
+    # query re-runs, but no member moves and no outsider enters.
     edge = _new_edge(
         service.database, "p-in", "paper", "proc",
         exclude=members | {NODE, "proc:2"},
@@ -226,8 +224,7 @@ def test_relevant_delta_certified_by_targeted_rescore(watched):
     service.apply(edges_added=[edge], incremental=True)
     service.subscriptions.flush()
     stats = subscription.stats()
-    assert stats["rescored"] == 1
-    assert (stats["fallbacks"], stats["notified"]) == (0, 0)
+    assert (stats["fallbacks"], stats["notified"]) == (1, 0)
     assert [event.type for event in events] == ["snapshot"]
     assert subscription.items() == _fresh_items(service)
 
@@ -334,3 +331,4 @@ def test_subscription_stats_aggregates(watched):
         "active", "notified", "pruned", "rescored", "fallbacks",
         "callback_errors",
     }
+    assert stats["rescored"] == 0
