@@ -1,8 +1,10 @@
 """Shared benchmark fixtures and result emission.
 
 Every benchmark prints the paper-table analogue it regenerates and also
-appends it to ``benchmarks/results/<name>.txt`` so the rows survive
-pytest's output capturing.  Run with::
+writes it to ``benchmarks/results/<name>.txt`` so the rows survive
+pytest's output capturing.  Each table ends with a ``host:`` line (usable
+cores and the Python, numpy and scipy versions), because a speed ratio
+means little without the machine it was measured on.  Run with::
 
     pytest benchmarks/ --benchmark-only -s
 
@@ -13,8 +15,11 @@ EXPERIMENTS.md).
 """
 
 import os
+import platform
 
+import numpy
 import pytest
+import scipy
 
 from repro.datasets import (
     generate_biomed_small,
@@ -30,8 +35,15 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 def emit():
     """Print a table and persist it under benchmarks/results/."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
+    host = "host: {} usable cores, Python {}, numpy {}, scipy {}".format(
+        len(os.sched_getaffinity(0)),
+        platform.python_version(),
+        numpy.__version__,
+        scipy.__version__,
+    )
 
     def _emit(name, text):
+        text = text + "\n" + host
         print()
         print(text)
         with open(os.path.join(RESULTS_DIR, name + ".txt"), "w") as handle:

@@ -125,7 +125,7 @@ class GraphDatabase:
         ``KeyError`` subclass, so existing guards keep working) when the
         edge is absent.
         """
-        targets = self._out[label].get(source)
+        targets = self._out.get(label, {}).get(source)
         if not targets or target not in targets:
             raise UnknownEdgeError(source, label, target)
         targets.discard(target)
@@ -224,35 +224,38 @@ class GraphDatabase:
         """Iterate ``(source, label, target)`` triples, optionally filtered."""
         labels = [label] if label is not None else list(self._out)
         for lab in labels:
-            for source, targets in self._out[lab].items():
+            for source, targets in self._out.get(lab, {}).items():
                 for target in targets:
                     yield (source, lab, target)
 
     def adjacency_lists(self, label):
         """Iterate ``(source, set_of_targets)`` for one label.
 
-        The bulk counterpart of :meth:`edges`: one yield per source
-        instead of one per edge, so matrix construction can map a whole
-        neighbor set through the node indexer at once.  The yielded sets
-        are the live internal ones — callers must not mutate them.
+        The bulk counterpart of :meth:`edges`: one pair per source
+        instead of one triple per edge.  The result is a ``dict_items``
+        view whose ``.mapping`` is a read-only proxy of the label's
+        ``{source: set_of_targets}`` dict, so matrix construction can
+        map all sources, degrees and targets through the node indexer
+        in bulk.  The sets are the live internal ones — callers must not
+        mutate them.
         """
         if label not in self._schema:
             raise UnknownLabelError(label, self._schema.labels)
-        return self._out[label].items()
+        return self._out.get(label, {}).items()
 
     def has_node(self, node):
         return node in self._nodes
 
     def has_edge(self, source, label, target):
-        return target in self._out[label].get(source, ())
+        return target in self._out.get(label, {}).get(source, ())
 
     def successors(self, node, label):
         """Nodes ``v`` with an edge ``(node, label, v)``."""
-        return set(self._out[label].get(node, ()))
+        return set(self._out.get(label, {}).get(node, ()))
 
     def predecessors(self, node, label):
         """Nodes ``u`` with an edge ``(u, label, node)``."""
-        return set(self._in[label].get(node, ()))
+        return set(self._in.get(label, {}).get(node, ()))
 
     def degree(self, node):
         """Total degree (in + out) across all labels."""
@@ -261,7 +264,7 @@ class GraphDatabase:
         total = 0
         for label in self._out:
             total += len(self._out[label].get(node, ()))
-            total += len(self._in[label].get(node, ()))
+            total += len(self._in.get(label, {}).get(node, ()))
         return total
 
     def num_nodes(self):
@@ -280,7 +283,7 @@ class GraphDatabase:
             raise UnknownLabelError(label, self._schema.labels)
         return {
             (source, target)
-            for source, targets in self._out[label].items()
+            for source, targets in self._out.get(label, {}).items()
             for target in targets
         }
 

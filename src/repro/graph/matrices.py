@@ -11,8 +11,8 @@ long as they stay below 2**53, which vastly exceeds anything a realistic
 pattern produces.
 """
 
-import itertools
 import threading
+from itertools import chain, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,6 +28,21 @@ class NodeIndexer:
         self._index = {node: i for i, node in enumerate(self._ids)}
         if len(self._index) != len(self._ids):
             raise ValueError("duplicate node ids passed to NodeIndexer")
+
+    def extended(self, nodes):
+        """A new indexer with ``nodes`` appended after this one's ids.
+
+        Copies the mapping instead of re-enumerating every id, and
+        leaves ``self`` unchanged for readers that still hold it.
+        """
+        old = len(self._ids)
+        clone = NodeIndexer(())
+        clone._ids = self._ids + list(nodes)
+        clone._index = dict(self._index)
+        clone._index.update(zip(clone._ids[old:], range(old, len(clone._ids))))
+        if len(clone._index) != len(clone._ids):
+            raise ValueError("duplicate node ids passed to NodeIndexer")
+        return clone
 
     def __len__(self):
         return len(self._ids)
@@ -183,7 +198,9 @@ class MatrixView:
 
     def __init__(self, database, indexer=None):
         self._database = database
-        self._indexer = indexer or NodeIndexer(database.nodes())
+        if indexer is None:
+            indexer = NodeIndexer(database.nodes())
+        self._indexer = indexer
         self._lock = threading.RLock()
         self._cache = {}
         self._candidates = {}
@@ -215,36 +232,34 @@ class MatrixView:
         return matrix
 
     def _build(self, label):
-        # Bulk index construction: one adjacency-list visit per source
-        # with whole neighbor sets mapped through the index dict in C
-        # (`map`), instead of a per-edge generator frame plus `in` +
-        # `index_of` calls.  ~5-10x at million-edge scale, and the
-        # assembled CSR is bitwise-identical to the per-edge loop (the
-        # COO->CSR conversion canonicalizes either way); see
-        # tests/test_graph_matrices.py::test_build_matches_per_edge_loop.
-        self._database.schema.require_label(label)
+        # Each array is filled by one C-level ``map`` over the label's
+        # {source: targets} dict, so no bytecode runs per source or per
+        # edge.  Keys, degrees and the chained target sets all follow
+        # the dict's one iteration order, which is what lets
+        # ``np.repeat`` pair every target with its source.  An id the
+        # (shared) indexer lacks maps to -1 and is masked out.
+        adjacency = self._database.adjacency_lists(label).mapping
+        position = self._indexer._index.get
+        degrees = np.fromiter(
+            map(len, adjacency.values()), dtype=np.intp, count=len(adjacency)
+        )
+        sources = np.fromiter(
+            map(position, adjacency, repeat(-1)),
+            dtype=np.intp,
+            count=len(adjacency),
+        )
+        cols = np.fromiter(
+            map(position, chain.from_iterable(adjacency.values()), repeat(-1)),
+            dtype=np.intp,
+            count=int(degrees.sum()),
+        )
+        rows = np.repeat(sources, degrees)
+        keep = np.minimum(rows, cols) >= 0
+        rows, cols = rows[keep], cols[keep]
         n = len(self._indexer)
-        index = self._indexer._index
-        lookup = index.__getitem__
-        rows, cols = [], []
-        for source, targets in self._database.adjacency_lists(label):
-            source_index = index.get(source)
-            if source_index is None:
-                continue
-            try:
-                hit = list(map(lookup, targets))
-            except KeyError:
-                # Shared-indexer case: the database variant has nodes
-                # this view's ordering does not — skip them, exactly
-                # like the historical per-edge membership test.
-                hit = [index[t] for t in targets if t in index]
-            cols.extend(hit)
-            rows.extend(itertools.repeat(source_index, len(hit)))
-        row_array = np.asarray(rows, dtype=np.intp)
-        col_array = np.asarray(cols, dtype=np.intp)
-        data = np.ones(len(row_array), dtype=np.float64)
+        data = np.ones(len(rows), dtype=np.float64)
         matrix = sp.csr_matrix(
-            (data, (row_array, col_array)), shape=(n, n), dtype=np.float64
+            (data, (rows, cols)), shape=(n, n), dtype=np.float64
         )
         matrix.sum_duplicates()
         return matrix
@@ -303,7 +318,7 @@ class MatrixView:
         with self._lock:
             old_n = len(self._indexer)
             if new_nodes:
-                self._indexer = NodeIndexer(self._indexer.ids + new_nodes)
+                self._indexer = self._indexer.extended(new_nodes)
             n = len(self._indexer)
             entries = {}
             for (source, label, target), sign in [

@@ -471,11 +471,13 @@ def _order_chain_locked(node, leaf_nnz, n, compiler):
         sub = node if (i, j) == (0, k) else compiler.chain(factors[i:j])
         if sub.split_at is None:
             m = split[(i, j)]
-            sub.split_at = m - i
             sub.est_nnz = nnz[(i, j)]
             sub.est_cost = cost[(i, j)]
             sub.left = attach(i, m)
             sub.right = attach(m, j)
+            # Set last: _ensure_ordered tests split_at without the lock,
+            # so a reader that sees it set must also see left and right.
+            sub.split_at = m - i
         return sub
 
     attach(0, k)

@@ -213,3 +213,30 @@ def test_adjacency_lists_cover_edges(db):
     assert flattened == {(1, 2), (1, 3), (2, 1)}
     with pytest.raises(UnknownLabelError):
         db.adjacency_lists("nope")
+
+
+_READS = {
+    "has_edge": lambda db, label: db.has_edge(1, label, 2),
+    "successors": lambda db, label: db.successors(1, label),
+    "predecessors": lambda db, label: db.predecessors(2, label),
+    "edges": lambda db, label: list(db.edges(label)),
+    "label_pairs": lambda db, label: db.label_pairs(label),
+    "adjacency_lists": lambda db, label: db.adjacency_lists(label),
+    "degree": lambda db, label: db.degree(1),
+    "remove_edge": lambda db, label: db.remove_edge(1, label, 2),
+}
+
+
+@pytest.mark.parametrize("label", ["b", "bogus"])
+@pytest.mark.parametrize("read", sorted(_READS))
+def test_reads_leave_label_keys_unchanged(db, read, label):
+    # "b" is in the schema but has no edges; "bogus" is not in it.  A
+    # read that inserted either key would make a concurrent copy() fail
+    # with "dictionary changed size during iteration".
+    db.add_edges([(1, "a", 2), (2, "a", 3)])
+    before = (set(db._out), set(db._in))
+    try:
+        _READS[read](db, label)
+    except (UnknownLabelError, UnknownEdgeError):
+        pass
+    assert (set(db._out), set(db._in)) == before

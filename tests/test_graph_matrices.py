@@ -1,9 +1,12 @@
 """Unit tests for repro.graph.matrices."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
 
+from repro.datasets import generate_dblp_scale
 from repro.exceptions import UnknownNodeError
 from repro.graph import (
     GraphDatabase,
@@ -40,6 +43,28 @@ def test_indexer_contains():
     indexer = NodeIndexer(["x"])
     assert "x" in indexer
     assert "y" not in indexer
+
+
+def test_indexer_extended_equals_rebuilt():
+    old = NodeIndexer(["x", 1, ("t", 2)])
+    new = old.extended(["y", 7])
+    rebuilt = NodeIndexer(["x", 1, ("t", 2), "y", 7])
+    assert new.ids == rebuilt.ids
+    assert new._index == rebuilt._index
+    # Old readers keep the old ordering.
+    assert old.ids == ["x", 1, ("t", 2)]
+    assert "y" not in old
+    with pytest.raises(UnknownNodeError):
+        old.index_of(7)
+
+
+def test_indexer_extended_rejects_duplicates():
+    old = NodeIndexer(["x"])
+    with pytest.raises(ValueError):
+        old.extended(["x"])
+    with pytest.raises(ValueError):
+        old.extended(["y", "y"])
+    assert old.ids == ["x"]
 
 
 @pytest.fixture
@@ -81,6 +106,12 @@ def test_shared_indexer_across_views(tiny_db):
     assert (view1.adjacency("a") != view2.adjacency("a")).nnz == 0
 
 
+def test_view_keeps_an_empty_shared_indexer(dblp_small):
+    view = MatrixView(dblp_small.database, indexer=NodeIndexer([]))
+    assert view.num_nodes() == 0
+    assert view.adjacency("p-in").shape == (0, 0)
+
+
 def test_shared_indexer_ignores_extra_nodes(tiny_db):
     indexer = MatrixView(tiny_db).indexer
     bigger = tiny_db.copy()
@@ -118,7 +149,7 @@ def test_column_normalize_columns_sum_to_one():
 
 
 # ----------------------------------------------------------------------
-# Vectorized _build parity (referenced from MatrixView._build)
+# Bulk _build parity against the per-edge oracle
 # ----------------------------------------------------------------------
 def _reference_build(database, indexer, label):
     """The historical per-edge loop, kept as the parity oracle."""
@@ -136,15 +167,24 @@ def _reference_build(database, indexer, label):
     return matrix
 
 
+def _assert_matches_reference(view, label):
+    built = view.adjacency(label)
+    expected = _reference_build(view.database, view.indexer, label)
+    assert np.array_equal(built.indptr, expected.indptr), label
+    assert np.array_equal(built.indices, expected.indices), label
+    assert np.array_equal(built.data, expected.data), label
+    assert built.indptr.dtype == expected.indptr.dtype, label
+    assert built.indices.dtype == expected.indices.dtype, label
+    assert built.has_canonical_format and expected.has_canonical_format
+
+
 def test_build_matches_per_edge_loop(tiny_db, dblp_small):
-    for database in (tiny_db, dblp_small.database):
+    # generate_dblp_scale has power-law degrees.
+    power_law = generate_dblp_scale(10**5, seed=0).database
+    for database in (tiny_db, dblp_small.database, power_law):
         view = MatrixView(database)
         for label in sorted(database.used_labels()):
-            built = view.adjacency(label)
-            expected = _reference_build(database, view.indexer, label)
-            assert np.array_equal(built.indptr, expected.indptr), label
-            assert np.array_equal(built.indices, expected.indices), label
-            assert np.array_equal(built.data, expected.data), label
+            _assert_matches_reference(view, label)
 
 
 def test_build_matches_per_edge_loop_shared_indexer(tiny_db, tiny_schema):
@@ -155,8 +195,45 @@ def test_build_matches_per_edge_loop_shared_indexer(tiny_db, tiny_schema):
     bigger.add_edges([(99, "a", 1), (1, "a", 98), (99, "b", 98)])
     view = MatrixView(bigger, indexer=indexer)
     for label in sorted(bigger.used_labels()):
-        built = view.adjacency(label)
-        expected = _reference_build(bigger, indexer, label)
-        assert np.array_equal(built.indptr, expected.indptr), label
-        assert np.array_equal(built.indices, expected.indices), label
-        assert np.array_equal(built.data, expected.data), label
+        _assert_matches_reference(view, label)
+
+
+_NODE_IDS = [0, 1, 2, "x", "y", ("t", 0), ("t", 1)]
+
+
+@st.composite
+def _views(draw):
+    """A small mixed-id database (self-loops allowed, schema label "c"
+    never used) and a view over it, optionally through a shared indexer
+    over a drawn subset of the ids in a drawn order, plus ids the
+    database lacks."""
+    database = GraphDatabase(Schema(["a", "b", "c"]))
+    database.add_edges(
+        draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(_NODE_IDS),
+                    st.sampled_from(["a", "b"]),
+                    st.sampled_from(_NODE_IDS),
+                ),
+                max_size=30,
+            )
+        )
+    )
+    indexer = None
+    if draw(st.booleans()):
+        indexer = NodeIndexer(
+            draw(
+                st.lists(
+                    st.sampled_from(_NODE_IDS + [99, "extra"]), unique=True
+                )
+            )
+        )
+    return MatrixView(database, indexer=indexer)
+
+
+@given(_views())
+@settings(max_examples=150, deadline=None)
+def test_build_matches_per_edge_loop_property(view):
+    for label in sorted(view.database.schema.labels):
+        _assert_matches_reference(view, label)
