@@ -104,7 +104,7 @@ def test_maintained_topk_matches_fresh_run_for_every_algorithm(
     checks = 0
     for edge in edges:
         for delta in ({"edges_removed": [edge]}, {"edges_added": [edge]}):
-            service.apply(incremental=True, **delta)
+            service.apply(**delta)
             fresh = SimilaritySession(service.database)
             for (name, options, _), node, subscription in zip(
                 SPECS, nodes, subscriptions
@@ -180,7 +180,7 @@ def test_irrelevant_delta_is_cheaper_than_one_rescore(
         for p in sorted(database.nodes_of_type("paper"))
         if not database.has_edge(author, "w", p)
     )
-    service.apply(edges_added=[(author, "w", paper)], incremental=True)
+    service.apply(edges_added=[(author, "w", paper)])
     assert subscription.stats()["pruned"] == PRUNE_ITERATIONS + 2
 
     ratio = rescore_seconds / max(poll_seconds, 1e-12)

@@ -11,17 +11,16 @@ swap**:
   over a private copy of the database (callers can keep mutating their
   own object without corrupting the snapshot);
 * :meth:`SimilarityService.apply` (edge/node deltas) builds the next
-  snapshot off the serving path — small batches **incrementally**, by
-  forking the serving engine and patching its cached matrices through
-  sparse delta propagation (bitwise identical to a rebuild, typically
-  an order of magnitude faster for single-edge churn); large batches
-  and :meth:`SimilarityService.swap` (whole database) fall back to the
-  full session rebuild.  The old snapshot keeps answering queries the
-  entire time either way;
+  snapshot off the serving path by forking the serving engine and
+  patching its cached matrices through sparse delta propagation
+  (bitwise identical to a rebuild at any batch size);
+  :meth:`SimilarityService.swap` (a whole replacement database) is the
+  only full session rebuild.  The old snapshot keeps answering queries
+  the entire time either way;
 * every outstanding :class:`~repro.api.prepared.PreparedQuery` handed
-  out by :meth:`prepare` is re-bound against the new snapshot (pattern
-  expansion re-run, matrices re-materialized, scoring state re-pinned)
-  *before* anything is published;
+  out by :meth:`prepare` is re-bound against the new snapshot (scoring
+  state re-pinned; after a swap, pattern expansion re-run and matrices
+  re-materialized too) *before* anything is published;
 * publication is a handful of reference assignments: in-flight queries
   finish on the snapshot they started on, new requests see the new one,
   and :attr:`version` increases monotonically.
@@ -78,9 +77,9 @@ class SimilarityService:
     **session_options:
         Forwarded to every :class:`SimilaritySession` the service
         builds, now and after each swap (``max_star_depth``,
-        ``memory_budget``).  The incremental path forks the current
-        engine instead of rebuilding, and a fork inherits the same
-        budget, so it holds across live updates either way.
+        ``memory_budget``).  ``apply`` forks the current engine instead
+        of rebuilding, and a fork inherits the same budget, so it holds
+        across live updates too.
 
     Usage::
 
@@ -94,21 +93,15 @@ class SimilarityService:
         prepared.run("proc:0")                    # serves version 2
     """
 
-    #: Largest delta batch (edges added + removed + nodes added) routed
-    #: through the incremental path when ``apply(..., incremental=None)``.
-    DEFAULT_INCREMENTAL_THRESHOLD = 64
-
     def __init__(
         self,
         database=None,
         copy=True,
-        incremental_threshold=DEFAULT_INCREMENTAL_THRESHOLD,
         session=None,
         checkpoint=None,
         **session_options,
     ):
         self._session_options = dict(session_options)
-        self._incremental_threshold = incremental_threshold
         if session is not None:
             if database is not None:
                 raise EvaluationError(
@@ -212,11 +205,12 @@ class SimilarityService:
     def delta_stats(self):
         """Counters for the live-update paths taken so far.
 
-        ``incremental_applies`` / ``full_rebuilds`` count how each
-        ``apply``/``swap`` was served, ``patched`` / ``invalidated``
-        accumulate the engine's per-delta cache maintenance counts, and
-        ``last_path`` names the route of the most recent mutation
-        (``"incremental"`` or ``"rebuild"``).
+        ``incremental_applies`` counts ``apply`` calls and
+        ``full_rebuilds`` counts ``swap`` calls, ``patched`` /
+        ``invalidated`` accumulate the engine's per-delta cache
+        maintenance counts, and ``last_path`` names the route of the
+        most recent mutation (``"incremental"`` for ``apply``,
+        ``"rebuild"`` for ``swap``).
         """
         with self._mutate_lock:
             return dict(self._delta_stats)
@@ -309,7 +303,6 @@ class SimilarityService:
         edges_removed=(),
         nodes_added=(),
         wait=True,
-        incremental=None,
     ):
         """Apply a delta and swap in the updated snapshot.
 
@@ -320,21 +313,24 @@ class SimilarityService:
         :class:`~repro.exceptions.UnknownEdgeError` — and the serving
         snapshot is untouched until the whole update succeeds.
 
-        Small batches (at most ``incremental_threshold`` changes) take
-        the **incremental path**: the serving engine is forked onto a
-        private database copy and every cached commuting matrix,
-        diagonal and norm is *patched* via sparse delta propagation
+        The serving engine is forked onto a private database copy and
+        every cached commuting matrix, diagonal and norm is *patched*
+        via sparse delta propagation
         (:meth:`CommutingMatrixEngine.apply_delta`) instead of being
         recomputed, and live prepared handles re-pin only the scoring
         state whose inputs changed (their Algorithm-1 expansion is
         reused, not re-run).  Patching is exact integer arithmetic, so
-        the resulting rankings are bitwise identical to a full rebuild —
-        ``benchmarks/bench_delta.py`` gates both that identity and the
-        speedup.  Larger batches (or ``incremental=False``) fall back to
-        the full session rebuild; ``incremental=True`` forces the
-        incremental path regardless of size.  Either way publication is
-        the same atomic snapshot swap: in-flight queries finish on the
-        old snapshot, and :attr:`version` increases monotonically.
+        the resulting rankings are bitwise identical to a full rebuild
+        at any batch size — ``benchmarks/bench_delta.py`` gates both
+        that identity and the speedup over :meth:`swap`.  A cached
+        product whose input delta is too dense to patch cheaply is
+        dropped and recomputed on next use
+        (:data:`~repro.lang.matrix_semantics.DELTA_REBUILD_THRESHOLD`);
+        that per-product choice is what handles large batches.  To
+        replace the database wholesale, :meth:`swap` it in.
+        Publication is the same atomic snapshot swap as :meth:`swap`:
+        in-flight queries finish on the old snapshot, and
+        :attr:`version` increases monotonically.
 
         Returns the new :attr:`version`.  With ``wait=False`` the
         update runs on a background thread and the started
@@ -349,50 +345,58 @@ class SimilarityService:
         nodes_added = list(nodes_added)
         if not wait:
             return self._in_background(
-                lambda: self.apply(
-                    edges_added,
-                    edges_removed,
-                    nodes_added,
-                    incremental=incremental,
-                ),
+                lambda: self.apply(edges_added, edges_removed, nodes_added),
                 operation="apply",
             )
         with self._mutate_lock:
-            if incremental is None:
-                size = (
-                    len(edges_added) + len(edges_removed) + len(nodes_added)
-                )
-                threshold = self._incremental_threshold
-                incremental = threshold is not None and size <= threshold
-            if incremental:
-                version = self._apply_incremental_locked(
-                    edges_added, edges_removed, nodes_added
-                )
-            else:
-                database = self._snapshot.session.database.copy()
-                database.apply_delta(
-                    edges_added=edges_added,
-                    edges_removed=edges_removed,
-                    nodes_added=nodes_added,
-                )
-                version = self._swap_locked(database)
+            # Fork the serving engine onto a private database copy,
+            # patch the fork in place (old snapshot untouched — cached
+            # matrices are shared but only ever *replaced* in the fork),
+            # then publish through the same atomic protocol as a swap.
+            old_session = self._snapshot.session
+            database = old_session.database.copy()
+            engine = old_session.engine.fork(database)
+            stats = engine.apply_delta(
+                edges_added=edges_added,
+                edges_removed=edges_removed,
+                nodes_added=nodes_added,
+            )
+            report = DeltaReport(
+                labels=frozenset(stats["labels"]),
+                grew=stats["nodes_added"] > 0,
+            )
+            version = self._publish_locked(
+                SimilaritySession(database, engine=engine),
+                reuse_expansion=True,
+                report=report,
+            )
+            self._delta_stats["incremental_applies"] += 1
+            self._delta_stats["patched"] += stats["patched"]
+            self._delta_stats["invalidated"] += stats["invalidated"]
+            self._delta_stats["last_path"] = "incremental"
             self._checkpoint_after(version)
             return version
 
     def swap(self, database, wait=True):
         """Replace the whole database (copied) and swap atomically.
 
-        Always a full rebuild — an arbitrary replacement database shares
-        no delta with the serving snapshot to propagate.  Returns the
-        new :attr:`version` (or the background ``threading.Thread``
-        with ``wait=False``).
+        The service's only full rebuild — an arbitrary replacement
+        database shares no delta with the serving snapshot to propagate,
+        so every subscription re-ranks.  Returns the new
+        :attr:`version` (or the background ``threading.Thread`` with
+        ``wait=False``).
         """
         if not wait:
             return self._in_background(
                 lambda: self.swap(database), operation="swap"
             )
         with self._mutate_lock:
-            version = self._swap_locked(database.copy())
+            session = SimilaritySession(
+                database.copy(), **self._session_options
+            )
+            version = self._publish_locked(session, reuse_expansion=False)
+            self._delta_stats["full_rebuilds"] += 1
+            self._delta_stats["last_path"] = "rebuild"
             self._checkpoint_after(version)
             return version
 
@@ -419,47 +423,13 @@ class SimilarityService:
         thread.start()
         return thread
 
-    def _apply_incremental_locked(self, edges_added, edges_removed, nodes_added):
-        # Fork the serving engine onto a private database copy, patch
-        # the fork in place (old snapshot untouched — cached matrices
-        # are shared but only ever *replaced* in the fork), then publish
-        # through the same atomic protocol as a full rebuild.
-        old_session = self._snapshot.session
-        database = old_session.database.copy()
-        engine = old_session.engine.fork(database)
-        stats = engine.apply_delta(
-            edges_added=edges_added,
-            edges_removed=edges_removed,
-            nodes_added=nodes_added,
-        )
-        session = SimilaritySession(database, engine=engine)
-        report = DeltaReport(
-            labels=frozenset(stats["labels"]),
-            grew=stats["nodes_added"] > 0,
-        )
-        version = self._publish_locked(
-            session, reuse_expansion=True, report=report
-        )
-        self._delta_stats["incremental_applies"] += 1
-        self._delta_stats["patched"] += stats["patched"]
-        self._delta_stats["invalidated"] += stats["invalidated"]
-        self._delta_stats["last_path"] = "incremental"
-        return version
-
-    def _swap_locked(self, database):
-        session = SimilaritySession(database, **self._session_options)
-        version = self._publish_locked(session, reuse_expansion=False)
-        self._delta_stats["full_rebuilds"] += 1
-        self._delta_stats["last_path"] = "rebuild"
-        return version
-
     def _publish_locked(self, session, reuse_expansion, report=None):
         # Phase 1 (slow, off the serving path): rebuild every live
-        # prepared handle against the new session.  On a full rebuild,
-        # expansion re-runs and matrices re-materialize; on an
-        # incremental apply the expansion is reused and re-pinning is
-        # mostly cache hits against the patched engine.  Either way the
-        # old snapshot keeps answering queries throughout.
+        # prepared handle against the new session.  On a swap,
+        # expansion re-runs and matrices re-materialize; on an apply
+        # the expansion is reused and re-pinning is mostly cache hits
+        # against the patched engine.  Either way the old snapshot keeps
+        # answering queries throughout.
         rebinds = []
         surviving = []
         for ref in self._handles:
@@ -480,7 +450,7 @@ class SimilarityService:
         version = self._snapshot.version
         # Standing queries last: handles are re-bound and the snapshot
         # is published, so maintenance scores the new state.  Without a
-        # delta report (full rebuild) every subscription re-ranks.
+        # delta report (a swap) every subscription re-ranks.
         self._subscriptions.on_publish(
             version, report if report is not None else DeltaReport.unknown()
         )

@@ -12,7 +12,6 @@ Subcommands mirror the research workflow::
     repro serve db.json --pattern "r-a-.r-a" --expand    # HTTP server
     repro serve --snapshot snap.npz                      # ... warm-started
     repro watch http://127.0.0.1:8321 --node "proc:0"    # standing query
-    repro serve-bench db.json --pattern "r-a-.r-a" --expand      # serving
     repro stats db.json --live                           # cache/delta counters
     repro transform db.json --mapping dblp2sigm --out t.json
     repro patterns db.json --pattern "r-a-.r-a"          # Algorithm 1
@@ -28,7 +27,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.api import (
     SimilarityService,
@@ -168,7 +166,7 @@ def build_parser():
         help="JSON database path (optional when --snapshot names an "
         "existing snapshot to warm-start from)",
     )
-    _add_serving_flags(serve, threads=4)
+    _add_serving_flags(serve)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port", type=int, default=8321, help="0 picks a free port"
@@ -229,20 +227,6 @@ def build_parser():
         "--json",
         action="store_true",
         help="print one JSON object per event instead of text lines",
-    )
-
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="prepared-query serving micro-benchmark (per-call vs "
-        "prepared vs threaded)",
-    )
-    serve_bench.add_argument("database")
-    serve_bench.add_argument("--queries", type=int, default=30)
-    _add_serving_flags(serve_bench, threads=8)
-    serve_bench.add_argument(
-        "--node-type",
-        default=None,
-        help="query node type (default: the most common type)",
     )
 
     explain = sub.add_parser(
@@ -331,13 +315,12 @@ def build_parser():
     return parser
 
 
-def _add_serving_flags(parser, threads):
-    """The flags every serving command shares.
+def _add_serving_flags(parser):
+    """The flags that define what ``serve`` answers.
 
-    ``serve`` and ``serve-bench`` answer the same prepared query —
-    algorithm, pattern, Algorithm-1 expansion, scoring, cutoff, worker
-    threads, and a pre-serve edge delta — so the flags live in one
-    place and the two commands cannot drift apart.
+    The prepared query — algorithm, pattern, Algorithm-1 expansion,
+    scoring, cutoff — plus worker threads, the memory budget and a
+    pre-serve edge delta.
     """
     parser.add_argument(
         "--pattern",
@@ -350,7 +333,7 @@ def _add_serving_flags(parser, threads):
         default="relsim",
     )
     parser.add_argument("--top", type=int, default=10)
-    parser.add_argument("--threads", type=int, default=threads)
+    parser.add_argument("--threads", type=int, default=4)
     parser.add_argument(
         "--expand",
         action="store_true",
@@ -370,8 +353,7 @@ def _add_memory_budget_flag(parser):
         default=None,
         metavar="BYTES[K|M|G]",
         help="byte budget for the engine's matrix cache (evict/spill/"
-        "stream instead of growing unbounded); applies when building "
-        "from a JSON database, e.g. 256M",
+        "stream instead of growing unbounded), e.g. 256M",
     )
 
 
@@ -402,20 +384,19 @@ def _parse_bytes(text):
 
 def _budget_options(args):
     """Session keywords from ``--memory-budget`` (absent flag = none)."""
-    budget = _parse_bytes(getattr(args, "memory_budget", None))
+    budget = _parse_bytes(args.memory_budget)
     return {} if budget is None else {"memory_budget": budget}
 
 
 def _add_delta_flags(parser):
-    """``--add-edge``/``--remove-edge`` — serve from a post-delta snapshot."""
+    """``--add-edge``/``--remove-edge`` — run on a post-delta snapshot."""
     parser.add_argument(
         "--add-edge",
         action="append",
         default=[],
         dest="add_edges",
         metavar="SRC,LABEL,TGT",
-        help="apply this edge delta (incrementally) before serving; repeat "
-        "for a batch",
+        help="add this edge before running; repeat for a batch",
     )
     parser.add_argument(
         "--remove-edge",
@@ -423,8 +404,7 @@ def _add_delta_flags(parser):
         default=[],
         dest="remove_edges",
         metavar="SRC,LABEL,TGT",
-        help="remove this edge (incrementally) before serving; repeat for "
-        "a batch",
+        help="remove this edge before running; repeat for a batch",
     )
 
 
@@ -437,35 +417,29 @@ def _parse_edge_flag(text):
     return tuple(parts)
 
 
-def _apply_delta_args(database, args, out):
-    """Route CLI edge deltas through a service's incremental apply.
+def _apply_delta_flags(service, args, out):
+    """Apply ``--add-edge``/``--remove-edge`` to ``service`` as one batch.
 
-    Returns the post-delta serving session (or a plain session when no
-    delta flags were given) so every serving command runs on exactly
-    what a live service would serve after ``apply()``.
+    Every command that takes the flags then runs on exactly what a live
+    service would serve after ``apply()``.  Prints one line when there
+    was a delta.
     """
     added = [_parse_edge_flag(text) for text in args.add_edges]
     removed = [_parse_edge_flag(text) for text in args.remove_edges]
-    options = _budget_options(args)
     if not added and not removed:
-        return SimilaritySession(database, **options)
-    service = SimilarityService(database, copy=False, **options)
+        return
     start = time.perf_counter()
     version = service.apply(edges_added=added, edges_removed=removed)
-    elapsed = time.perf_counter() - start
-    stats = service.delta_stats
     print(
-        "applied delta (+{} / -{} edges) via {} path in {:.1f} ms "
-        "(snapshot version {})".format(
+        "applied delta (+{} / -{} edges) in {:.1f} ms (snapshot version "
+        "{})".format(
             len(added),
             len(removed),
-            stats["last_path"],
-            1000.0 * elapsed,
+            1000.0 * (time.perf_counter() - start),
             version,
         ),
         file=out,
     )
-    return service.session
 
 
 def _cmd_generate(args, out):
@@ -485,9 +459,7 @@ def _cmd_generate(args, out):
 def _cmd_stats(args, out):
     if args.database is None and args.snapshot is None:
         raise EvaluationError("stats needs a database path or --snapshot")
-    added = [_parse_edge_flag(text) for text in args.add_edges]
-    removed = [_parse_edge_flag(text) for text in args.remove_edges]
-    if (added or removed) and not args.live:
+    if (args.add_edges or args.remove_edges) and not args.live:
         raise EvaluationError("edge delta flags require stats --live")
     if not args.live:
         if args.snapshot is not None:
@@ -499,7 +471,7 @@ def _cmd_stats(args, out):
         print(summarize(database, name=name), file=out)
         return 0
     if args.snapshot is not None:
-        service, info = load_service(args.snapshot)
+        service, info = load_service(args.snapshot, **_budget_options(args))
         _print_snapshot_info(args.snapshot, info, out)
         name = args.snapshot
     else:
@@ -507,8 +479,7 @@ def _cmd_stats(args, out):
             load_json(args.database), copy=False, **_budget_options(args)
         )
         name = args.database
-    if added or removed:
-        service.apply(edges_added=added, edges_removed=removed)
+    _apply_delta_flags(service, args, out)
     print(summarize(service.database, name=name), file=out)
     print("serving (version {}):".format(service.version), file=out)
     print("  cache_info:", file=out)
@@ -599,7 +570,8 @@ def _cmd_query(args, out):
 
 def _cmd_explain(args, out):
     database = load_json(args.database)
-    session = _apply_delta_args(database, args, out)
+    service = SimilarityService(database, copy=False)
+    _apply_delta_flags(service, args, out)
     patterns = [parse_pattern(text) for text in args.patterns]
     if args.expand:
         if len(patterns) != 1:
@@ -613,7 +585,7 @@ def _cmd_explain(args, out):
             max_patterns=args.max_expand,
         )
         patterns = list(generated.patterns)
-    print(session.explain(patterns), file=out)
+    print(service.session.explain(patterns), file=out)
     return 0
 
 
@@ -723,14 +695,13 @@ def _serving_service(args, out):
 
     An existing ``--snapshot`` file wins (warm start: the engine cache
     is preloaded from disk, preparation is pure hits); otherwise the
-    positional database is loaded cold.  Edge delta flags are applied
-    through the service's incremental path either way, so the first
-    served snapshot is exactly what a live ``/apply`` would have
-    produced.
+    positional database is loaded cold.  ``--memory-budget`` and the
+    edge delta flags apply either way, so the first served snapshot is
+    exactly what a live ``/apply`` would have produced.
     """
     if args.snapshot is not None and os.path.exists(args.snapshot):
         start = time.perf_counter()
-        service, info = load_service(args.snapshot)
+        service, info = load_service(args.snapshot, **_budget_options(args))
         print(
             "warm start from {} in {:.1f} ms ({} matrices, {} diagonals, "
             "{} skipped)".format(
@@ -750,20 +721,7 @@ def _serving_service(args, out):
         raise EvaluationError(
             "serve needs a database path or an existing --snapshot file"
         )
-    added = [_parse_edge_flag(text) for text in args.add_edges]
-    removed = [_parse_edge_flag(text) for text in args.remove_edges]
-    if added or removed:
-        version = service.apply(edges_added=added, edges_removed=removed)
-        print(
-            "applied delta (+{} / -{} edges) via {} path (snapshot "
-            "version {})".format(
-                len(added),
-                len(removed),
-                service.delta_stats["last_path"],
-                version,
-            ),
-            file=out,
-        )
+    _apply_delta_flags(service, args, out)
     return service
 
 
@@ -898,101 +856,6 @@ def _cmd_watch(args, out):
         connection.close()
 
 
-def _cmd_serve_bench(args, out):
-    database = load_json(args.database)
-    session = _apply_delta_args(database, args, out)
-    database = session.database
-    node_type = args.node_type
-    if node_type is None:
-        histogram = {}
-        for node in database.nodes():
-            kind = database.node_type(node)
-            if kind is not None:
-                histogram[kind] = histogram.get(kind, 0) + 1
-        if not histogram:
-            raise EvaluationError(
-                "database has no typed nodes; pass --node-type"
-            )
-        node_type = max(sorted(histogram), key=histogram.get)
-    queries = sample_queries_by_degree(
-        database, node_type, args.queries, seed=0
-    )
-    if not queries:
-        raise EvaluationError(
-            "no nodes of type {!r} to query".format(node_type)
-        )
-    options = _algorithm_options(
-        args.algorithm, args.pattern, scoring=args.scoring
-    )
-    expand = {"max_patterns": args.max_expand} if args.expand else None
-
-    def per_call(node):
-        builder = session.query(node).using(args.algorithm, **options)
-        if expand is not None:
-            builder.expand_patterns(max_patterns=args.max_expand)
-        return builder.top(args.top)
-
-    per_call(queries[0])  # warm matrices so both paths start hot
-    start = time.perf_counter()
-    baseline = {node: per_call(node) for node in queries}
-    per_call_seconds = time.perf_counter() - start
-
-    prepared = session.prepare(
-        algorithm=args.algorithm, top_k=args.top, expand=expand, **options
-    )
-    prepared.run(queries[0])
-    start = time.perf_counter()
-    served = {node: prepared.run(node) for node in queries}
-    prepared_seconds = time.perf_counter() - start
-
-    identical = all(
-        served[node].items() == baseline[node].items() for node in queries
-    )
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        start = time.perf_counter()
-        threaded = dict(zip(queries, pool.map(prepared.run, queries)))
-        threaded_seconds = time.perf_counter() - start
-    identical = identical and all(
-        threaded[node].items() == baseline[node].items() for node in queries
-    )
-
-    count = len(queries)
-    print(
-        "serving benchmark: {} x {} queries of type {!r} (top {})".format(
-            args.algorithm, count, node_type, args.top
-        ),
-        file=out,
-    )
-    print(
-        "  per-call session.query : {:8.2f} ms/query".format(
-             1000.0 * per_call_seconds / count
-        ),
-        file=out,
-    )
-    print(
-        "  prepared.run           : {:8.2f} ms/query  ({:.1f}x)".format(
-            1000.0 * prepared_seconds / count,
-            per_call_seconds / max(prepared_seconds, 1e-9),
-        ),
-        file=out,
-    )
-    print(
-        "  {} threads, prepared   : {:8.2f} ms/query wall "
-        "({:.0f} queries/s)".format(
-            args.threads,
-            1000.0 * threaded_seconds / count,
-            count / max(threaded_seconds, 1e-9),
-        ),
-        file=out,
-    )
-    print(
-        "  results identical      : {}".format("yes" if identical else "NO"),
-        file=out,
-    )
-    return 0 if identical else 1
-
-
 def _cmd_transform(args, out):
     database = load_json(args.database)
     mapping = _MAPPINGS[args.mapping]()
@@ -1097,7 +960,6 @@ _COMMANDS = {
     "explain": _cmd_explain,
     "check": _cmd_check,
     "serve": _cmd_serve,
-    "serve-bench": _cmd_serve_bench,
     "watch": _cmd_watch,
     "transform": _cmd_transform,
     "patterns": _cmd_patterns,

@@ -13,10 +13,9 @@ Operational behavior:
   of queueing unboundedly.  It never hangs and never drops a
   connection silently.  ``/healthz`` and ``/statz`` are exempt so an
   operator can always see inside a saturated server.
-* **Live updates** — ``POST /apply`` routes a delta through
-  :meth:`SimilarityService.apply` (incremental when small); a failed
-  delta returns an error and leaves the served snapshot and version
-  untouched.
+* **Live updates** — ``POST /apply`` patches the served snapshot
+  through :meth:`SimilarityService.apply`; a failed delta returns an
+  error and leaves the served snapshot and version untouched.
 * **Standing queries** — ``POST /subscribe`` upgrades the connection
   to a Server-Sent-Events stream: the subscription's initial snapshot
   ranking arrives first, then one ``update`` event per ranking change
@@ -471,20 +470,13 @@ class ReproServer:
         nodes_added = protocol.node_list(payload, "nodes_added")
         if not (edges_added or edges_removed or nodes_added):
             raise HttpError(400, "empty delta: nothing to apply")
-        incremental = payload.get("incremental")
-        if incremental is not None and not isinstance(incremental, bool):
-            raise HttpError(400, "field 'incremental' must be a boolean")
         version = await self._run_blocking(
             self.service.apply,
             edges_added=edges_added,
             edges_removed=edges_removed,
             nodes_added=nodes_added,
-            incremental=incremental,
         )
-        return {
-            "version": version,
-            "path": self.service.delta_stats["last_path"],
-        }
+        return {"version": version}
 
     async def _handle_subscribe(self, payload):
         node = protocol.require_str(payload, "node")

@@ -13,13 +13,13 @@ Payload shapes::
     POST /rank_many  {"nodes": ["proc:0", ...], "top_k": 10}
     POST /apply      {"edges_added":   [["src", "label", "tgt"], ...],
                       "edges_removed": [...],
-                      "nodes_added":   ["node" | ["node", "type"], ...],
-                      "incremental":   true | false | null}
+                      "nodes_added":   ["node" | ["node", "type"], ...]}
     POST /explain    {"patterns": ["r-a-.r-a", ...]}   (optional body)
     POST /subscribe  {"node": "proc:0", "top_k": 10}   (SSE stream out)
 
 Rankings serialize as ``[[node, score], ...]`` in rank order — the
-paper's deterministic tie-broken order survives the wire.
+paper's deterministic tie-broken order survives the wire.  ``/apply``
+answers ``{"version": N}``, the snapshot version it published.
 """
 
 import json

@@ -288,21 +288,17 @@ def load_session(path, **session_options):
     return session, info
 
 
-def load_service(path, incremental_threshold=None, **session_options):
+def load_service(path, **session_options):
     """A warm :class:`SimilarityService` straight from a snapshot file.
 
     The loaded session is adopted as the service's first snapshot
     (version 1) — no copy, no rebuild: the session is private by
-    construction.  Returns ``(service, info)`` like
-    :func:`load_session`.  Checkpointing back to the same file is the
-    caller's choice — wire it with ``service.checkpoint =
+    construction.  ``session_options`` (``memory_budget``, ...) apply
+    to the loaded session, whose preload evicts under the budget, and
+    to every session a later swap builds.  Returns ``(service, info)``
+    like :func:`load_session`.  Checkpointing back to the same file is
+    the caller's choice — wire it with ``service.checkpoint =
     lambda svc, version: save_snapshot(path, svc)``.
     """
     session, info = load_session(path, **session_options)
-    options = {}
-    if incremental_threshold is not None:
-        options["incremental_threshold"] = incremental_threshold
-    service = SimilarityService(
-        session=session, **dict(session_options, **options)
-    )
-    return service, info
+    return SimilarityService(session=session, **session_options), info

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.api import SimilarityService, SimilaritySession
-from repro.datasets import figure1_dblp
+from repro.datasets import figure1_dblp, generate_dblp
 from repro.exceptions import (
     EvaluationError,
     NodeTypeConflictError,
@@ -191,33 +191,75 @@ def test_incremental_apply_routes_and_stats(fig1):
         algorithm="relsim", pattern=PATTERN, top_k=10
     )
     before = {q: prepared.run(q).items() for q in QUERIES}
-    version = service.apply(edges_added=[DELTA_EDGE])  # small: incremental
+    version = service.apply(edges_added=[DELTA_EDGE])
     assert version == 2
     stats = service.delta_stats
     assert stats["last_path"] == "incremental"
-    assert stats["incremental_applies"] == 1
+    assert (stats["incremental_applies"], stats["full_rebuilds"]) == (1, 0)
     mutated = fig1.copy()
     mutated.add_edge(*DELTA_EDGE)
     after = {q: prepared.run(q).items() for q in QUERIES}
     assert after == _expected(mutated)
     assert after != before
-    # Forcing the rebuild path produces the same state.
-    service.apply(edges_removed=[DELTA_EDGE], incremental=False)
-    assert service.delta_stats["last_path"] == "rebuild"
-    assert {q: prepared.run(q).items() for q in QUERIES} == _expected(fig1)
+    # swap() is the rebuild route, and the rebuilt state is the same.
+    service.swap(fig1)
+    stats = service.delta_stats
+    assert stats["last_path"] == "rebuild"
+    assert (stats["incremental_applies"], stats["full_rebuilds"]) == (1, 1)
+    assert {q: prepared.run(q).items() for q in QUERIES} == before
+
+
+def test_bulk_apply_patches_and_prunes_disjoint_subscriptions():
+    # 66 r-a changes, most of the label, are still one patched apply:
+    # it ranks bitwise like a fresh session, and a standing query over
+    # p-in alone is pruned, not re-ranked.
+    database = generate_dblp(
+        num_areas=3, num_procs=6, num_papers=36, num_authors=20, seed=0
+    ).database
+    service = SimilarityService(database)
+    prepared = service.prepare(
+        algorithm="relsim", pattern=PATTERN, top_k=10
+    )
+    paper_to_paper = service.prepare(
+        algorithm="pathsim", pattern="p-in.p-in-", top_k=5
+    )
+    subscription = service.subscribe(paper_to_paper, "paper:0")
+    present = sorted(database.edges("r-a"))
+    absent = [
+        (paper, "r-a", area)
+        for paper in sorted(database.nodes_of_type("paper"))
+        for area in sorted(database.nodes_of_type("area"))
+        if not database.has_edge(paper, "r-a", area)
+    ]
+    removed, added = present[::2], absent[:25]
+    assert len(removed) + len(added) == 66
+    service.apply(edges_added=added, edges_removed=removed)
+
+    stats = service.delta_stats
+    assert stats["last_path"] == "incremental"
+    assert (stats["incremental_applies"], stats["full_rebuilds"]) == (1, 0)
+    assert stats["invalidated"] > 0  # too dense to patch: recomputed
+    fresh = SimilaritySession(service.database).prepare(
+        algorithm="relsim", pattern=PATTERN, top_k=10
+    )
+    areas = sorted(service.database.nodes_of_type("area"))
+    assert all(fresh.run(area).items() for area in areas)
+    for area in areas:
+        assert prepared.run(area).items() == fresh.run(area).items()
+    service.subscriptions.flush()
+    assert subscription.stats()["pruned"] == 1
+    assert subscription.stats()["fallbacks"] == 0
+    assert subscription.items() == paper_to_paper.run("paper:0").items()
+    service.subscriptions.close()
 
 
 def test_apply_nodes_added_and_failed_incremental_never_swaps(fig1):
     service = SimilarityService(fig1)
-    version = service.apply(
-        nodes_added=[("FreshArea", "area")], incremental=True
-    )
+    version = service.apply(nodes_added=[("FreshArea", "area")])
     assert version == 2
     assert service.database.node_type("FreshArea") == "area"
     with pytest.raises(UnknownEdgeError):
-        service.apply(
-            edges_removed=[("ghost", "r-a", "nowhere")], incremental=True
-        )
+        service.apply(edges_removed=[("ghost", "r-a", "nowhere")])
     assert service.version == 2  # failed incremental delta never swaps
 
 
@@ -234,13 +276,17 @@ def test_prepared_handles_survive_apply_cycles_with_gc(fig1):
     for cycle in range(6):
         if cycle == 2:
             del transient
-        service.apply(
-            edges_added=[DELTA_EDGE]
+        delta = (
+            {"edges_added": [DELTA_EDGE]}
             if cycle % 2 == 0
-            else [],
-            edges_removed=[] if cycle % 2 == 0 else [DELTA_EDGE],
-            incremental=cycle % 3 != 2,
+            else {"edges_removed": [DELTA_EDGE]}
         )
+        if cycle % 3 == 2:
+            replacement = service.database.copy()
+            replacement.apply_delta(**delta)
+            service.swap(replacement)
+        else:
+            service.apply(**delta)
         live = None  # drop the previous cycle's references first
         gc.collect()
         live = service.prepared_queries()

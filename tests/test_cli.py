@@ -275,101 +275,6 @@ def test_patterns_no_filters_flag(dblp_json):
     assert "constraints used" in output
 
 
-def test_serve_bench(dblp_json):
-    code, output = run_cli(
-        [
-            "serve-bench",
-            dblp_json,
-            "--pattern",
-            "r-a-.p-in.p-in-.r-a",
-            "--expand",
-            "--queries",
-            "6",
-            "--threads",
-            "2",
-            "--node-type",
-            "area",
-        ]
-    )
-    assert code == 0
-    assert "per-call session.query" in output
-    assert "prepared.run" in output
-    assert "results identical      : yes" in output
-
-
-def test_serve_bench_infers_node_type(dblp_json):
-    code, output = run_cli(
-        [
-            "serve-bench",
-            dblp_json,
-            "--pattern",
-            "p-in.p-in-",
-            "--queries",
-            "4",
-            "--threads",
-            "2",
-        ]
-    )
-    assert code == 0
-    # dblp-small's most common node type is 'paper'.
-    assert "type 'paper'" in output
-
-
-def test_serve_bench_with_delta_flags_serves_post_delta_snapshot(dblp_json):
-    # The CLI serving path on a post-delta snapshot: the delta routes
-    # through SimilarityService's incremental apply, and the benchmark
-    # then runs (with identical per-call vs prepared results) on the
-    # patched snapshot.
-    code, output = run_cli(
-        [
-            "serve-bench",
-            dblp_json,
-            "--pattern",
-            "r-a-.p-in.p-in-.r-a",
-            "--queries",
-            "4",
-            "--threads",
-            "2",
-            "--node-type",
-            "area",
-            "--add-edge",
-            "paper:0,p-in,proc:0",
-            "--remove-edge",
-            "paper:0,p-in,proc:17",
-        ]
-    )
-    assert code == 0
-    assert "applied delta (+1 / -1 edges) via incremental path" in output
-    assert "snapshot version 2" in output
-    assert "results identical      : yes" in output
-
-
-def test_serve_bench_delta_flag_validation(dblp_json):
-    code, _ = run_cli(
-        [
-            "serve-bench",
-            dblp_json,
-            "--pattern",
-            "p-in.p-in-",
-            "--add-edge",
-            "not-an-edge",
-        ]
-    )
-    assert code == 2
-    # Removing an absent edge fails the whole command, serving nothing.
-    code, _ = run_cli(
-        [
-            "serve-bench",
-            dblp_json,
-            "--pattern",
-            "p-in.p-in-",
-            "--remove-edge",
-            "ghost,p-in,nowhere",
-        ]
-    )
-    assert code == 2
-
-
 def test_explain_with_delta_flags_plans_post_delta_snapshot(dblp_json):
     baseline_code, baseline = run_cli(
         ["explain", dblp_json, "--pattern", "p-in.p-in-"]
@@ -385,7 +290,8 @@ def test_explain_with_delta_flags_plans_post_delta_snapshot(dblp_json):
         ]
     )
     assert baseline_code == 0 and code == 0
-    assert "applied delta (+1 / -0 edges) via incremental path" in output
+    assert "applied delta (+1 / -0 edges) in " in output
+    assert "(snapshot version 2)" in output
     assert "compiled plan: 1 pattern" in output
     # The report is computed on the post-delta snapshot: the p-in leaf
     # gained an edge, so the estimated nnz differs from the baseline.
@@ -399,18 +305,31 @@ def test_explain_with_delta_flags_plans_post_delta_snapshot(dblp_json):
     assert baseline_estimate != delta_estimate
 
 
-def test_serve_bench_rejects_pattern_for_topology_algorithms(dblp_json):
+def test_explain_delta_flag_validation(dblp_json):
     code, _ = run_cli(
         [
-            "serve-bench",
+            "explain",
             dblp_json,
-            "--algorithm",
-            "rwr",
             "--pattern",
-            "r-a",
+            "p-in.p-in-",
+            "--add-edge",
+            "not-an-edge",
         ]
     )
     assert code == 2
+    # Removing an absent edge fails the whole command, planning nothing.
+    code, output = run_cli(
+        [
+            "explain",
+            dblp_json,
+            "--pattern",
+            "p-in.p-in-",
+            "--remove-edge",
+            "ghost,p-in,nowhere",
+        ]
+    )
+    assert code == 2
+    assert "compiled plan" not in output
 
 
 def test_robustness_command():
@@ -500,6 +419,39 @@ def test_stats_reads_snapshot_files(dblp_json, tmp_path):
         line for line in output.splitlines() if "misses" in line
     )
     assert misses_line.split()[-1] == "0"
+
+
+def test_memory_budget_holds_on_warm_start(dblp_json, tmp_path):
+    from repro.api import SimilaritySession
+    from repro.cli import _serving_service
+    from repro.graph.io import load_json
+    from repro.server import save_snapshot
+
+    path = os.path.join(tmp_path, "budget.npz")
+    session = SimilaritySession(load_json(dblp_json))
+    session.prepare(algorithm="relsim", pattern="r-a-.p-in.p-in-.r-a")
+    save_snapshot(path, session)
+
+    def counters(argv):
+        code, output = run_cli(argv)
+        assert code == 0
+        rows = [line.split() for line in output.splitlines()]
+        return {row[0]: row[1] for row in rows if len(row) == 2}
+
+    unbudgeted = counters(["stats", "--snapshot", path, "--live"])
+    assert int(unbudgeted["bytes"]) > 1024
+    budgeted = counters(
+        ["stats", "--snapshot", path, "--live", "--memory-budget", "1K"]
+    )
+    assert budgeted["memory_budget"] == "1024"
+    assert int(budgeted["bytes"]) <= 1024
+
+    args = build_parser().parse_args(
+        ["serve", "--snapshot", path, "--memory-budget", "1K"]
+    )
+    info = _serving_service(args, io.StringIO()).session.cache_info()
+    assert info["memory_budget"] == 1024
+    assert info["bytes"] <= 1024
 
 
 def test_serve_needs_database_or_snapshot(capsys):

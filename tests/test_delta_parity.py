@@ -1,18 +1,21 @@
 """Delta-fuzz parity: incremental maintenance == fresh build, bitwise.
 
-The incremental live-update path patches cached commuting matrices,
-diagonals, norms, candidate indexes, and prepared scoring state instead
-of rebuilding them.  The claim backing it is *exactness*: commuting
-matrices hold integer counts (exact in float64), so sparse delta
-propagation produces bitwise-identical state — and therefore bitwise-
-identical rankings — to a session built from scratch.
+The live-update path (:meth:`SimilarityService.apply`) patches cached
+commuting matrices, diagonals, norms, candidate indexes, and prepared
+scoring state instead of rebuilding them.  The claim backing it is
+*exactness*: commuting matrices hold integer counts (exact in float64),
+so sparse delta propagation produces bitwise-identical state — and
+therefore bitwise-identical rankings — to a session built from scratch.
 
 This suite fuzzes that claim: seeded random sequences of add-edge /
-remove-edge / add-node deltas are applied through a
-:class:`SimilarityService` forced onto the incremental path, and after
-**every** step the rankings served by every registered algorithm's live
-prepared handle must equal — item for item, score bit for score bit —
-those of a fresh :class:`SimilaritySession` built on the same database.
+remove-edge / add-node deltas are applied through
+:meth:`SimilarityService.apply`, and after **every** step the rankings
+served by every registered algorithm's live prepared handle must equal
+— item for item, score bit for score bit — those of a fresh
+:class:`SimilaritySession` built on the same database.  Every fifth
+step is a bulk batch that rewrites a third of one label's edges, dense
+enough that the engine drops and lazily recomputes the products it
+touches instead of patching them.
 
 Tunables (the CI ``delta-fuzz`` job raises them):
 
@@ -32,6 +35,11 @@ from repro.datasets import generate_dblp
 STEPS = int(os.environ.get("REPRO_DELTA_FUZZ_STEPS", "6"))
 SEED = int(os.environ.get("REPRO_DELTA_FUZZ_SEED", "0"))
 TOP_K = 10
+BULK_EVERY = 5
+
+#: Endpoint types of each DBLP edge label.
+ENDPOINTS = {"w": ("author", "paper"), "p-in": ("paper", "proc"),
+             "r-a": ("paper", "area")}
 
 #: One prepared-query spec per registered algorithm (plus the
 #: Algorithm-1 expansion variant of RelSim, which exercises the
@@ -63,23 +71,49 @@ def _tiny_dblp(seed):
     ).database
 
 
+def _bulk_delta(rng, database, label):
+    """Remove a third of ``label``'s edges and add as many absent ones."""
+    present = sorted(database.edges(label))
+    sources, targets = (
+        sorted(database.nodes_of_type(kind)) for kind in ENDPOINTS[label]
+    )
+    absent = [
+        (source, label, target)
+        for source in sources
+        for target in targets
+        if not database.has_edge(source, label, target)
+    ]
+    count = len(present) // 3
+    return {
+        "edges_added": rng.sample(absent, min(count, len(absent))),
+        "edges_removed": rng.sample(present, count),
+        "nodes_added": [],
+    }
+
+
 def _random_delta(rng, database, step):
-    """1-3 random mutations, valid against the current database."""
-    papers = database.nodes_of_type("paper")
+    """1-3 random mutations (a bulk batch every ``BULK_EVERY`` steps).
+
+    Returns ``apply`` keywords valid against the current database.
+    """
+    if step % BULK_EVERY == BULK_EVERY - 1:
+        # Cycle the labels, so a long run bulk-rewrites each of them.
+        labels = sorted(ENDPOINTS)
+        return _bulk_delta(
+            rng, database, labels[step // BULK_EVERY % len(labels)]
+        )
     procs = database.nodes_of_type("proc")
-    areas = database.nodes_of_type("area")
-    authors = database.nodes_of_type("author")
     edges_added, edges_removed, nodes_added = [], [], []
     for _ in range(rng.randint(1, 3)):
         operation = rng.choice(("add", "add", "remove", "node"))
         if operation == "add":
             label = rng.choice(("w", "p-in", "r-a"))
-            if label == "w":
-                edge = (rng.choice(authors), "w", rng.choice(papers))
-            elif label == "p-in":
-                edge = (rng.choice(papers), "p-in", rng.choice(procs))
-            else:
-                edge = (rng.choice(papers), "r-a", rng.choice(areas))
+            source_type, target_type = ENDPOINTS[label]
+            edge = (
+                rng.choice(database.nodes_of_type(source_type)),
+                label,
+                rng.choice(database.nodes_of_type(target_type)),
+            )
             if not database.has_edge(*edge) and edge not in edges_added:
                 edges_added.append(edge)
         elif operation == "remove":
@@ -96,7 +130,18 @@ def _random_delta(rng, database, step):
             if node_type == "paper":
                 # Wire the newcomer in so it can influence rankings.
                 edges_added.append((node, "p-in", rng.choice(procs)))
-    return edges_added, edges_removed, nodes_added
+    return {
+        "edges_added": edges_added,
+        "edges_removed": edges_removed,
+        "nodes_added": nodes_added,
+    }
+
+
+def _swap_with(service, delta):
+    """``swap`` in a copy of the serving database with ``delta`` applied."""
+    replacement = service.database.copy()
+    replacement.apply_delta(**delta)
+    return service.swap(replacement)
 
 
 def _prepare_all(target):
@@ -161,15 +206,7 @@ def test_delta_fuzz_incremental_parity_all_algorithms(seed, budgeted):
     prepared = _prepare_all(service)
 
     for step in range(STEPS):
-        edges_added, edges_removed, nodes_added = _random_delta(
-            rng, service.database, step
-        )
-        version = service.apply(
-            edges_added=edges_added,
-            edges_removed=edges_removed,
-            nodes_added=nodes_added,
-            incremental=True,
-        )
+        version = service.apply(**_random_delta(rng, service.database, step))
         assert version == step + 2
         assert service.delta_stats["last_path"] == "incremental"
         _assert_cache_canonical(service, step)
@@ -202,9 +239,9 @@ def test_delta_fuzz_subscriptions_track_fresh_rankings():
 
     One live subscription per registered algorithm, each delta either
     pruned or re-ranked by a fallback run; after every random delta
-    (alternating incremental applies with full-rebuild swaps) each
-    maintained top-k must equal a fresh session's ``prepared.run`` —
-    item for item, score bit for score bit.
+    (alternating ``apply`` with a ``swap`` of a copy carrying the same
+    delta) each maintained top-k must equal a fresh session's
+    ``prepared.run`` — item for item, score bit for score bit.
     """
     rng = random.Random(SEED + 29)
     database = _tiny_dblp(SEED + 29)
@@ -214,15 +251,11 @@ def test_delta_fuzz_subscriptions_track_fresh_rankings():
     subscriptions = [service.subscribe(handle, node) for handle in prepared]
 
     for step in range(STEPS):
-        edges_added, edges_removed, nodes_added = _random_delta(
-            rng, service.database, step
-        )
-        service.apply(
-            edges_added=edges_added,
-            edges_removed=edges_removed,
-            nodes_added=nodes_added,
-            incremental=step % 2 == 0,
-        )
+        delta = _random_delta(rng, service.database, step)
+        if step % 2 == 0:
+            service.apply(**delta)
+        else:
+            _swap_with(service, delta)
         _assert_cache_canonical(service, step)
         fresh = SimilaritySession(service.database)
         fresh_prepared = _prepare_all(fresh)
@@ -242,7 +275,7 @@ def test_delta_fuzz_subscriptions_track_fresh_rankings():
 
 
 def test_delta_fuzz_mixed_incremental_and_rebuild_paths():
-    """Interleaving forced rebuilds with incremental applies stays exact."""
+    """Interleaving ``swap`` rebuilds with patched applies stays exact."""
     rng = random.Random(SEED + 17)
     database = _tiny_dblp(SEED + 17)
     service = SimilarityService(database)
@@ -253,15 +286,11 @@ def test_delta_fuzz_mixed_incremental_and_rebuild_paths():
         top_k=TOP_K,
     )
     for step in range(STEPS):
-        edges_added, edges_removed, nodes_added = _random_delta(
-            rng, service.database, step
-        )
-        service.apply(
-            edges_added=edges_added,
-            edges_removed=edges_removed,
-            nodes_added=nodes_added,
-            incremental=step % 2 == 0,
-        )
+        delta = _random_delta(rng, service.database, step)
+        if step % 2 == 0:
+            service.apply(**delta)
+        else:
+            _swap_with(service, delta)
         _assert_cache_canonical(service, step)
         fresh = SimilaritySession(service.database)
         reference = fresh.prepare(
@@ -273,4 +302,5 @@ def test_delta_fuzz_mixed_incremental_and_rebuild_paths():
         for query in sorted(service.database.nodes_of_type("area")):
             assert prepared.run(query).items() == reference.run(query).items()
     stats = service.delta_stats
-    assert stats["incremental_applies"] + stats["full_rebuilds"] == STEPS
+    assert stats["incremental_applies"] == (STEPS + 1) // 2
+    assert stats["full_rebuilds"] == STEPS // 2

@@ -113,8 +113,7 @@ def test_apply_failure_leaves_snapshot_untouched(serving):
         address, "POST", "/apply", {"edges_added": [DELTA_EDGE]}
     )
     assert status == 200
-    assert applied["version"] == version + 1
-    assert applied["path"] in ("incremental", "rebuild")
+    assert applied == {"version": version + 1}
     _, updated, _ = _call(address, "POST", "/query", {"node": probe})
     assert updated["version"] == version + 1
     assert updated["ranking"] != before["ranking"]
@@ -125,16 +124,17 @@ def test_apply_validation(serving):
     status, payload, _ = _call(address, "POST", "/apply", {})
     assert status == 400 and "empty delta" in payload["error"]
     status, payload, _ = _call(
-        address,
-        "POST",
-        "/apply",
-        {"edges_added": [DELTA_EDGE], "incremental": "yes"},
-    )
-    assert status == 400 and "incremental" in payload["error"]
-    status, payload, _ = _call(
         address, "POST", "/apply", {"edges_added": [["only-two", "p-in"]]}
     )
     assert status == 400
+    status, payload, _ = _call(
+        address, "POST", "/apply", {"edges_removed": "a,p-in,b"}
+    )
+    assert status == 400 and "edges_removed" in payload["error"]
+    status, payload, _ = _call(
+        address, "POST", "/apply", {"nodes_added": [["fresh", 3]]}
+    )
+    assert status == 400 and "nodes_added" in payload["error"]
 
 
 def test_unknown_node_maps_to_404(serving):

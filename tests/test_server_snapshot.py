@@ -122,7 +122,6 @@ def test_round_trip_after_live_delta(tiny_dblp, tmp_path):
             (papers[1], "p-in", procs[-2]),
         ],
         edges_removed=[sorted(tiny_dblp.edges("p-in"))[0]],
-        incremental=True,
     )
     assert version == 2
     assert service.delta_stats["last_path"] == "incremental"
@@ -148,9 +147,7 @@ def test_round_trip_through_incrementally_patched_cache(tiny_dblp, tmp_path):
     prepared = _prepare_all(service)
     papers = sorted(tiny_dblp.nodes_of_type("paper"))
     areas = sorted(tiny_dblp.nodes_of_type("area"))
-    service.apply(
-        edges_added=[(papers[2], "r-a", areas[0])], incremental=True
-    )
+    service.apply(edges_added=[(papers[2], "r-a", areas[0])])
     save_snapshot(path, service)
 
     warm, _ = load_session(path)

@@ -186,7 +186,7 @@ def test_cancel_detaches_the_subscription(watched):
         (s, l, t) for (s, l, t) in service.database.edges("p-in")
         if s == member
     )
-    service.apply(edges_removed=[edge], incremental=True)
+    service.apply(edges_removed=[edge])
     service.subscriptions.flush()
     assert subscription.items() == before
     assert [event.type for event in events] == ["snapshot"]
@@ -202,7 +202,7 @@ def test_footprint_disjoint_delta_is_pruned(watched):
     service, prepared, subscription, events = watched
     assert prepared.footprint() == (frozenset({"p-in"}), False)
     edge = _new_edge(service.database, "r-a", "paper", "area")
-    service.apply(edges_added=[edge], incremental=True)
+    service.apply(edges_added=[edge])
     service.subscriptions.flush()
     stats = subscription.stats()
     assert stats["pruned"] == 1
@@ -221,7 +221,7 @@ def test_relevant_delta_that_keeps_the_ranking_does_not_notify(watched):
         service.database, "p-in", "paper", "proc",
         exclude=members | {NODE, "proc:2"},
     )
-    service.apply(edges_added=[edge], incremental=True)
+    service.apply(edges_added=[edge])
     service.subscriptions.flush()
     stats = subscription.stats()
     assert (stats["fallbacks"], stats["notified"]) == (1, 0)
@@ -237,7 +237,7 @@ def test_member_edge_removal_falls_back_and_notifies(watched):
         (s, l, t) for (s, l, t) in service.database.edges("p-in")
         if s == member
     )
-    service.apply(edges_removed=[edge], incremental=True)
+    service.apply(edges_removed=[edge])
     service.subscriptions.flush()
     stats = subscription.stats()
     assert stats["fallbacks"] == 1
@@ -253,7 +253,7 @@ def test_member_edge_removal_falls_back_and_notifies(watched):
 
 def test_full_rebuild_swap_falls_back(watched):
     service, prepared, subscription, events = watched
-    service.apply(edges_added=[], incremental=False)
+    service.swap(service.database)
     service.subscriptions.flush()
     stats = subscription.stats()
     assert stats["fallbacks"] == 1
