@@ -21,12 +21,12 @@ reduced DBLP workload; the thresholds are ratios, so they hold at
 either size.
 """
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.api import SimilaritySession
 from repro.datasets import sample_queries_by_degree
+from repro.graph.matrices import usable_cores
 
 PREPARED_SPEEDUP_GATE = 3.0
 THREADS = 8
@@ -35,13 +35,6 @@ SIMPLE_PATTERN = "r-a-.p-in.p-in-.r-a"
 MAX_EXPAND = 16
 NUM_QUERIES = 30
 TOP_K = 10
-
-
-def _usable_cores():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def _serving_setup(bundle):
@@ -143,7 +136,7 @@ def test_concurrent_serving_scales_with_identical_results(
 
     sequential_qps = len(workload) / max(sequential_seconds, 1e-9)
     concurrent_qps = len(workload) / max(concurrent_seconds, 1e-9)
-    cores = _usable_cores()
+    cores = usable_cores()
     lines = [
         "Concurrent prepared-query serving "
         "({} requests, {} usable cores)".format(len(workload), cores),

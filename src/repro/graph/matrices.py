@@ -2,8 +2,9 @@
 
 The commuting-matrix computation of Section 4.3 works on per-label
 adjacency matrices ``A_l``.  This module provides a :class:`NodeIndexer`
-(stable node-id <-> row index mapping) and a :class:`MatrixView` that
-extracts and caches CSR matrices from a :class:`GraphDatabase`.
+(stable node-id <-> row index mapping), a :class:`MatrixView` that
+extracts and caches CSR matrices from a :class:`GraphDatabase`, and
+:func:`csr_product`, the engine's multi-core sparse product.
 
 Matrices use float64: instance counts can exceed int32 on long patterns
 and SciPy's sparse matmul is best-tuned for floats.  Counts are exact as
@@ -11,13 +12,24 @@ long as they stay below 2**53, which vastly exceeds anything a realistic
 pattern produces.
 """
 
+import contextlib
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from itertools import chain, repeat
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from repro.exceptions import UnknownNodeError
+
+#: Products of at least this many multiply-adds run as one row block
+#: per usable core; smaller ones run inline on the calling thread.  On
+#: 2 cores splitting starts to pay between 0.45M multiply-adds (dense
+#: output rows) and 1.2M (a right operand with one entry per row); see
+#: README, "Memory budget & scale".
+PARALLEL_PRODUCT_FLOPS = 1_000_000
 
 
 class NodeIndexer:
@@ -125,6 +137,135 @@ def add_patch(matrix, patch):
     if patch.nnz and patch.data.min() < 0:
         result.eliminate_zeros()
     return result
+
+
+def usable_cores():
+    """The number of CPU cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _row_blocks(left, right_row_lengths):
+    """Row bounds splitting ``left @ right`` into flop-balanced blocks.
+
+    One block unless the product reaches ``PARALLEL_PRODUCT_FLOPS``;
+    then one per usable core.  An O(rows) upper bound screens out the
+    common small product before the exact O(nnz) count is taken.
+    """
+    rows = left.shape[0]
+    whole = np.array([0, rows])
+    longest = int(right_row_lengths.max(initial=0))
+    if left.nnz * longest < PARALLEL_PRODUCT_FLOPS:
+        return whole
+    cores = usable_cores()
+    if cores < 2:
+        return whole
+    flops = right_row_lengths[left.indices]  # per entry of ``left``
+    total = int(flops.sum())
+    if total < PARALLEL_PRODUCT_FLOPS:
+        return whole
+    before = np.zeros(left.nnz + 1, dtype=np.int64)
+    before[1:] = flops
+    np.cumsum(before, out=before)
+    cuts = np.searchsorted(
+        before[left.indptr], total * np.arange(1, cores) / cores
+    )
+    return np.unique(np.concatenate(([0], cuts, [rows])))
+
+
+def csr_product(left, right):
+    """``left @ right`` as a canonical CSR, blocks run on every usable core.
+
+    Bitwise equal to SciPy's product after ``sum_duplicates()`` and
+    ``eliminate_zeros()``, with the index dtype SciPy's ``@`` picks.
+    It runs SciPy's two kernel passes over row blocks of ``left`` (see
+    :func:`_row_blocks`): the symbolic pass of every block sizes one
+    ``data``/``indices`` pair, then each block multiplies and sorts its
+    rows straight into its own slice, so the result is never stacked or
+    copied.  Blocks read shared operands and write disjoint slices; the
+    kernels release the GIL, so threads run them in parallel.
+    """
+    left, right = left.tocsr(), right.tocsr()
+    (rows, inner), cols = left.shape, right.shape[1]
+    if inner != right.shape[0]:
+        raise ValueError(
+            "cannot multiply {} by {}".format(left.shape, right.shape)
+        )
+    dtype = np.result_type(left.dtype, right.dtype)
+    index_arrays = (left.indptr, left.indices, right.indptr, right.indices)
+    index = np.result_type(*index_arrays)
+    lp, lj, rp, rj = (np.asarray(a, dtype=index) for a in index_arrays)
+    bounds = _row_blocks(left, np.diff(right.indptr)).tolist()
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+
+    def symbolic(start, end):
+        return _sparsetools.csr_matmat_maxnnz(
+            end - start, cols, lp[start : end + 1], lj, rp, rj
+        )
+
+    with (
+        ThreadPoolExecutor(max_workers=len(blocks))
+        if len(blocks) > 1
+        else contextlib.nullcontext()
+    ) as pool:
+        sizes = _run_blocks(pool, symbolic, blocks)
+        total = sum(sizes)
+        if total == 0:
+            empty = left.__class__((rows, cols), dtype=dtype)
+            empty.has_canonical_format = True
+            return empty
+        if total >= 2**31:  # SciPy's ``@`` widens indices here too
+            index = np.int64
+            lp, lj, rp, rj = (np.asarray(a, dtype=index) for a in index_arrays)
+        ld = left.data.astype(dtype, copy=False)
+        rd = right.data.astype(dtype, copy=False)
+        indices = np.empty(total, dtype=index)
+        data = np.empty(total, dtype=dtype)
+        ends = np.cumsum(sizes).tolist()
+        slots = [slice(end - size, end) for end, size in zip(ends, sizes)]
+
+        def numeric(start, end, slot):
+            indptr = np.empty(end - start + 1, dtype=index)
+            _sparsetools.csr_matmat(
+                end - start, cols, lp[start : end + 1], lj, ld, rp, rj, rd,
+                indptr, indices[slot], data[slot],
+            )
+            _sparsetools.csr_sort_indices(
+                end - start, indptr, indices[slot], data[slot]
+            )
+            return indptr
+
+        block_indptrs = _run_blocks(
+            pool, numeric, [block + (slot,) for block, slot in zip(blocks, slots)]
+        )
+    # The symbolic pass counts structural entries, but the kernel drops
+    # sums that cancel to zero: close the gap a short block leaves.
+    indptr = np.zeros(rows + 1, dtype=index)
+    filled = 0
+    for (start, end), slot, block_indptr in zip(blocks, slots, block_indptrs):
+        count = int(block_indptr[-1])
+        if filled != slot.start:
+            indices[filled : filled + count] = indices[slot][:count]
+            data[filled : filled + count] = data[slot][:count]
+        indptr[start + 1 : end + 1] = block_indptr[1:] + filled
+        filled += count
+    # SciPy's constructor picks the index dtype as it does for ``@``,
+    # but from the filled entries only, never an unwritten tail.
+    product = left.__class__(
+        (data[:filled], indices[:filled], indptr), shape=(rows, cols)
+    )
+    product.has_canonical_format = True
+    return product
+
+
+def _run_blocks(pool, work, blocks):
+    """``work(*block)`` for every block, on ``pool`` unless it is None."""
+    if pool is None:
+        return [work(*block) for block in blocks]
+    futures = [pool.submit(work, *block) for block in blocks]
+    return [future.result() for future in futures]
 
 
 def identity_patch(indices, n):

@@ -50,6 +50,7 @@ from repro.graph.matrices import (
     MatrixView,
     add_patch,
     boolean,
+    csr_product,
     dense_rows,
     diagonal_of,
     identity_patch,
@@ -845,8 +846,9 @@ class CommutingMatrixEngine:
         # Published matrices are canonical CSR with no explicit zeros:
         # dense_rows/pathsim_rows need sorted deduplicated buffers, and
         # delta maintenance relies on a patched entry being structurally
-        # identical to a fresh rebuild (sparse matmul emits unsorted
-        # indices, so products must be normalized before caching).
+        # identical to a fresh rebuild.  Chain products are canonical at
+        # birth (csr_product sorts each row block as it fills it); this
+        # sort still serves sums, Hadamard products and transposes.
         # Canonicalizing at publish time also means no later caller ever
         # sorts a cached matrix in place — buffers shared across forked
         # engines stay frozen.
@@ -865,12 +867,11 @@ class CommutingMatrixEngine:
             result = self._plan_matrix(node.children[0]).T.tocsr()
         elif kind == "chain":
             self._ensure_ordered(node)
-            if self._should_stream(node):
-                result = self._streamed_chain(node)
-            else:
-                left = self._plan_matrix(node.left)
-                right = self._plan_matrix(node.right)
-                result = (left @ right).tocsr()
+            if not self._should_stream(node):
+                return csr_product(
+                    self._plan_matrix(node.left), self._plan_matrix(node.right)
+                )
+            result = self._streamed_chain(node)
         elif kind == "add":
             result = self._plan_matrix(node.children[0])
             for child in node.children[1:]:
@@ -884,8 +885,12 @@ class CommutingMatrixEngine:
         elif kind == "bool":
             result = boolean(self._plan_matrix(node.children[0]))
         elif kind == "nested":
+            # diag{M (M^T > 0)} is M's row sums over count matrices (see
+            # the delta pass); naive_matrix keeps the literal product.
             inner = self._plan_matrix(node.children[0])
-            result = diagonal_of(inner @ boolean(inner.T)).tocsr()
+            result = sp.diags(
+                np.asarray(inner.sum(axis=1)).ravel(), format="csr"
+            )
         elif kind == "star":
             result = _star_sum(
                 self._view.identity(),
@@ -971,8 +976,8 @@ class CommutingMatrixEngine:
         for start in range(0, n, rows_per_block):
             block = factors[0][start : start + rows_per_block, :]
             for factor in factors[1:]:
-                block = block @ factor
-            blocks.append(block.tocsr())
+                block = csr_product(block, factor)
+            blocks.append(block)
         with self._lock:
             self._streamed += 1
         if len(blocks) == 1:

@@ -9,7 +9,7 @@ from repro.datasets import (
     generate_mas,
     generate_wsu,
 )
-from repro.graph import GraphDatabase, Schema
+from repro.graph import GraphDatabase, Schema, matrices
 
 
 @pytest.fixture
@@ -61,3 +61,14 @@ def biomed_bundle():
 @pytest.fixture(scope="session")
 def mas_bundle():
     return generate_mas(seed=7)
+
+
+@pytest.fixture
+def split_products(monkeypatch):
+    """Every ``csr_product`` runs as three row blocks on threads.
+
+    Three blocks on any host, whatever its cores, so suites that take
+    this fixture cover the threaded split even on one core.
+    """
+    monkeypatch.setattr(matrices, "PARALLEL_PRODUCT_FLOPS", 0)
+    monkeypatch.setattr(matrices, "usable_cores", lambda: 3)

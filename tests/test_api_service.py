@@ -4,6 +4,7 @@ import gc
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro.api import SimilarityService, SimilaritySession
@@ -13,7 +14,9 @@ from repro.exceptions import (
     NodeTypeConflictError,
     UnknownEdgeError,
 )
-from repro.lang import parse_pattern
+from repro.graph import matrices
+from repro.lang import CommutingMatrixEngine, parse_pattern
+from repro.patterns.generator import generate_patterns
 
 PATTERN = "r-a-.p-in.p-in-.r-a"
 QUERIES = ("DataMining", "Databases", "SoftwareEngineering")
@@ -431,6 +434,64 @@ def test_eight_thread_cold_engine_shares_one_matrix(dblp_small):
     assert not failures, failures
     assert len(results) == 8
     assert all(matrix is results[0] for matrix in results)
+
+
+def test_eight_threads_split_products_publish_one_matrix_per_plan(
+    dblp_small, split_products
+):
+    # Every product runs as three threaded row blocks inside each of 8
+    # threads materializing one pattern set on one cold engine, with
+    # the interpreter switching threads as often as it can.  A block
+    # written into another product's buffer, or a lost publish, shows
+    # as a matrix that differs from the serial one or is not the one
+    # object the engine published.
+    database = dblp_small.database
+    patterns = generate_patterns(
+        parse_pattern(PATTERN), database.schema.constraints, max_patterns=16
+    ).patterns + [parse_pattern("w-.w.w-.w"), parse_pattern("w.w-.w.w-")]
+    engine = CommutingMatrixEngine(database)
+    results = [None] * 8
+    failures = []
+    barrier = threading.Barrier(8)
+
+    def materialize(slot):
+        try:
+            barrier.wait(timeout=30)
+            results[slot] = engine.matrices_many(patterns)
+        except Exception as error:  # pragma: no cover - surfaced below
+            failures.append(error)
+
+    threads = [
+        threading.Thread(target=materialize, args=(slot,)) for slot in range(8)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures
+
+    serial = CommutingMatrixEngine(database)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrices, "PARALLEL_PRODUCT_FLOPS", float("inf"))
+        expected = serial.matrices_many(patterns)
+    for position, pattern in enumerate(patterns):
+        published = results[0][position]
+        assert all(result[position] is published for result in results)
+        reference = expected[position]
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(
+                getattr(published, name), getattr(reference, name)
+            ), (str(pattern), name)
+            assert (
+                getattr(published, name).dtype
+                == getattr(reference, name).dtype
+            )
 
 
 def test_eight_thread_vector_publishes_share_one_record(dblp_small):

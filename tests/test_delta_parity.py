@@ -234,6 +234,14 @@ def test_delta_fuzz_incremental_parity_all_algorithms(seed, budgeted):
         assert service.session.cache_info()["spilled"] > 0
 
 
+@pytest.mark.parametrize(
+    "budgeted", [False, True], ids=["unbudgeted", "budget"]
+)
+def test_delta_fuzz_parity_with_split_products(split_products, budgeted):
+    """The fuzz above with every chain product run as threaded blocks."""
+    test_delta_fuzz_incremental_parity_all_algorithms(SEED, budgeted)
+
+
 def test_delta_fuzz_subscriptions_track_fresh_rankings():
     """Standing queries stay bitwise-exact under random deltas.
 

@@ -4,7 +4,8 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from test_index64 import _upcast
 
 from repro.datasets import generate_dblp_scale
 from repro.exceptions import UnknownNodeError
@@ -16,8 +17,11 @@ from repro.graph import (
     boolean,
     column_normalize,
     diagonal_of,
+    matrices,
     row_normalize,
 )
+from repro.graph.matrices import csr_product
+from repro.lang.matrix_semantics import CommutingMatrixEngine
 
 
 def test_indexer_roundtrip():
@@ -237,3 +241,100 @@ def _views(draw):
 def test_build_matches_per_edge_loop_property(view):
     for label in sorted(view.database.schema.labels):
         _assert_matches_reference(view, label)
+
+
+# ----------------------------------------------------------------------
+# csr_product parity against SciPy's product, canonicalized
+# ----------------------------------------------------------------------
+def _csr(n, cells):
+    rows, cols, vals = zip(*cells) if cells else ((), (), ())
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.float64)
+
+
+@st.composite
+def _operands(draw):
+    """Square CSR pairs: empty products, fewer rows than blocks, one
+    heavy row, values that cancel to zero, int32 or int64 indices."""
+    n = draw(st.integers(0, 9))
+    cell = st.tuples(
+        st.integers(0, max(n - 1, 0)),
+        st.integers(0, max(n - 1, 0)),
+        st.sampled_from([-2.0, -1.0, 1.0, 3.0]),
+    )
+    operands = []
+    for _ in range(2):
+        cells = draw(st.lists(cell, max_size=4 * n)) if n else []
+        if n and draw(st.booleans()):  # one heavy row
+            heavy = draw(st.integers(0, n - 1))
+            cells += [(heavy, col, 1.0) for col in range(n)]
+        matrix = _csr(n, cells)
+        if draw(st.booleans()):
+            matrix = _upcast(matrix)
+        operands.append(matrix)
+    return operands
+
+
+def _assert_bitwise(actual, expected):
+    assert actual.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        a, e = getattr(actual, name), getattr(expected, name)
+        assert a.dtype == e.dtype, name
+        assert np.array_equal(a, e), name
+    assert actual.has_canonical_format and expected.has_canonical_format
+
+
+# Block 1 cancels to nothing and block 2 keeps its entry: the kept
+# entry must move down into the gap block 1 left.
+@example(
+    operands=[_csr(2, [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0)]),
+              _csr(2, [(0, 0, 1.0), (1, 0, -1.0)])],
+    blocks=2,
+)
+@given(operands=_operands(), blocks=st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_csr_product_matches_canonical_scipy_product(operands, blocks):
+    left, right = operands
+    expected = CommutingMatrixEngine._canonicalize(left @ right)
+    # With int64 operands SciPy picks the product's index dtype by
+    # reading its whole buffer, unwritten tail included when entries
+    # cancelled; the oracle's dtype comes from the entries alone.
+    expected = type(expected)(
+        (expected.data, expected.indices, expected.indptr),
+        shape=expected.shape,
+    )
+    expected.has_canonical_format = True
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrices, "PARALLEL_PRODUCT_FLOPS", 0)
+        patch.setattr(matrices, "usable_cores", lambda: blocks)
+        _assert_bitwise(csr_product(left, right), expected)
+
+
+def test_csr_product_runs_small_products_inline(monkeypatch):
+    # Below the threshold no thread starts and no flop count is taken.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a small product started threads")
+
+    monkeypatch.setattr(matrices, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(matrices, "usable_cores", refuse)
+    view = MatrixView(generate_dblp_scale(10**4, seed=0).database)
+    left, right = view.adjacency("w").T.tocsr(), view.adjacency("w")
+    expected = CommutingMatrixEngine._canonicalize(left @ right)
+    _assert_bitwise(csr_product(left, right), expected)
+
+
+def test_csr_product_balances_blocks_by_flops(monkeypatch):
+    # One heavy row carries most of the multiply-adds: it gets a block
+    # of its own instead of a third of the rows.
+    monkeypatch.setattr(matrices, "PARALLEL_PRODUCT_FLOPS", 0)
+    monkeypatch.setattr(matrices, "usable_cores", lambda: 2)
+    n = 30
+    left = _csr(n, [(0, col, 1.0) for col in range(n)]
+                + [(row, row, 1.0) for row in range(1, n)])
+    right = _csr(n, [(row, col, 1.0) for row in range(n) for col in range(n)])
+    bounds = matrices._row_blocks(left, np.diff(right.indptr))
+    assert bounds.tolist() == [0, 1, n]
+
+
+def test_csr_product_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        csr_product(sp.csr_matrix((2, 3)), sp.csr_matrix((2, 3)))

@@ -285,6 +285,50 @@ def test_valueerror_outside_public_modules_allowed():
     ) == []
 
 
+# -- private-scipy ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import scipy.sparse._sparsetools",
+        "from scipy.sparse._sparsetools import csr_matmat",
+        "from scipy.sparse import _sparsetools",
+        "from scipy.sparse._sputils import get_index_dtype",
+    ],
+)
+def test_private_scipy_import_flagged(code):
+    violations = lint(code, path="src/repro/lang/matrix_semantics.py")
+    assert rules_of(violations) == ["private-scipy"]
+
+
+def test_private_scipy_import_allowed_in_matrices_module():
+    assert lint(
+        "from scipy.sparse import _sparsetools",
+        path="src/repro/graph/matrices.py",
+    ) == []
+
+
+def test_public_scipy_imports_allowed():
+    assert lint(
+        """
+        import scipy.sparse as sp
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.linalg import spsolve
+        from ._private import helper
+        """
+    ) == []
+
+
+def test_private_scipy_import_waived():
+    assert lint(
+        """
+        # repro-lint: ok(private-scipy) pinned by the oldest-deps CI job
+        from scipy.sparse import _sparsetools
+        """
+    ) == []
+
+
 # -- suppressions ------------------------------------------------------
 
 

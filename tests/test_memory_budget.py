@@ -246,6 +246,17 @@ def test_streaming_engages_under_budget_end_to_end(dblp_small, monkeypatch):
     assert engine.cache_info()["streamed"] > 0
 
 
+def test_budget_parity_with_split_products(
+    dblp_small, fig1, monkeypatch, split_products
+):
+    # The parity tests above with every product, the streamed chain's
+    # row-block products included, run as threaded blocks.
+    test_streamed_chain_parity(dblp_small, monkeypatch)
+    test_streaming_engages_under_budget_end_to_end(dblp_small, monkeypatch)
+    for name in sorted(ALGORITHM_OPTIONS):
+        test_tight_budget_rankings_bitwise_identical(fig1, name)
+
+
 def test_no_streaming_without_budget(dblp_small):
     engine = CommutingMatrixEngine(dblp_small.database)
     engine.matrix(parse_pattern("w-.w.w-.w"))

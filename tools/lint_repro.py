@@ -40,6 +40,13 @@ Rules
     the library taxonomy.  (``TypeError`` for caller programming errors
     is conventional and allowed.)
 
+``private-scipy``
+    Only ``repro/graph/matrices.py`` may import a private SciPy module
+    (a dotted path with a ``_``-prefixed part, such as
+    ``scipy.sparse._sparsetools``).  Private kernels can change
+    signature between SciPy releases; one module owning them keeps the
+    code a SciPy upgrade can break in one place.
+
 Suppressions
 ------------
 A finding is waived by a comment on the same line or the line above::
@@ -93,7 +100,11 @@ RULES = (
     "lock-discipline",
     "int32-index",
     "exception-taxonomy",
+    "private-scipy",
 )
+
+#: The one module allowed to import private SciPy modules.
+_PRIVATE_SCIPY_OWNER = "repro/graph/matrices.py"
 
 #: Exception names public api/server modules may not raise bare.
 _BARE_EXCEPTIONS = {"KeyError", "ValueError", "IndexError"}
@@ -189,6 +200,36 @@ class _Linter(ast.NodeVisitor):
     visit_AsyncWith = _visit_with
 
     # -- rules ----------------------------------------------------------
+
+    def _check_scipy_import(self, node, dotted):
+        parts = dotted.split(".")
+        if parts[0] != "scipy" or not any(
+            part.startswith("_") for part in parts
+        ):
+            return
+        if _posix(self.path).endswith(_PRIVATE_SCIPY_OWNER):
+            return
+        self.report(
+            node,
+            "private-scipy",
+            "import of private SciPy module {} in {}; only {} may use "
+            "SciPy internals".format(
+                dotted, self.qualname, _PRIVATE_SCIPY_OWNER
+            ),
+        )
+
+    def visit_Import(self, node):
+        for alias in node.names:
+            self._check_scipy_import(node, alias.name)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if node.module and not node.level:
+            for alias in node.names:
+                self._check_scipy_import(
+                    node, "{}.{}".format(node.module, alias.name)
+                )
+        self.generic_visit(node)
 
     def visit_BinOp(self, node):
         if isinstance(node.op, ast.MatMult) and self._lock_depth:
