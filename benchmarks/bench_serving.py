@@ -86,7 +86,7 @@ def test_prepared_hot_path_speedup(emit, dblp_large_bundle):
                 "{:.2f} ms/query".format(
                     1000.0 * per_call_seconds / len(queries)
                 ),
-                "  prepared.run (pinned state):             "
+                "  prepared.run (warm engine cache):        "
                 "{:.2f} ms/query".format(
                     1000.0 * prepared_seconds / len(queries)
                 ),

@@ -11,7 +11,7 @@ This walks the paper's Figure-1 example end to end:
    to proceedings instead of papers) with the DBLP2SIGM transformation;
 4. show that the baselines change their answers while RelSim — with the
    Theorem-2-translated RRE pattern — returns exactly the same ranking;
-5. serve the query shape: prepare once, run per node on pinned state,
+5. serve the query shape: prepare once, run per node on cached state,
    and absorb a live edge update through ``SimilarityService``'s atomic
    snapshot swap;
 6. serve it over the network: boot the HTTP front-end on a free port

@@ -46,8 +46,9 @@ instead of one extraction per query::
     )
 
 Serve the same query shape many times: prepare once (parse, expand,
-compile, warm), run per node on pinned state — and keep serving through
-live updates with :class:`SimilarityService`'s atomic snapshot swap::
+compile, warm), run per node on engine-cache hits — and keep serving
+through live updates with :class:`SimilarityService`'s atomic snapshot
+swap::
 
     prepared = session.prepare(
         algorithm="relsim", pattern="p-in-.r-a.r-a-.p-in", top_k=10)

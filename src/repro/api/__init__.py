@@ -5,7 +5,7 @@ algorithm built through it reuses materialized matrices; the registry
 makes algorithms constructible by name; ``rank_many`` scores whole
 workloads in one sparse row slice per pattern.  For request serving,
 ``session.prepare(...)`` returns a ``PreparedQuery`` (parse / expand /
-compile / warm once, run per node on pinned state), and
+compile / warm once, run per node on engine-cache hits), and
 ``SimilarityService`` keeps prepared queries fresh across live database
 updates with atomic snapshot swap.
 """

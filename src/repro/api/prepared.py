@@ -12,10 +12,12 @@ too.
 
 :class:`PreparedQuery` is that split.  Construction does everything
 that does not depend on the query node — pattern parsing, Algorithm-1
-expansion, plan compilation, commuting-matrix materialization, column
-norms / diagonals, candidate-index warming — and :meth:`PreparedQuery.run`
-/ :meth:`PreparedQuery.run_many` then execute on pinned immutable state
-with near-zero per-call overhead.
+expansion, plan compilation, warming the engine cache with the set's
+matrices and their column norms / diagonals, candidate-index warming —
+and :meth:`PreparedQuery.run` / :meth:`PreparedQuery.run_many` then read
+those records back from the cache with near-zero per-call overhead.
+Nothing is pinned outside the cache, so the engine's byte budget holds
+for prepared queries too.
 
 A prepared query is also the unit of *re-binding*: it remembers its
 spec (algorithm name, options, expansion request), so
@@ -117,7 +119,7 @@ class _BoundQuery:
     """The immutable execution state of a prepared query on one snapshot.
 
     Everything a ``run`` touches hangs off this one object — session,
-    algorithm instance (with its pinned scoring state), pattern list —
+    algorithm instance (with its compiled plans), pattern list —
     so reading ``PreparedQuery._bound`` once makes the whole call
     snapshot-consistent: a concurrent swap can never tear it.
     """
@@ -130,15 +132,16 @@ class _BoundQuery:
         self.patterns = tuple(patterns)
 
 
-def bind(session, spec, warm=True, expanded_patterns=None):
+def bind(session, spec, expanded_patterns=None):
     """Build the :class:`_BoundQuery` for ``spec`` on ``session``.
 
     ``spec`` is ``(algorithm, options, expand)`` where ``algorithm`` is
-    a registry name or a pre-built instance.  With ``warm`` (the
-    default), the instance's reusable scoring state is pinned
-    (:meth:`~repro.similarity.base.SimilarityAlgorithm.prepare_scoring`)
-    and the candidate index for a fixed answer type is built now, so
-    the first ``run`` is already a hot call.
+    a registry name or a pre-built instance.  The instance warms what
+    its first scoring call would compute
+    (:meth:`~repro.similarity.base.SimilarityAlgorithm.prepare_scoring`
+    — the engine cache, when the set fits its budget) and the candidate
+    index for a fixed answer type is built now, so the first ``run`` is
+    already a hot call.
 
     ``expanded_patterns`` short-circuits Algorithm-1 expansion with an
     already-expanded pattern list — the incremental re-bind path: an
@@ -161,19 +164,18 @@ def bind(session, spec, warm=True, expanded_patterns=None):
                 )
         instance = session.algorithm(algorithm, **options)
     patterns = _patterns_of(instance)
-    # Fail fast on ill-typed patterns even without warming: compiling is
-    # plan-only (no matrices), and the compiler's schema-aware type
-    # checker raises PatternTypeError here — before the caller gets a
-    # handle whose first run would surface the problem as an empty or
-    # nonsensical ranking.
+    # Fail fast on ill-typed patterns even when the set is too big to
+    # warm: compiling is plan-only (no matrices), and the compiler's
+    # schema-aware type checker raises PatternTypeError here — before
+    # the caller gets a handle whose first run would surface the
+    # problem as an empty or nonsensical ranking.
     for pattern in patterns:
         if isinstance(pattern, Pattern):
             session.engine.compile(pattern)
-    if warm:
-        instance.prepare_scoring()
-        answer_type = getattr(instance, "_answer_type", None)
-        if answer_type is not None and instance._view is not None:
-            instance._view.candidate_index(answer_type)
+    instance.prepare_scoring()
+    answer_type = getattr(instance, "_answer_type", None)
+    if answer_type is not None and instance._view is not None:
+        instance._view.candidate_index(answer_type)
     return _BoundQuery(session, instance, patterns)
 
 
@@ -188,7 +190,7 @@ class PreparedQuery:
             algorithm="relsim", pattern="p-in.p-in-",
             expand={"max_patterns": 16}, top_k=10,
         )
-        prepared.run("proc:0")            # hot: pinned state only
+        prepared.run("proc:0")            # hot: engine-cache hits
         prepared.run_many(workload)       # batch, one slice per pattern
         print(prepared.explain())         # the compiled plan report
 
@@ -200,7 +202,7 @@ class PreparedQuery:
 
     def __init__(
         self, session, algorithm="relsim", top_k=None, expand=None,
-        warm=True, **options
+        **options
     ):
         if isinstance(algorithm, SimilarityAlgorithm):
             if options:
@@ -215,8 +217,7 @@ class PreparedQuery:
                 )
         self._spec = (algorithm, dict(options), normalize_expand(expand))
         self._top_k = top_k
-        self._warm = warm
-        self._bound = bind(session, self._spec, warm=warm)
+        self._bound = bind(session, self._spec)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -228,7 +229,7 @@ class PreparedQuery:
 
     @property
     def algorithm(self):
-        """The bound algorithm instance (pinned scoring state)."""
+        """The bound algorithm instance."""
         return self._bound.algorithm
 
     @property
@@ -324,8 +325,8 @@ class PreparedQuery:
         Algorithm-1 expansion already bound to this handle is reused
         instead of re-generated: edge/node deltas cannot change the
         schema's constraints, so the expanded set is unchanged and
-        re-binding reduces to re-pinning scoring state — which the
-        engine's delta-maintained caches serve mostly by identity.
+        re-binding reduces to re-warming the cache — which the engine's
+        delta-maintained records serve mostly by identity.
         """
         if isinstance(self._spec[0], SimilarityAlgorithm):
             raise EvaluationError(
@@ -333,9 +334,7 @@ class PreparedQuery:
                 "instance; prepare by registry name for live updates"
             )
         expanded = self._bound.patterns if reuse_expansion else None
-        return bind(
-            session, self._spec, warm=self._warm, expanded_patterns=expanded
-        )
+        return bind(session, self._spec, expanded_patterns=expanded)
 
     def _swap_bound(self, bound):
         # A single attribute assignment: atomic under the GIL, so

@@ -18,8 +18,8 @@ swap**:
   only full session rebuild.  The old snapshot keeps answering queries
   the entire time either way;
 * every outstanding :class:`~repro.api.prepared.PreparedQuery` handed
-  out by :meth:`prepare` is re-bound against the new snapshot (scoring
-  state re-pinned; after a swap, pattern expansion re-run and matrices
+  out by :meth:`prepare` is re-bound against the new snapshot (engine
+  cache re-warmed; after a swap, pattern expansion re-run and matrices
   re-materialized too) *before* anything is published;
 * publication is a handful of reference assignments: in-flight queries
   finish on the snapshot they started on, new requests see the new one,
@@ -317,14 +317,14 @@ class SimilarityService:
         every cached commuting matrix, diagonal and norm is *patched*
         via sparse delta propagation
         (:meth:`CommutingMatrixEngine.apply_delta`) instead of being
-        recomputed, and live prepared handles re-pin only the scoring
-        state whose inputs changed (their Algorithm-1 expansion is
-        reused, not re-run).  Patching is exact integer arithmetic, so
-        the resulting rankings are bitwise identical to a full rebuild
-        at any batch size — ``benchmarks/bench_delta.py`` gates both
-        that identity and the speedup over :meth:`swap`.  A cached
-        product whose input delta is too dense to patch cheaply is
-        dropped and recomputed on next use
+        recomputed, and live prepared handles re-warm from the patched
+        records, recomputing only what changed (their Algorithm-1
+        expansion is reused, not re-run).  Patching is exact integer
+        arithmetic, so the resulting rankings are bitwise identical to a
+        full rebuild at any batch size — ``benchmarks/bench_delta.py``
+        gates both that identity and the speedup over :meth:`swap`.  A
+        cached product whose input delta is too dense to patch cheaply
+        is dropped and recomputed on next use
         (:data:`~repro.lang.matrix_semantics.DELTA_REBUILD_THRESHOLD`);
         that per-product choice is what handles large batches.  To
         replace the database wholesale, :meth:`swap` it in.
@@ -427,7 +427,7 @@ class SimilarityService:
         # Phase 1 (slow, off the serving path): rebuild every live
         # prepared handle against the new session.  On a swap,
         # expansion re-runs and matrices re-materialize; on an apply
-        # the expansion is reused and re-pinning is mostly cache hits
+        # the expansion is reused and re-warming is mostly cache hits
         # against the patched engine.  Either way the old snapshot keeps
         # answering queries throughout.
         rebinds = []

@@ -29,7 +29,7 @@ Four levels of API, lowest to highest::
                                  pattern="p-in.p-in-", top_k=10)
 
     # 4. serving path: prepare once (parse, expand, compile, warm),
-    #    then run per-node on pinned state with near-zero overhead
+    #    then run per node on engine-cache hits with near-zero overhead
     prepared = session.prepare(algorithm="relsim",
                                pattern="p-in.p-in-",
                                expand={"max_patterns": 16}, top_k=10)
@@ -43,10 +43,8 @@ so all four levels share one execution path.
 from repro.api.prepared import PreparedQuery
 from repro.api.registry import algorithm_class, algorithm_parameters
 from repro.exceptions import EvaluationError
-from repro.lang.ast import Pattern
 from repro.lang.matrix_semantics import CommutingMatrixEngine
-from repro.lang.parser import parse_pattern
-from repro.similarity.base import SimilarityAlgorithm
+from repro.lang.parser import as_patterns
 
 
 class SimilaritySession:
@@ -135,24 +133,6 @@ class SimilaritySession:
         """
         return self._engine.cache_info()
 
-    @staticmethod
-    def _as_pattern_list(pattern_or_patterns):
-        if isinstance(pattern_or_patterns, (str, Pattern)):
-            pattern_or_patterns = [pattern_or_patterns]
-        patterns = []
-        for pattern in pattern_or_patterns:
-            if isinstance(pattern, str):
-                pattern = parse_pattern(pattern)
-            if not isinstance(pattern, Pattern):
-                raise TypeError(
-                    "pattern must be a string or Pattern AST, got "
-                    "{!r}".format(pattern)
-                )
-            patterns.append(pattern)
-        if not patterns:
-            raise EvaluationError("at least one pattern is required")
-        return patterns
-
     def check(self, pattern_or_patterns):
         """Static type-check of a pattern set against the schema.
 
@@ -164,7 +144,7 @@ class SimilaritySession:
         diagnostics).  Accepts pattern strings or ASTs; the ``repro
         check`` CLI verb is a thin wrapper over this.
         """
-        return self._engine.check(self._as_pattern_list(pattern_or_patterns))
+        return self._engine.check(as_patterns(pattern_or_patterns))
 
     def explain(self, pattern_or_patterns):
         """The compiled evaluation plan for one pattern or a pattern set.
@@ -178,7 +158,7 @@ class SimilaritySession:
         actual evaluation would fix them, so the report shows exactly
         what a later ``materialize``/query over these patterns will do.
         """
-        return self._engine.explain(self._as_pattern_list(pattern_or_patterns))
+        return self._engine.explain(as_patterns(pattern_or_patterns))
 
     def matrices_many(self, pattern_or_patterns):
         """Commuting matrices for a pattern set via the batch plan path.
@@ -188,9 +168,7 @@ class SimilaritySession:
         sub-chains are evaluated once.  Accepts strings or ASTs;
         returns matrices in input order.
         """
-        return self._engine.matrices_many(
-            self._as_pattern_list(pattern_or_patterns)
-        )
+        return self._engine.matrices_many(as_patterns(pattern_or_patterns))
 
     # ------------------------------------------------------------------
     # Construction by name
@@ -240,31 +218,27 @@ class SimilaritySession:
     # ------------------------------------------------------------------
     # Prepared queries (the serving path)
     # ------------------------------------------------------------------
-    def prepare(
-        self, algorithm="relsim", top_k=None, expand=None, warm=True,
-        **options
-    ):
+    def prepare(self, algorithm="relsim", top_k=None, expand=None, **options):
         """Prepare a query shape once; run it per node with no overhead.
 
         Everything that does not depend on the query node happens now:
         option normalization, Algorithm-1 expansion (``expand=True`` or
         a dict of ``constraints``/``use_filters``/``max_patterns``),
-        plan compilation, commuting-matrix materialization, and the
-        pinning of reusable scoring state (diagonals, column norms,
-        candidate index).  The returned
-        :class:`~repro.api.prepared.PreparedQuery` then answers
-        ``run(node)`` / ``run_many(nodes)`` on warm immutable state —
-        results identical to the equivalent one-shot
-        ``session.query(...)`` calls.  ``top_k`` fixes the default
-        answer length.  ``algorithm`` may also be a pre-built instance
-        (options and ``expand`` must then be omitted — and note that
-        warming pins scoring state on that instance).  ``warm=False``
-        binds without pinning anything; the per-call scoring path is
-        kept, with identical results.
+        plan compilation, the candidate index, and warming: when the
+        set fits under ``memory_budget`` (``engine.warm_exceeds_limits``
+        decides), the engine cache is filled with its commuting
+        matrices and the diagonals or column norms its scoring reads.
+        The returned :class:`~repro.api.prepared.PreparedQuery` then
+        answers ``run(node)`` / ``run_many(nodes)`` from those cache
+        records — results identical to the equivalent one-shot
+        ``session.query(...)`` calls.  It holds compiled plans, never
+        matrices, so the budget counts all of its memory.  ``top_k``
+        fixes the default answer length.  ``algorithm`` may also be a
+        pre-built instance (options and ``expand`` must then be
+        omitted).
         """
         return PreparedQuery(
-            self, algorithm=algorithm, top_k=top_k, expand=expand,
-            warm=warm, **options
+            self, algorithm=algorithm, top_k=top_k, expand=expand, **options
         )
 
     # ------------------------------------------------------------------
@@ -288,17 +262,12 @@ class SimilaritySession:
         algorithms scoring all queries from one sparse row slice per
         pattern (``score_rows``) and ranking through array-native top-k
         selection.  Results are identical to looping
-        ``algorithm.rank(q, top_k)``.
-
-        Name-constructed algorithms are warmed (the instance is private
-        to this call); a caller-supplied instance is executed as-is —
-        one-shot batching must not pin prepared state (strong matrix
-        references that outlive engine LRU eviction) onto an object the
-        caller keeps.
+        ``algorithm.rank(q, top_k)``.  Preparing warms only the engine
+        cache, so a caller-supplied instance is left holding nothing
+        new.
         """
-        warm = not isinstance(algorithm, SimilarityAlgorithm)
         return self.prepare(
-            algorithm=algorithm, top_k=top_k, warm=warm, **options
+            algorithm=algorithm, top_k=top_k, **options
         ).run_many(queries)
 
 
@@ -310,13 +279,13 @@ class QueryBuilder:
     then finish with :meth:`top`, :meth:`rank` or :meth:`scores`.
 
     The builder is a thin adapter over the prepared-query path: it
-    binds a :class:`~repro.api.prepared.PreparedQuery` (without
-    warming — a one-shot query computes exactly what it needs) and
-    executes through it, so fluent and prepared execution share one
-    code path.  The bound algorithm is cached; repeated executions
-    reuse it.  For repeated queries of the same shape, skip the
-    per-call builder entirely: :meth:`prepare` (or
-    :meth:`SimilaritySession.prepare`) pays the preparation bill once.
+    binds a :class:`~repro.api.prepared.PreparedQuery` and executes
+    through it, so fluent and prepared execution share one code path
+    and a one-shot query scores through the same code as a prepared
+    one.  The bound algorithm is cached; repeated executions reuse it.
+    For repeated queries of the same shape, skip the per-call builder
+    entirely: :meth:`prepare` (or :meth:`SimilaritySession.prepare`)
+    pays the preparation bill once.
     """
 
     def __init__(self, session, node):
@@ -372,17 +341,16 @@ class QueryBuilder:
                 self._session,
                 algorithm=self._name,
                 expand=self._expand,
-                warm=False,
                 **self._options
             )
             self._patterns_used = self._prepared.patterns
         return self._prepared.algorithm
 
     def prepare(self, top_k=None):
-        """Graduate this builder's spec into a *warm* prepared query.
+        """Graduate this builder's spec into a prepared query.
 
         Returns a fresh :class:`~repro.api.prepared.PreparedQuery`
-        (scoring state pinned, default ``top_k`` set) ready for
+        (engine cache warmed, default ``top_k`` set) ready for
         ``run``/``run_many`` over any query node — the upgrade path
         from "try one query fluently" to "serve this shape".
         """

@@ -24,6 +24,7 @@ Entry points: ``python -m repro.cli ...`` or :func:`main` for tests.
 """
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -368,13 +369,17 @@ def _parse_bytes(text):
         scale = suffixes[value[-1].lower()]
         value = value[:-1]
     try:
-        amount = float(value)
+        amount = float(value) * scale
     except ValueError:
+        amount = math.nan
+    # float() reads "inf", "nan" and "1e400", and a suffix can scale a
+    # huge number to inf: no int holds those.
+    if not math.isfinite(amount):
         raise EvaluationError(
             "--memory-budget takes bytes with an optional K/M/G suffix "
             "(got {!r})".format(text)
         )
-    result = int(amount * scale)
+    result = int(amount)
     if result < 1:
         raise EvaluationError(
             "--memory-budget must come to >= 1 byte (got {!r})".format(text)

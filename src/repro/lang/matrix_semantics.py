@@ -26,10 +26,10 @@ whole pattern set — e.g. Algorithm 1's expansion — before any chain
 order is fixed.
 
 The engine also supports the paper's "materialize all meta-paths up to
-length 3" setting and exposes the PathSim scoring helper used by both
-PathSim and RelSim.  The seed's direct AST recursion is kept as
-:func:`naive_matrix` — the reference oracle the plan path is tested and
-benchmarked against.
+length 3" setting and owns the one scoring path RelSim and PathSim
+share (:meth:`CommutingMatrixEngine.score_plans`).  The seed's direct
+AST recursion is kept as :func:`naive_matrix` — the reference oracle
+the plan path is tested and benchmarked against.
 """
 
 import itertools
@@ -168,8 +168,8 @@ def pathsim_rows(matrix, indices, diagonal=None, out=None):
 
     With ``out`` (a ``(len(indices), n)`` float array), scores are
     *added* into it and ``out`` is returned — the accumulator form
-    RelSim uses to sum a 16-pattern expansion without allocating a
-    dense block per pattern.
+    :meth:`CommutingMatrixEngine.score_plans` uses to sum a 16-pattern
+    expansion without allocating a dense block per pattern.
     """
     if diagonal is None:
         diagonal = matrix.diagonal()
@@ -196,6 +196,18 @@ def _cosine_norms(matrix):
     """Euclidean norm of each column of ``matrix`` (dense vector)."""
     squared = matrix.multiply(matrix).sum(axis=0)
     return np.sqrt(np.asarray(squared).ravel())
+
+
+#: How each :class:`PlanEntry` vector is reduced from its matrix.
+_REDUCERS = {
+    "diagonal": lambda matrix: matrix.diagonal(),
+    "norms": _cosine_norms,
+}
+
+#: The scoring modes of :meth:`CommutingMatrixEngine.score_plans`, each
+#: mapped to the record vector it reads besides the matrix: Equation 1
+#: needs the diagonal, cosine the column norms, raw counts nothing.
+SCORING_VECTORS = {"pathsim": "diagonal", "count": None, "cosine": "norms"}
 
 
 def naive_matrix(view, pattern, max_star_depth=None, cache=None):
@@ -373,14 +385,13 @@ class CommutingMatrixEngine:
         return self._memory_budget
 
     def warm_exceeds_limits(self, patterns):
-        """True when pinning the whole pattern set would defeat the budget.
+        """True when warming the whole pattern set would defeat the budget.
 
-        The serving layers ask this before *warming* a pattern set (and
-        holding strong references to every matrix at once): a set whose
-        estimated resident bytes exceed ``memory_budget`` would thrash
-        the LRU during the warm and then bypass the budget through the
-        pinned references.  Such callers fall back to the per-call
-        compute path — same results, bounded memory.
+        :meth:`warm` asks this before it materializes a set: a set whose
+        estimated resident bytes exceed ``memory_budget`` would only
+        evict its own head while it warms.  It decides nothing else —
+        scoring reads every record from the cache, so the budget holds
+        whatever the estimate says.
         """
         plans = [self.compile(pattern) for pattern in patterns]
         if self._memory_budget is None:
@@ -430,21 +441,24 @@ class CommutingMatrixEngine:
         plans = [self.compile(pattern) for pattern in patterns]
         return [self._plan_matrix(plan) for plan in plans]
 
-    def warm(self, patterns, norms=False):
-        """Materialize a pattern set now (the serving warm-set entry).
+    def warm(self, patterns, scoring=None):
+        """Materialize a pattern set's records now, if the set fits.
 
-        Runs the whole set through :meth:`matrices_many` (batch compile,
-        then execute with full sharing statistics) and, when ``norms``
-        is True, also computes the cosine column norms for each pattern.
-        Returns the matrices in input order.  Prepared queries call this
-        so their hot path starts from pure cache hits.
+        The serving warm-set entry: prepared queries call this at bind
+        so their runs start from cache hits.  The whole set is compiled
+        before any record executes, as in :meth:`matrices_many`, and
+        each record also gets the vector the ``scoring`` mode of
+        :meth:`score_plans` reads.  A set :meth:`warm_exceeds_limits`
+        refuses is left cold; scoring then computes each record on use.
+        Returns True when the set was warmed.
         """
         patterns = list(patterns)
-        matrices = self.matrices_many(patterns)
-        if norms:
-            for pattern in patterns:
-                self.column_norms(pattern)
-        return matrices
+        if self.warm_exceeds_limits(patterns):
+            return False
+        field = SCORING_VECTORS.get(scoring)
+        for pattern in patterns:
+            self._plan_entry(self.compile(pattern), field)
+        return True
 
     # ------------------------------------------------------------------
     # Incremental delta maintenance
@@ -811,35 +825,55 @@ class CommutingMatrixEngine:
         }
 
     def _plan_matrix(self, node):
-        # Double-checked LRU access: look up under the lock, compute
-        # outside it (sparse products can take seconds; holding the lock
-        # would serialize every serving thread), publish under it.  Two
-        # threads racing on a cold entry may both compute; the loser
-        # adopts the published matrix, so callers always share one
-        # object per plan node.  A generation bump (apply_delta landed
-        # mid-compute) discards the now-stale result and recomputes
-        # against the patched snapshot.
+        return self._plan_entry(node).matrix
+
+    def _plan_entry(self, node, field=None):
+        """``node``'s cache record, with its ``field`` vector filled in.
+
+        ``field`` is ``"diagonal"``, ``"norms"`` or None (the matrix
+        alone).  A hit takes the lock once and counts one hit; a record
+        computed here counts one miss.  Double-checked LRU access: look
+        up under the lock, compute outside it (sparse products can take
+        seconds; holding the lock would serialize every serving
+        thread), publish under it.  A thread that loses a publish race
+        retries and adopts the winner's record, so callers share one
+        matrix object per plan node, and a vector is only ever
+        published into the record of the matrix it was reduced from.  A
+        generation bump (apply_delta landed mid-compute) discards the
+        stale result.  A record the budget cannot hold, or one evicted
+        while its vector was reduced, is returned without being
+        retained: it spills, and the next use recomputes it.
+        """
         while True:
             with self._lock:
-                entry = self._cache.get(node)
-                if entry is not None:
+                cached = self._cache.get(node)
+                if cached is not None:
                     self._hits += 1
                     self._cache.move_to_end(node)
-                    return entry.matrix
+                    if field is None or getattr(cached, field) is not None:
+                        return cached
                 generation = self._generation
-            computed = self._execute(node)
+            entry = (
+                cached if cached is not None
+                else PlanEntry.of(self._execute(node))
+            )
+            if field is not None:
+                entry = entry.with_vector(
+                    field, _REDUCERS[field](entry.matrix)
+                )
             with self._lock:
-                entry = self._cache.get(node)
-                if entry is not None:
-                    self._hits += 1
-                    self._cache.move_to_end(node)
-                    return entry.matrix
                 if self._generation != generation:
                     continue
-                self._misses += 1
-                self._cache[node] = PlanEntry.of(computed)
-                self._evict()
-            return computed
+                current = self._cache.get(node)
+                if current is cached:
+                    if cached is None:
+                        self._misses += 1
+                    self._cache[node] = entry
+                    self._cache.move_to_end(node)
+                    self._evict()
+                    return entry
+                if current is None:
+                    return entry
 
     @staticmethod
     def _canonicalize(matrix):
@@ -1009,54 +1043,18 @@ class CommutingMatrixEngine:
         matrix.  Delta maintenance drops the vector when the pattern's
         matrix changes, so a stale norm vector is never served.
         """
-        return self._vector(pattern, "norms", _cosine_norms)
+        return self._plan_entry(self.compile(pattern), "norms").norms
 
     def diagonal(self, pattern):
         """The main diagonal of ``M_pattern`` as a dense vector (cached).
 
         The PathSim denominator terms (Equation 1).  Kept in the
         pattern's plan record, so every algorithm on the engine shares
-        one extraction per pattern, and prepared queries re-pin it for
-        free after a live update: delta maintenance *patches* the vector
-        (old + Δ.diagonal(), exact in integer float64) instead of
-        invalidating it.
+        one extraction per pattern, and a live update keeps it for free:
+        delta maintenance *patches* the vector (old + Δ.diagonal(), exact
+        in integer float64) instead of invalidating it.
         """
-        return self._vector(
-            pattern, "diagonal", lambda matrix: matrix.diagonal()
-        )
-
-    def _vector(self, pattern, field, reduce):
-        """The cached ``field`` vector of a pattern's plan record.
-
-        A hit refreshes the record's LRU slot — a use of the vector is
-        a use of its matrix.  A miss reduces the matrix outside the
-        lock and publishes the vector into the record only while that
-        record still holds the very matrix it was reduced from, so a
-        vector never outlives or disagrees with its matrix.
-        """
-        plan = self.compile(pattern)
-        while True:
-            with self._lock:
-                entry = self._cache.get(plan)
-                if entry is not None and getattr(entry, field) is not None:
-                    self._cache.move_to_end(plan)
-                    return getattr(entry, field)
-                generation = self._generation
-            matrix = self._plan_matrix(plan)
-            computed = reduce(matrix)
-            with self._lock:
-                if self._generation != generation:
-                    continue
-                entry = self._cache.get(plan)
-                if entry is None or entry.matrix is not matrix:
-                    return computed
-                if getattr(entry, field) is not None:
-                    self._cache.move_to_end(plan)
-                    return getattr(entry, field)
-                self._cache[plan] = entry.with_vector(field, computed)
-                self._cache.move_to_end(plan)
-                self._evict()
-            return computed
+        return self._plan_entry(self.compile(pattern), "diagonal").diagonal
 
     # ------------------------------------------------------------------
     # Materialization (the paper pre-loads meta-paths up to length 3)
@@ -1381,33 +1379,43 @@ class CommutingMatrixEngine:
         return float(2.0 * matrix[iu, iv] / denominator)
 
     def pathsim_scores_from(self, pattern, u):
-        """PathSim scores from ``u`` to every node, as a dense vector.
+        """PathSim scores from ``u`` to every node, as a dense vector."""
+        return self.score_plans(
+            [self.compile(pattern)], "pathsim", self.query_indices([u])
+        )[0]
 
-        Vectorized version of :meth:`pathsim_score` used by the ranking
-        algorithms: one sparse row extraction plus the diagonal.
+    def score_plans(self, plans, scoring, indices):
+        """Score rows for the indexer ``indices``, summed over ``plans``.
+
+        The one scoring path of RelSim and PathSim (PathSim is RelSim's
+        ``"pathsim"`` mode over one pattern): a ``(len(indices), n)``
+        array whose row ``i`` sums, over the compiled ``plans``, each
+        plan's scores for query ``indices[i]`` in the ``scoring`` mode —
+        ``"pathsim"`` (Equation 1, :func:`pathsim_rows`), ``"count"``
+        (raw instance counts) or ``"cosine"`` (counts over the query
+        row's and each candidate column's norm; 0 where either is 0).
+
+        Each plan's record — the matrix plus the vector its mode reads —
+        comes from the cache one plan at a time, a hit costing one lock
+        acquisition, and a record the budget spilled is recomputed here.
+        A scorer therefore holds no matrix between calls, and the byte
+        budget accounts for all of its memory.
         """
-        return self.pathsim_scores_from_many(pattern, [u])[0]
-
-    def rows_dense(self, pattern, nodes):
-        """``M_pattern[rows, :]`` as a dense ``(len(nodes), n)`` array.
-
-        The batch-query primitive: one sparse row slice replaces
-        per-query row extraction, so a workload of ``q`` queries costs a
-        single ``matrix[rows, :]`` per pattern.
-        """
-        matrix = self.matrix(pattern)
-        return dense_rows(matrix, self.query_indices(nodes))
-
-    def pathsim_scores_from_many(self, pattern, nodes):
-        """PathSim score rows for several queries at once.
-
-        Returns a dense ``(len(nodes), n)`` array whose row ``i`` equals
-        :meth:`pathsim_scores_from` for ``nodes[i]`` — computed from one
-        sparse row slice plus the engine-cached diagonal instead of
-        per-query extraction.
-        """
-        return pathsim_rows(
-            self.matrix(pattern),
-            self.query_indices(nodes),
-            self.diagonal(pattern),
-        )
+        field = SCORING_VECTORS[scoring]
+        total = np.zeros((len(indices), len(self.indexer)))
+        for plan in plans:
+            entry = self._plan_entry(plan, field)
+            if scoring == "pathsim":
+                pathsim_rows(entry.matrix, indices, entry.diagonal, out=total)
+                continue
+            rows = dense_rows(entry.matrix, indices)
+            if scoring == "cosine":
+                row_norms = np.linalg.norm(rows, axis=1)
+                norms = entry.norms
+                defined = (row_norms[:, None] > 0) & (norms[None, :] > 0)
+                denominator = row_norms[:, None] * norms[None, :]
+                scores = np.zeros_like(rows)
+                scores[defined] = rows[defined] / denominator[defined]
+                rows = scores
+            total += rows
+        return total

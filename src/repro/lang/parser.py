@@ -22,11 +22,12 @@ writes ``published-in-`` for the reverse of ``published-in``.
 
 import string
 
-from repro.exceptions import PatternSyntaxError
+from repro.exceptions import EvaluationError, PatternSyntaxError
 from repro.lang.ast import (
     EPSILON,
     Label,
     Nested,
+    Pattern,
     Reverse,
     Skip,
     Star,
@@ -242,3 +243,30 @@ def parse_pattern(text):
     if not text.strip():
         raise PatternSyntaxError("empty pattern string")
     return _Parser(text).parse()
+
+
+def as_patterns(patterns):
+    """One pattern or an iterable of patterns, as a list of ASTs.
+
+    Every pattern-taking API accepts concrete syntax or an AST: strings
+    are parsed, ASTs pass through, anything else raises ``TypeError``,
+    and an empty set raises :class:`~repro.exceptions.EvaluationError`.
+    A caller that takes exactly one pattern passes ``[pattern]``, so a
+    list is never mistaken for one pattern.
+    """
+    if isinstance(patterns, (str, Pattern)):
+        patterns = [patterns]
+    resolved = []
+    for pattern in patterns:
+        if isinstance(pattern, str):
+            pattern = parse_pattern(pattern)
+        if not isinstance(pattern, Pattern):
+            raise TypeError(
+                "pattern must be a string or Pattern AST, got {!r}".format(
+                    pattern
+                )
+            )
+        resolved.append(pattern)
+    if not resolved:
+        raise EvaluationError("at least one pattern is required")
+    return resolved

@@ -17,8 +17,8 @@ a rewritten sub-pattern.
 """
 
 from repro.exceptions import ConstraintError
-from repro.lang.ast import Pattern, concat, simple_pattern, simple_steps
-from repro.lang.parser import parse_pattern
+from repro.lang.ast import concat, simple_pattern, simple_steps
+from repro.lang.parser import as_patterns
 from repro.patterns.filters import select_constraints, split_constraints
 from repro.patterns.per_constraint import label_definitions, mod_pattern_refs
 
@@ -70,10 +70,7 @@ def generate_patterns(
     Returns a :class:`GenerationResult`; ``result.patterns[0]`` is always
     the input pattern.
     """
-    if isinstance(pattern, str):
-        pattern = parse_pattern(pattern)
-    if not isinstance(pattern, Pattern):
-        raise TypeError("pattern must be a string or Pattern AST")
+    pattern = as_patterns([pattern])[0]
     try:
         steps = simple_steps(pattern)
     except ValueError as error:

@@ -41,17 +41,19 @@ session/view after mutating the database, or serve through
 
 Prepared scoring state
 ----------------------
-:meth:`SimilarityAlgorithm.prepare_scoring` pins whatever per-instance
-state scoring would otherwise recompute or re-fetch per call (commuting
-matrices, diagonals, column norms); once pinned the state is immutable,
-which is what makes a prepared hot path safe to share across serving
-threads.  :class:`~repro.api.prepared.PreparedQuery` calls it during
-preparation.  Pinned state should come from the engine's caches
-(``engine.matrix`` / ``engine.diagonal`` / ``engine.column_norms``)
-rather than be derived ad hoc: those caches are *delta-maintained* —
-``SimilarityService``'s incremental live updates patch them in place —
-so re-pinning after an update is mostly identity reuse, recomputing
-only the entries whose inputs actually changed.
+:meth:`SimilarityAlgorithm.prepare_scoring` warms what scoring would
+otherwise compute on its first call;
+:class:`~repro.api.prepared.PreparedQuery` calls it during preparation.
+Engine-backed algorithms (RelSim, PathSim) hold only compiled plan
+nodes: warming fills the engine's cache (``engine.warm``), and every
+:meth:`score_rows` call reads each plan's record — matrix plus diagonal
+or column norms — back from that cache.  Nothing is held outside the
+cache, so the engine's ``memory_budget`` accounts for every byte, and
+the records stay *delta-maintained*: ``SimilarityService``'s live
+updates patch them in the forked engine, so a re-bound query serves the
+patched records without recomputing what did not change.  The engine
+lock guards every read, which is what makes a prepared hot path safe to
+share across serving threads.
 """
 
 import numpy as np
@@ -179,12 +181,6 @@ class SimilarityAlgorithm:
         #: The MatrixView backing :meth:`score_rows`; array-native
         #: subclasses assign it at construction.
         self._view = None
-        #: Reusable precomputed scoring state pinned by
-        #: :meth:`prepare_scoring`; ``None`` until prepared.  Subclasses
-        #: define its shape; once set it is treated as immutable, which
-        #: is what makes a prepared hot path safe to share across
-        #: threads.
-        self._prepared_state = None
 
     @property
     def database(self):
@@ -194,23 +190,17 @@ class SimilarityAlgorithm:
     # Prepared scoring state
     # ------------------------------------------------------------------
     def prepare_scoring(self):
-        """Precompute and pin reusable scoring state (idempotent).
+        """Warm what the first scoring call would compute (idempotent).
 
         Called once by :class:`~repro.api.prepared.PreparedQuery` so
-        that every subsequent :meth:`rank`/:meth:`rank_many` call runs
-        on warm, immutable state — no pattern compilation, no cache
-        probing, no per-call recomputation of diagonals or norms.
-        Subclasses with per-pattern state override this; algorithms
-        that already precompute everything at construction (SimRank's
-        dense solve, RWR's walk matrix, ...) inherit the no-op.
-        Returns ``self`` for chaining.
+        that the first :meth:`rank`/:meth:`rank_many` call is already a
+        hot one.  Engine-backed subclasses warm the engine cache, and
+        only when their pattern set fits under its ``memory_budget``;
+        algorithms that already precompute everything at construction
+        (SimRank's dense solve, RWR's walk matrix, ...) inherit the
+        no-op.  Returns ``self`` for chaining.
         """
         return self
-
-    @property
-    def is_prepared(self):
-        """True once :meth:`prepare_scoring` has pinned scoring state."""
-        return self._prepared_state is not None
 
     def candidates(self, query):
         """Nodes eligible as answers for ``query`` (never the query).

@@ -24,8 +24,8 @@ import scipy.sparse as sp
 
 from repro.exceptions import EvaluationError
 from repro.graph.matrices import dense_rows, row_normalize
-from repro.lang.ast import Pattern, simple_steps
-from repro.lang.parser import parse_pattern
+from repro.lang.ast import simple_steps
+from repro.lang.parser import as_patterns
 from repro.similarity.base import SimilarityAlgorithm, resolve_view
 
 
@@ -89,10 +89,7 @@ class HeteSim(SimilarityAlgorithm):
         self, database, pattern, answer_type=None, view=None, engine=None
     ):
         super().__init__(database, answer_type=answer_type)
-        if isinstance(pattern, str):
-            pattern = parse_pattern(pattern)
-        if not isinstance(pattern, Pattern):
-            raise TypeError("pattern must be a string or Pattern AST")
+        pattern = as_patterns([pattern])[0]
         try:
             steps = simple_steps(pattern)
         except ValueError as error:
@@ -133,8 +130,7 @@ class HeteSim(SimilarityAlgorithm):
 
     def prepare_scoring(self):
         """Warm the target-norm vector (the halves are built at init)."""
-        if self._prepared_state is None:
-            self._prepared_state = self._norms_of_right()
+        self._norms_of_right()
         return self
 
     def score_rows(self, queries):

@@ -12,9 +12,9 @@ simple pattern.
 """
 
 from repro.exceptions import AsymmetricPatternError
-from repro.lang.ast import Pattern, simple_steps
-from repro.lang.matrix_semantics import CommutingMatrixEngine, pathsim_rows
-from repro.lang.parser import parse_pattern
+from repro.lang.ast import simple_steps
+from repro.lang.matrix_semantics import CommutingMatrixEngine
+from repro.lang.parser import as_patterns
 from repro.similarity.base import SimilarityAlgorithm
 
 
@@ -70,10 +70,7 @@ class PathSim(SimilarityAlgorithm):
         strict_symmetry=False,
     ):
         super().__init__(database, answer_type=answer_type)
-        if isinstance(pattern, str):
-            pattern = parse_pattern(pattern)
-        if not isinstance(pattern, Pattern):
-            raise TypeError("pattern must be a string or Pattern AST")
+        pattern = as_patterns([pattern])[0]
         if strict_symmetry and not is_symmetric_meta_path(pattern):
             raise AsymmetricPatternError(
                 "pattern {} is not a symmetric meta-path; use HeteSim for "
@@ -82,27 +79,21 @@ class PathSim(SimilarityAlgorithm):
         self.pattern = pattern
         self.engine = engine or CommutingMatrixEngine(database)
         self._view = self.engine.view
+        self._plans = [self.engine.compile(pattern)]
 
     def prepare_scoring(self):
-        """Pin the commuting matrix and its diagonal (idempotent).
-
-        The diagonal comes from the engine's cache, which delta
-        maintenance patches in place — re-pinning after a live update
-        reuses it unless the pattern's matrix actually changed.
-        """
-        if self._prepared_state is None:
-            matrix = self.engine.matrix(self.pattern)
-            self._prepared_state = (matrix, self.engine.diagonal(self.pattern))
+        """Warm the pattern's matrix and diagonal, if they fit the budget."""
+        self.engine.warm([self.pattern], "pathsim")
         return self
 
     def score_rows(self, queries):
-        """Batch score rows from one sparse slice of the commuting matrix."""
+        """Batch score rows from one sparse slice of the commuting matrix.
+
+        RelSim's ``"pathsim"`` mode over this one pattern: the engine's
+        ``score_plans`` reads the record from its cache on every call.
+        """
         queries = list(queries)
         indices = self.engine.query_indices(queries)
-        state = self._prepared_state
-        if state is not None:
-            matrix, diagonal = state
-            return indices, pathsim_rows(matrix, indices, diagonal)
-        return indices, self.engine.pathsim_scores_from_many(
-            self.pattern, queries
+        return indices, self.engine.score_plans(
+            self._plans, "pathsim", indices
         )

@@ -11,9 +11,8 @@ identical.
 
 import numpy as np
 
-from repro.lang.ast import Pattern
 from repro.lang.matrix_semantics import CommutingMatrixEngine
-from repro.lang.parser import parse_pattern
+from repro.lang.parser import as_patterns
 from repro.graph.matrices import row_normalize
 from repro.similarity.base import SimilarityAlgorithm
 from repro.similarity.rwr import rwr_vector
@@ -21,12 +20,8 @@ from repro.similarity.simrank import simrank_matrix
 
 
 def _pattern_and_engine(database, pattern, engine):
-    if isinstance(pattern, str):
-        pattern = parse_pattern(pattern)
-    if not isinstance(pattern, Pattern):
-        raise TypeError("pattern must be a string or Pattern AST")
-    engine = engine or CommutingMatrixEngine(database)
-    return pattern, engine
+    pattern = as_patterns([pattern])[0]
+    return pattern, engine or CommutingMatrixEngine(database)
 
 
 class PatternRWR(SimilarityAlgorithm):

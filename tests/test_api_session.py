@@ -385,14 +385,18 @@ def test_session_cache_info_reports_memory(fig1):
 def test_engine_warm_set_api(fig1):
     session = SimilaritySession(fig1)
     patterns = [parse_pattern(PATTERN), parse_pattern("r-a-.r-a")]
-    matrices = session.engine.warm(patterns, norms=True)
-    assert len(matrices) == 2
+    assert session.engine.warm(patterns, "cosine")
     info = session.cache_info()
+    assert info["matrices"] >= 2
     assert info["column_norms"] == 2
     # Everything the warm-set touched is now a pure cache hit.
     misses = info["misses"]
-    session.engine.warm(patterns, norms=True)
+    session.engine.warm(patterns, "cosine")
     assert session.cache_info()["misses"] == misses
+    # A set estimated past the budget is left cold.
+    tight = SimilaritySession(fig1, memory_budget=1)
+    assert not tight.engine.warm(patterns, "cosine")
+    assert tight.cache_info()["misses"] == 0
 
 
 def test_session_matrices_many_shares_entries(fig1):

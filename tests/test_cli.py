@@ -390,6 +390,15 @@ def test_stats_delta_flags_require_live(dblp_json, capsys):
     assert "require stats --live" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "size", ["abc", "-5", "inf", "nan", "1e400", "1e308G"]
+)
+def test_memory_budget_rejects_sizes_no_int_holds(dblp_json, capsys, size):
+    code, _ = run_cli(["stats", dblp_json, "--live", "--memory-budget", size])
+    assert code == 2
+    assert "--memory-budget" in capsys.readouterr().err
+
+
 def test_stats_needs_database_or_snapshot(capsys):
     code, _ = run_cli(["stats"])
     assert code == 2

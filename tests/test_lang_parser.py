@@ -155,3 +155,19 @@ def test_tokenizer_hyphen_lookahead():
 def test_tokenizer_skip_tokens():
     kinds = [t.kind for t in tokenize("<<a>>")]
     assert kinds == ["<<", "LABEL", ">>", "EOF"]
+
+
+def test_as_patterns_coerces_one_or_many():
+    from repro.exceptions import EvaluationError
+    from repro.lang.parser import as_patterns
+
+    ast = parse_pattern("a.b-")
+    assert as_patterns("a.b-") == [ast]
+    assert as_patterns(ast) == [ast]
+    assert as_patterns(["a.b-", ast]) == [ast, ast]
+    with pytest.raises(TypeError, match="got 42"):
+        as_patterns([42])
+    with pytest.raises(TypeError, match="got \\['a'\\]"):
+        as_patterns([["a"]])
+    with pytest.raises(EvaluationError):
+        as_patterns([])

@@ -301,9 +301,9 @@ def test_relsim_scores_unchanged_by_plan_layer(fig1):
 
 
 def test_relsim_respects_small_cache_cap(fig1):
-    # With a budget smaller than the pattern set, score_rows must not
-    # pre-materialize every matrix (that would pin the whole set and be
-    # evicted before use); results stay identical to the uncapped path.
+    # With a budget smaller than the pattern set, the set is not warmed
+    # (it would be evicted before use) and scoring computes each record
+    # on use; results stay identical to the uncapped path.
     from repro.api import SimilaritySession
 
     patterns = ["p-in.p-in-", "p-in-.r-a", "p-in-.p-in", "p-in.p-in-.p-in.p-in-"]

@@ -185,6 +185,46 @@ def test_warm_exceeds_limits_by_bytes(dblp_small):
     assert not capped.warm_exceeds_limits(patterns[:2])
 
 
+@pytest.mark.parametrize(
+    "name, options",
+    [("pathsim", {}), ("relsim", {}), ("relsim", {"scoring": "count"})],
+)
+def test_prepared_queries_hold_nothing_outside_the_budget(
+    dblp_small, name, options
+):
+    # w-.w.w-.w is estimated at ~6 KB but its product is ~57 KB: the
+    # estimate lets the set warm, the engine spills the product, and a
+    # prepared query must not keep it alive behind the budget's back.
+    database = dblp_small.database
+    pattern = "w-.w.w-.w"
+    probe = CommutingMatrixEngine(database)
+    plan = probe.compile(parse_pattern(pattern))
+    matrix = probe.matrix(parse_pattern(pattern))
+    estimate = estimate_bytes(
+        plan, lambda label: probe.view.adjacency(label).nnz,
+        probe.view.num_nodes(),
+    )
+    budget = int(2 * estimate)
+    assert budget < matrix.data.nbytes + matrix.indices.nbytes
+    queries = database.nodes_of_type("paper")[:3]
+    expected = SimilaritySession(database).prepare(
+        algorithm=name, pattern=pattern, top_k=10, **options
+    ).run_many(queries)
+    assert all(len(ranking) for ranking in expected.values())
+
+    session = SimilaritySession(database, memory_budget=budget)
+    assert not session.engine.warm_exceeds_limits([parse_pattern(pattern)])
+    prepared = session.prepare(
+        algorithm=name, pattern=pattern, top_k=10, **options
+    )
+    for _ in range(3):
+        misses = session.cache_info()["misses"]
+        assert_same_rankings(prepared.run_many(queries), expected)
+        info = session.cache_info()
+        assert info["misses"] > misses
+        assert info["budget_used"] <= budget
+
+
 def test_materialize_refuses_budget_it_cannot_fit(dblp_small):
     engine = CommutingMatrixEngine(dblp_small.database, memory_budget=1)
     with pytest.raises(EvaluationError):

@@ -91,7 +91,7 @@ DENSE_WHITELIST = {
     ("repro/lang/matrix_semantics.py", "pathsim_rows"):
         "k x n score block filled by direct CSR buffer reads; k is the "
         "query-batch size",
-    ("repro/core/relsim.py", "RelSim.score_rows"):
+    ("repro/lang/matrix_semantics.py", "CommutingMatrixEngine.score_plans"):
         "k x n accumulator summed across the prepared patterns",
 }
 
