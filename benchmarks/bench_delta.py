@@ -7,9 +7,9 @@ re-compile, re-materialize every cached commuting matrix — even for a
 single-edge delta; ``SimilarityService.swap`` still does, because a
 replacement database carries no delta.  ``SimilarityService.apply``
 instead forks the serving engine and *patches* its cached plan-DAG
-products with sparse delta propagation
-(``Δ(AB) = ΔA·B + A·ΔB + ΔA·ΔB``), updating each shared sub-chain
-exactly once.
+products with sparse delta propagation (:mod:`repro.lang.delta`; a
+chain changes by ``ΔL·R_new + L_old·ΔR``), updating each shared
+sub-chain exactly once.
 
 Two things are gated, per single-edge delta:
 

@@ -20,7 +20,8 @@ import time
 from repro.core import RelSim
 from repro.datasets import sample_queries_by_degree
 from repro.graph.matrices import MatrixView
-from repro.lang.matrix_semantics import CommutingMatrixEngine, naive_matrix
+from repro.lang.matrix_semantics import CommutingMatrixEngine
+from repro.lang.semantics import naive_matrix
 from repro.patterns import generate_patterns
 
 SPEEDUP_GATE = 2.0

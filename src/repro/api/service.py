@@ -325,7 +325,7 @@ class SimilarityService:
         gates both that identity and the speedup over :meth:`swap`.  A
         cached product whose input delta is too dense to patch cheaply
         is dropped and recomputed on next use
-        (:data:`~repro.lang.matrix_semantics.DELTA_REBUILD_THRESHOLD`);
+        (:data:`~repro.lang.delta.DELTA_REBUILD_THRESHOLD`);
         that per-product choice is what handles large batches.  To
         replace the database wholesale, :meth:`swap` it in.
         Publication is the same atomic snapshot swap as :meth:`swap`:

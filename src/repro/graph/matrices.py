@@ -124,6 +124,23 @@ def trusted_csr(data, indices, indptr, n):
     return matrix
 
 
+def canonical(matrix):
+    """``matrix`` as canonical CSR: sorted, deduplicated, no stored zeros.
+
+    Every matrix the engine publishes is canonical: ``dense_rows`` and
+    ``pathsim_rows`` read the buffers directly, and delta maintenance
+    relies on a patched matrix being structurally identical to a fresh
+    rebuild.  Canonicalizing before publishing also means no later
+    caller sorts a cached matrix in place, so buffers shared across
+    forked engines stay frozen.  Sorts in place when ``matrix`` is
+    already CSR, so pass a matrix nobody else holds.
+    """
+    matrix = matrix.tocsr()
+    matrix.sum_duplicates()
+    matrix.eliminate_zeros()
+    return matrix
+
+
 def add_patch(matrix, patch):
     """``matrix + patch`` as a canonical CSR with no explicit zeros.
 

@@ -27,9 +27,10 @@ order is fixed.
 
 The engine also supports the paper's "materialize all meta-paths up to
 length 3" setting and owns the one scoring path RelSim and PathSim
-share (:meth:`CommutingMatrixEngine.score_plans`).  The seed's direct
-AST recursion is kept as :func:`naive_matrix` — the reference oracle
-the plan path is tested and benchmarked against.
+share (:meth:`CommutingMatrixEngine.score_plans`).  Live updates patch
+the cache through :mod:`repro.lang.delta`.  The seed's direct AST
+recursion, the oracle the plan path is tested and benchmarked against,
+is :func:`repro.lang.semantics.naive_matrix`.
 """
 
 import itertools
@@ -48,46 +49,22 @@ from repro.exceptions import (
 )
 from repro.graph.matrices import (
     MatrixView,
-    add_patch,
     boolean,
+    canonical,
     csr_product,
     dense_rows,
-    diagonal_of,
-    identity_patch,
-    resized,
-    trusted_csr,
 )
-from repro.lang.ast import (
-    Concat,
-    Conj,
-    Epsilon,
-    Label,
-    Nested,
-    Pattern,
-    Reverse,
-    Skip,
-    Star,
-    Union,
-    simple_pattern,
-)
+from repro.lang.ast import Pattern, simple_pattern
+from repro.lang.delta import propagate
+from repro.lang.parser import parse_pattern
 from repro.lang.plan import (
     PlanCompiler,
-    embeds_identity,
     estimate_bytes,
     estimate_nnz,
-    leaf_labels,
     order_chain,
     product_nnz,
     render_order,
 )
-
-#: Sentinel for a cache entry the delta pass cannot maintain cheaply —
-#: it is dropped (lazily recomputed on next use) instead of patched.
-_INVALID = object()
-
-#: A cached product whose input delta is denser than this fraction of
-#: the input's nnz is invalidated (lazily recomputed) instead of patched.
-DELTA_REBUILD_THRESHOLD = 0.25
 
 
 class PlanEntry(namedtuple("PlanEntry", "matrix norms diagonal bytes")):
@@ -97,7 +74,10 @@ class PlanEntry(namedtuple("PlanEntry", "matrix norms diagonal bytes")):
     denominators) are ``None`` until first asked for; ``bytes`` counts
     every buffer the record holds.  Records are replaced, never
     mutated, because a forked engine shares them with the snapshot
-    that is still serving.
+    that is still serving.  The same record is what
+    :meth:`CommutingMatrixEngine.export_cache` hands out, what
+    :meth:`~CommutingMatrixEngine.preload` installs and what a serving
+    snapshot stores (:mod:`repro.server.snapshot`).
     """
 
     __slots__ = ()
@@ -141,8 +121,12 @@ class ViewStats:
         return self._view.adjacency(label).nnz
 
 
-def _star_sum(identity, base, max_depth, origin):
-    """``I + M + M^2 + ...`` with the divergence bound (shared helper)."""
+def star_sum(identity, base, max_depth, origin):
+    """``I + M + M^2 + ...`` with the divergence bound.
+
+    Shared by the engine and the oracle
+    :func:`repro.lang.semantics.naive_matrix`.
+    """
     total = identity
     power = base.copy()
     depth = 1
@@ -208,72 +192,6 @@ _REDUCERS = {
 #: mapped to the record vector it reads besides the matrix: Equation 1
 #: needs the diagonal, cosine the column norms, raw counts nothing.
 SCORING_VECTORS = {"pathsim": "diagonal", "count": None, "cosine": "norms"}
-
-
-def naive_matrix(view, pattern, max_star_depth=None, cache=None):
-    """Seed-style recursive evaluation of one pattern AST (the oracle).
-
-    Walks the AST directly — no canonicalization, no plan DAG, chains
-    multiplied left-to-right — memoizing per AST node in ``cache``
-    (fresh per call unless provided).  This is exactly the pre-plan
-    engine semantics; the plan compiler's property tests and the
-    plan-vs-naive benchmark compare against it, and "per-pattern cold
-    evaluation" in the benchmark means one fresh ``cache`` per pattern.
-    """
-    if max_star_depth is None:
-        max_star_depth = max(view.num_nodes(), 1)
-    if cache is None:
-        cache = {}
-
-    def recurse(node):
-        cached = cache.get(node)
-        if cached is not None:
-            return cached
-        if isinstance(node, Epsilon):
-            result = view.identity()
-        elif isinstance(node, Label):
-            result = view.adjacency(node.name)
-        elif isinstance(node, Reverse):
-            result = recurse(node.operand).T.tocsr()
-        elif isinstance(node, Concat):
-            result = recurse(node.parts[0])
-            for part in node.parts[1:]:
-                result = result @ recurse(part)
-            result = result.tocsr()
-        elif isinstance(node, Union):
-            # The paper sums distinct disjuncts only (M_{p+p} = M_p).
-            unique = []
-            for part in node.parts:
-                if part not in unique:
-                    unique.append(part)
-            result = recurse(unique[0])
-            for part in unique[1:]:
-                result = result + recurse(part)
-            result = result.tocsr()
-        elif isinstance(node, Skip):
-            result = boolean(recurse(node.operand))
-        elif isinstance(node, Nested):
-            inner = recurse(node.operand)
-            result = diagonal_of(inner @ boolean(inner.T)).tocsr()
-        elif isinstance(node, Star):
-            result = _star_sum(
-                view.identity(), recurse(node.operand), max_star_depth, node
-            )
-        elif isinstance(node, Conj):
-            result = recurse(node.parts[0])
-            for part in node.parts[1:]:
-                result = result.multiply(recurse(part))
-            result = result.tocsr()
-        else:
-            raise TypeError("unhandled pattern node {!r}".format(node))
-        cache[node] = result
-        return result
-
-    if not isinstance(pattern, Pattern):
-        raise TypeError(
-            "pattern must be a Pattern AST, got {!r}".format(pattern)
-        )
-    return recurse(pattern)
 
 
 class CommutingMatrixEngine:
@@ -507,29 +425,19 @@ class CommutingMatrixEngine:
         The delta is validated and applied to the database and the
         matrix view (:meth:`MatrixView.apply_delta` — a failing delta
         raises with everything untouched), then the per-label adjacency
-        patches ``ΔA`` are propagated through the cached plan-DAG
-        products using
-
-            ``Δ(AB) = ΔA·B + A·ΔB + ΔA·ΔB``,
-
-        evaluated as ``ΔA·B_new + A_new·ΔB − ΔA·ΔB`` over the
-        already-updated inputs.  Resolution is memoized per plan node,
-        so a sub-chain shared by any number of cached patterns is
-        updated **exactly once**; entries whose labels the delta does
-        not touch are kept as-is without being examined (beyond a
-        memoized label-set check).  An entry whose input delta is denser
-        than :data:`DELTA_REBUILD_THRESHOLD` x the input's nnz — or
-        whose cheap-update inputs are missing (LRU-evicted children, a
-        changed Kleene-star base) — is **invalidated**: dropped from
-        the cache and lazily recomputed on next use, never silently
-        served stale.
-
-        All patch arithmetic is exact: commuting matrices hold integer
-        instance counts (float64 is exact below ``2**53``), so a patched
-        matrix — and the rankings computed from it — is bitwise
-        identical to a full rebuild.  A patched entry's PathSim diagonal
-        is patched too (``old + Δ.diagonal()``); its cosine column norms
-        are dropped and recomputed on demand.
+        patches ``ΔA`` are propagated through the cached records by
+        :func:`repro.lang.delta.propagate`: a chain's change is
+        ``ΔL·R_new + L_old·ΔR``, each shared sub-plan is resolved once,
+        and records whose labels the delta does not touch are kept as
+        they are.  A record the pass cannot maintain cheaply (an input
+        delta denser than
+        :data:`~repro.lang.delta.DELTA_REBUILD_THRESHOLD` x the input's
+        nnz, an evicted input, a changed Kleene-star base) is
+        **invalidated**: dropped from the cache and lazily recomputed on
+        next use, never served stale.  Commuting matrices hold integer
+        counts, exact in float64, so a patched matrix — and the
+        rankings computed from it — is bitwise identical to a full
+        rebuild.
 
         Readers racing an in-place ``apply_delta`` are generation-fenced
         (a compute begun on the old snapshot never publishes into the
@@ -559,270 +467,21 @@ class CommutingMatrixEngine:
             self._delta_applies += 1
             if self._default_star_depth:
                 self._max_star_depth = max(delta.num_nodes, 1)
-            return self._propagate_delta_locked(delta)
-
-    @staticmethod
-    def _entries_csr(rows, cols, vals, n, index_dtype):
-        """A CSR from row-major-sorted, unique, nonzero entry arrays."""
-        counts = np.bincount(rows, minlength=n)
-        indptr = np.zeros(n + 1, dtype=index_dtype)
-        np.cumsum(counts, out=indptr[1:])
-        return trusted_csr(
-            np.asarray(vals, dtype=np.float64),
-            np.asarray(cols, dtype=index_dtype),
-            indptr,
-            n,
-        )
-
-    def _propagate_delta_locked(self, delta):
-        n = delta.num_nodes
-        grew = delta.grew
-        patches = delta.patches
-        touched = frozenset(patches)
-        threshold = DELTA_REBUILD_THRESHOLD
-        old_cache = self._cache
-        zero = sp.csr_matrix((n, n), dtype=np.float64)
-        ipatch = (
-            identity_patch(range(delta.old_num_nodes, n), n) if grew else None
-        )
-        memo = {}
-        canonical = self._canonicalize
-
-        def is_zero(d):
-            return d is not None and d.nnz == 0
-
-        def resolve(node):
-            # (new, delta, old) triples for nodes the pass can maintain
-            # cheaply — ``old`` is the pre-delta matrix at the *new*
-            # shape (None when unavailable), ``delta`` None means "new
-            # at hand, delta unknown".  _INVALID = nothing cheap.
-            # Memoized: each shared sub-plan of the DAG is resolved
-            # exactly once per delta.
-            result = memo.get(node)
-            if result is None:
-                memo[node] = result = compute(node)
-            return result
-
-        def unchanged(old):
-            matrix = resized(old, n) if grew else old
-            return (matrix, zero, matrix)
-
-        def compute(node):
-            entry = old_cache.get(node)
-            old = None if entry is None else entry.matrix
-            # Fast path: the delta cannot touch this plan's matrix
-            # (disjoint labels, and no embedded identity when the node
-            # set grew) — keep the entry, at most resized.
-            if (
-                old is not None
-                and not (leaf_labels(node) & touched)
-                and (not grew or not embeds_identity(node))
-            ):
-                return unchanged(old)
-            kind = node.kind
-            if kind == "eps":
-                identity = self._view.identity()
-                if not grew:
-                    return (identity, zero, identity)
-                return (identity, ipatch, resized(old, n) if old is not None else None)
-            if kind == "leaf":
-                new = self._view.adjacency(node.payload)
-                patch = patches.get(node.payload)
-                if patch is None:
-                    return (new, zero, new)
-                return (
-                    new,
-                    patch,
-                    resized(old, n) if old is not None else None,
-                )
-            if kind == "transpose":
-                # Canonical transposes sit on leaves: always cheap.
-                child_new, child_delta, child_old = resolve(node.children[0])
-                if old is not None and is_zero(child_delta):
-                    return unchanged(old)
-                return (
-                    canonical(child_new.T),
-                    None
-                    if child_delta is None
-                    else canonical(child_delta.T),
-                    resized(old, n)
-                    if old is not None
-                    else (
-                        None if child_old is None else canonical(child_old.T)
-                    ),
-                )
-            if kind == "chain":
-                if old is None:
-                    return _INVALID
-                self._ensure_ordered(node)
-                left = resolve(node.left)
-                right = resolve(node.right)
-                if left is _INVALID or right is _INVALID:
-                    return _INVALID
-                (l_new, dl, l_old) = left
-                (r_new, dr, r_old) = right
-                if dl is None or dr is None:
-                    return _INVALID
-                if dl.nnz == 0 and dr.nnz == 0:
-                    return unchanged(old)
-                if dl.nnz > threshold * max(l_new.nnz, 1) or (
-                    dr.nnz > threshold * max(r_new.nnz, 1)
-                ):
-                    return _INVALID
-                # Δ(LR) = ΔL·R_old + L_old·ΔR + ΔL·ΔR, folded into two
-                # products over available operands:
-                #   ΔL·R_new + L_old·ΔR  ==  ΔL·(R_old+ΔR) + L_old·ΔR.
-                if l_old is None:
-                    l_old = canonical(l_new - dl)
-                d = zero
-                if dl.nnz:
-                    d = d + dl @ r_new
-                if dr.nnz:
-                    d = d + l_old @ dr
-                d = canonical(d)
-                old = resized(old, n)
-                return (add_patch(old, d), d, old)
-            if kind == "add":
-                parts = [resolve(child) for child in node.children]
-                if any(part is _INVALID for part in parts):
-                    return _INVALID
-                if any(part[1] is None for part in parts) or old is None:
-                    # No usable delta, but every summand's new matrix is
-                    # at hand — summation is O(nnz), same as execution.
-                    total = parts[0][0]
-                    for part in parts[1:]:
-                        total = total + part[0]
-                    total = canonical(total)
-                    if all(is_zero(part[1]) for part in parts):
-                        return (total, zero, total)
-                    return (
-                        total,
-                        None,
-                        resized(old, n) if old is not None else None,
-                    )
-                if all(part[1].nnz == 0 for part in parts):
-                    return unchanged(old)
-                d = zero
-                for part in parts:
-                    if part[1].nnz:
-                        d = d + part[1]
-                d = canonical(d)
-                old = resized(old, n)
-                return (add_patch(old, d), d, old)
-            if kind == "hadamard":
-                parts = [resolve(child) for child in node.children]
-                if any(part is _INVALID for part in parts):
-                    return _INVALID
-                if old is not None and all(is_zero(part[1]) for part in parts):
-                    return unchanged(old)
-                new = parts[0][0]
-                for part in parts[1:]:
-                    new = new.multiply(part[0])
-                new = canonical(new)
-                if old is None:
-                    return (new, None, None)
-                old = resized(old, n)
-                return (new, canonical(new - old), old)
-            if kind == "bool":
-                child = resolve(node.children[0])
-                if child is _INVALID:
-                    return _INVALID
-                child_new, child_delta, _ = child
-                if old is not None and is_zero(child_delta):
-                    return unchanged(old)
-                new = boolean(child_new)
-                if old is None:
-                    return (new, None, None)
-                old = resized(old, n)
-                return (new, canonical(new - old), old)
-            if kind == "nested":
-                child = resolve(node.children[0])
-                if child is _INVALID or old is None:
-                    return _INVALID
-                inner_delta = child[1]
-                if is_zero(inner_delta):
-                    return unchanged(old)
-                if inner_delta is None:
-                    return _INVALID
-                # Over nonnegative count matrices, diag{M (M^T > 0)}[i]
-                # is sum_j M[i, j] — the row sums — so the nested delta
-                # is just ΔM's row sums on the diagonal.  No products.
-                row_sums = np.asarray(inner_delta.sum(axis=1)).ravel()
-                rows = np.flatnonzero(row_sums)
-                old = resized(old, n)
-                if not len(rows):
-                    return (old, zero, old)
-                d = self._entries_csr(
-                    rows, rows, row_sums[rows], n, old.indices.dtype
-                )
-                return (add_patch(old, d), d, old)
-            if kind == "star":
-                child = resolve(node.children[0])
-                if child is _INVALID or old is None:
-                    return _INVALID
-                child_delta = child[1]
-                if is_zero(child_delta):
-                    if not grew:
-                        return (old, zero, old)
-                    # New nodes only: the bounded power sum gains
-                    # exactly the identity's new diagonal ones.
-                    old = resized(old, n)
-                    return (add_patch(old, ipatch), ipatch, old)
-                # A changed star base reshapes every power — rebuild.
-                return _INVALID
-            raise TypeError("unhandled plan node kind {!r}".format(node.kind))
-
-        pad = np.zeros(n - delta.old_num_nodes, dtype=np.float64)
-
-        def padded(vector):
-            # New nodes have empty rows and columns: zero norm/diagonal.
-            if vector is None or not grew:
-                return vector
-            return np.concatenate([vector, pad])
-
-        patched = kept = invalidated = 0
-        new_cache = OrderedDict()
-        for plan, entry in old_cache.items():
-            result = resolve(plan)
-            if result is _INVALID:
-                invalidated += 1
-                continue
-            new, d, _ = result
-            if d is not None and d.nnz == 0:
-                kept += 1
-                if new is entry.matrix:
-                    new_cache[plan] = entry
-                    continue
-                norms, diagonal = padded(entry.norms), padded(entry.diagonal)
-            else:
-                patched += 1
-                norms = None
-                diagonal = entry.diagonal
-                if diagonal is not None:
-                    if d is None:
-                        diagonal = new.diagonal()
-                    else:
-                        diagonal = padded(diagonal) + d.diagonal()
-            new_cache[plan] = PlanEntry.of(new, norms, diagonal)
-        # resolve and compute call each other through their closures: a
-        # reference cycle that would keep memo and old_cache (every
-        # pre-delta matrix) alive until the next full collection.
-        resolve = compute = None
-        self._cache = new_cache
-        self._patched += patched
-        self._invalidated += invalidated
-        # Patched entries can be larger than what they replaced (a
-        # delta that densifies a product); re-assert the budget so it
-        # holds across live updates too.
-        self._evict()
-        return {
-            "patched": patched,
-            "kept": kept,
-            "invalidated": invalidated,
-            "entries": len(new_cache),
-            "labels": sorted(patches),
-            "nodes_added": len(delta.added_nodes),
-        }
+            self._cache, counts = propagate(
+                self._cache, delta, self._view, self._compiler
+            )
+            self._patched += counts["patched"]
+            self._invalidated += counts["invalidated"]
+            # Patched entries can be larger than what they replaced (a
+            # delta that densifies a product); re-assert the budget so
+            # it holds across live updates too.
+            self._evict()
+            return dict(
+                counts,
+                entries=len(self._cache),
+                labels=sorted(delta.patches),
+                nodes_added=len(delta.added_nodes),
+            )
 
     def _plan_matrix(self, node):
         return self._plan_entry(node).matrix
@@ -875,22 +534,6 @@ class CommutingMatrixEngine:
                 if current is None:
                     return entry
 
-    @staticmethod
-    def _canonicalize(matrix):
-        # Published matrices are canonical CSR with no explicit zeros:
-        # dense_rows/pathsim_rows need sorted deduplicated buffers, and
-        # delta maintenance relies on a patched entry being structurally
-        # identical to a fresh rebuild.  Chain products are canonical at
-        # birth (csr_product sorts each row block as it fills it); this
-        # sort still serves sums, Hadamard products and transposes.
-        # Canonicalizing at publish time also means no later caller ever
-        # sorts a cached matrix in place — buffers shared across forked
-        # engines stay frozen.
-        matrix = matrix.tocsr()
-        matrix.sum_duplicates()
-        matrix.eliminate_zeros()
-        return matrix
-
     def _execute(self, node):
         kind = node.kind
         if kind == "eps":
@@ -920,13 +563,13 @@ class CommutingMatrixEngine:
             result = boolean(self._plan_matrix(node.children[0]))
         elif kind == "nested":
             # diag{M (M^T > 0)} is M's row sums over count matrices (see
-            # the delta pass); naive_matrix keeps the literal product.
+            # repro.lang.delta); naive_matrix keeps the literal product.
             inner = self._plan_matrix(node.children[0])
             result = sp.diags(
                 np.asarray(inner.sum(axis=1)).ravel(), format="csr"
             )
         elif kind == "star":
-            result = _star_sum(
+            result = star_sum(
                 self._view.identity(),
                 self._plan_matrix(node.children[0]),
                 self._max_star_depth,
@@ -934,7 +577,7 @@ class CommutingMatrixEngine:
             )
         else:
             raise TypeError("unhandled plan node kind {!r}".format(kind))
-        return self._canonicalize(result)
+        return canonical(result)
 
     def _leaf_nnz(self, label):
         return self._view.adjacency(label).nnz
@@ -1170,100 +813,61 @@ class CommutingMatrixEngine:
     # Cache export / preload (snapshot persistence)
     # ------------------------------------------------------------------
     def export_cache(self):
-        """The cached state, keyed by canonical pattern text.
+        """The cache records, keyed by canonical pattern text.
 
-        Returns ``{"matrices": [(text, csr)], "column_norms":
-        [(text, vector)], "diagonals": [(text, vector)]}`` in LRU order
-        (least recently used first), where ``text`` is the canonical
-        concrete syntax of each cache key's plan node.  Canonical text
-        re-parses and re-compiles to the same interned plan on any
-        compiler over the same pattern language, which is what lets a
-        snapshot written by one process warm the cache of another —
-        see :meth:`preload` and :mod:`repro.server.snapshot`.
-
-        The returned matrices and vectors are the cached objects
-        themselves (never mutated in place by the engine, only
-        replaced), so exporting is cheap and safe under concurrency.
+        Returns ``[(text, PlanEntry)]`` in LRU order (least recently
+        used first), where ``text`` is the canonical concrete syntax of
+        each record's plan node.  Canonical text re-parses and
+        re-compiles to the same interned plan on any compiler over the
+        same pattern language, which is what lets a snapshot written by
+        one process warm the cache of another — see :meth:`preload`
+        and :mod:`repro.server.snapshot`.  Records are immutable, so
+        exporting is cheap and safe under concurrency.
         """
         with self._lock:
-            records = [
-                (str(plan), entry) for plan, entry in self._cache.items()
-            ]
-        return {
-            "matrices": [(text, entry.matrix) for text, entry in records],
-            "column_norms": [
-                (text, entry.norms)
-                for text, entry in records
-                if entry.norms is not None
-            ],
-            "diagonals": [
-                (text, entry.diagonal)
-                for text, entry in records
-                if entry.diagonal is not None
-            ],
-        }
+            return [(str(plan), entry) for plan, entry in self._cache.items()]
 
-    def preload(self, matrices, column_norms=(), diagonals=()):
-        """Install previously exported cache entries (the warm start).
+    def preload(self, records):
+        """Install previously exported ``(text, PlanEntry)`` records.
 
-        ``matrices`` / ``column_norms`` / ``diagonals`` are
-        ``(canonical pattern text, value)`` pairs as produced by
-        :meth:`export_cache`.  Each text is parsed and compiled, so the
-        entry lands under exactly the plan node a live query for the
-        same pattern will look up.  Entries that no longer make sense —
-        unparseable text (e.g. a label the RRE tokenizer cannot spell)
-        or a matrix whose shape does not match this engine's node count
-        — are *skipped*, never installed: a warm start is an
-        optimization, and a skipped entry merely recomputes lazily.
-        Derived vectors are only installed into the record of a cached
-        matrix; a preloaded matrix replaces any record for its plan.
+        The warm start.  Each text is parsed and compiled, so the record
+        lands under exactly the plan node a live query for the same
+        pattern will look up, replacing any record already there.  A
+        record that no longer fits — unparseable text (e.g. a label the
+        RRE tokenizer cannot spell), a matrix whose shape does not
+        match this engine's node count, or a vector of the wrong
+        length — is *skipped*, never installed: a warm start is an
+        optimization, and a skipped record merely recomputes lazily.
 
-        Preloading counts toward neither hits nor misses.  Returns
-        ``{"matrices": n, "column_norms": n, "diagonals": n,
-        "skipped": n}``.
+        Preloading counts toward neither hits nor misses.  Returns the
+        installed ``matrices`` / ``column_norms`` / ``diagonals`` and
+        the ``skipped`` record counts.
         """
-        from repro.lang.parser import parse_pattern
-
         n = self._view.num_nodes()
-        skipped = 0
-
-        def _compiled(pairs):
-            nonlocal skipped
-            compiled = []
-            for text, value in pairs:
-                try:
-                    plan = self.compile(parse_pattern(text))
-                except ReproError:
-                    skipped += 1
-                    continue
-                compiled.append((plan, value))
-            return compiled
-
-        plan_matrices = []
-        for plan, matrix in _compiled(matrices):
-            if matrix.shape != (n, n):
-                skipped += 1
+        loaded = dict.fromkeys(
+            ("matrices", "column_norms", "diagonals", "skipped"), 0
+        )
+        installs = []
+        for text, entry in records:
+            try:
+                plan = self.compile(parse_pattern(text))
+            except ReproError:
+                plan = None
+            vectors = (entry.norms, entry.diagonal)
+            if (
+                plan is None
+                or entry.matrix.shape != (n, n)
+                or any(v is not None and len(v) != n for v in vectors)
+            ):
+                loaded["skipped"] += 1
                 continue
-            plan_matrices.append((plan, matrix))
-        vectors = [
-            ("norms", _compiled(column_norms), "column_norms"),
-            ("diagonal", _compiled(diagonals), "diagonals"),
-        ]
-        loaded = {"matrices": 0, "column_norms": 0, "diagonals": 0}
+            installs.append((plan, entry))
+            loaded["matrices"] += 1
+            loaded["column_norms"] += entry.norms is not None
+            loaded["diagonals"] += entry.diagonal is not None
         with self._lock:
-            for plan, matrix in plan_matrices:
-                self._cache[plan] = PlanEntry.of(matrix)
-                loaded["matrices"] += 1
-            for field, pairs, key in vectors:
-                for plan, vector in pairs:
-                    entry = self._cache.get(plan)
-                    if len(vector) != n or entry is None:
-                        skipped += 1
-                        continue
-                    self._cache[plan] = entry.with_vector(field, vector)
-                    loaded[key] += 1
+            self._cache.update(installs)
             self._evict()
-        loaded["skipped"] = skipped
         return loaded
 
     # ------------------------------------------------------------------

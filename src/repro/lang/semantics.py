@@ -15,9 +15,13 @@ This module is the *reference* implementation: it is exponential in path
 multiplicity and only suitable for small graphs.  The commuting-matrix
 engine (:mod:`repro.lang.matrix_semantics`) computes the same **counts**
 in polynomial time; the test suite cross-checks the two (Proposition 3).
+:func:`naive_matrix` is the second oracle: the paper's matrix rules
+applied literally to the AST, which the plan compiler and engine are
+tested and benchmarked against.
 """
 
 from repro.exceptions import StarDivergenceError
+from repro.graph.matrices import boolean, diagonal_of
 from repro.lang.ast import (
     Concat,
     Conj,
@@ -31,6 +35,7 @@ from repro.lang.ast import (
     Union,
     strip_skips,
 )
+from repro.lang.matrix_semantics import star_sum
 
 
 def _node(node_id):
@@ -271,3 +276,69 @@ def count_matrix_dict(database, pattern, max_star_depth=None):
     """Per-pair counts as a dict ``(u, v) -> count`` (for test cross-checks)."""
     instances = enumerate_instances(database, pattern, max_star_depth)
     return {pair: instances.count(*pair) for pair in instances.pairs()}
+
+
+def naive_matrix(view, pattern, max_star_depth=None, cache=None):
+    """Seed-style recursive evaluation of one pattern AST (the oracle).
+
+    Walks the AST directly — no canonicalization, no plan DAG, chains
+    multiplied left-to-right — memoizing per AST node in ``cache``
+    (fresh per call unless provided).  This is exactly the pre-plan
+    engine semantics; the plan compiler's property tests and the
+    plan-vs-naive benchmark compare against it, and "per-pattern cold
+    evaluation" in the benchmark means one fresh ``cache`` per pattern.
+    """
+    if max_star_depth is None:
+        max_star_depth = max(view.num_nodes(), 1)
+    if cache is None:
+        cache = {}
+
+    def recurse(node):
+        cached = cache.get(node)
+        if cached is not None:
+            return cached
+        if isinstance(node, Epsilon):
+            result = view.identity()
+        elif isinstance(node, Label):
+            result = view.adjacency(node.name)
+        elif isinstance(node, Reverse):
+            result = recurse(node.operand).T.tocsr()
+        elif isinstance(node, Concat):
+            result = recurse(node.parts[0])
+            for part in node.parts[1:]:
+                result = result @ recurse(part)
+            result = result.tocsr()
+        elif isinstance(node, Union):
+            # The paper sums distinct disjuncts only (M_{p+p} = M_p).
+            unique = []
+            for part in node.parts:
+                if part not in unique:
+                    unique.append(part)
+            result = recurse(unique[0])
+            for part in unique[1:]:
+                result = result + recurse(part)
+            result = result.tocsr()
+        elif isinstance(node, Skip):
+            result = boolean(recurse(node.operand))
+        elif isinstance(node, Nested):
+            inner = recurse(node.operand)
+            result = diagonal_of(inner @ boolean(inner.T)).tocsr()
+        elif isinstance(node, Star):
+            result = star_sum(
+                view.identity(), recurse(node.operand), max_star_depth, node
+            )
+        elif isinstance(node, Conj):
+            result = recurse(node.parts[0])
+            for part in node.parts[1:]:
+                result = result.multiply(recurse(part))
+            result = result.tocsr()
+        else:
+            raise TypeError("unhandled pattern node {!r}".format(node))
+        cache[node] = result
+        return result
+
+    if not isinstance(pattern, Pattern):
+        raise TypeError(
+            "pattern must be a Pattern AST, got {!r}".format(pattern)
+        )
+    return recurse(pattern)

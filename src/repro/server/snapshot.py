@@ -4,28 +4,28 @@ A cold ``repro serve`` pays the full build bill before the first
 request: load the database, compile every prepared pattern, multiply
 out the commuting-matrix chains, extract diagonals and column norms.
 All of that state is deterministic given the database, so it belongs on
-disk: :func:`save_snapshot` serializes the serving session — database,
-canonical cache keys, materialized CSR matrices, derived vectors — into
-one ``.npz`` file, and :func:`load_session` / :func:`load_service`
-rebuild a session whose engine cache is already hot, so preparation is
-pure cache hits.
+disk: :func:`save_snapshot` serializes the serving session — the
+database and the engine's cache records — into one ``.npz`` file, and
+:func:`load_session` / :func:`load_service` rebuild a session whose
+engine cache is already hot, so preparation is pure cache hits.
 
-Cache keys are persisted as canonical pattern *text* (the plan node's
-concrete syntax), which re-parses and re-compiles to the same interned
-plan node in any process — see
-:meth:`~repro.lang.matrix_semantics.CommutingMatrixEngine.export_cache`.
-Matrices are stored as raw CSR buffers and re-wrapped without
-validation on load (they were canonicalized at publish time), so a load
-is bounded by disk I/O plus one JSON parse of the database.
+The file holds the engine's own record format
+(:meth:`~repro.lang.matrix_semantics.CommutingMatrixEngine.export_cache`):
+one manifest entry per ``(canonical pattern text, PlanEntry)`` record,
+in LRU order.  Canonical text re-parses and re-compiles to the same
+interned plan node in any process.  Matrices are stored as raw CSR
+buffers and re-wrapped without validation on load (they were
+canonicalized at publish time), so a load is bounded by disk I/O plus
+one JSON parse of the database.
 
 Layout note: a serving cache holds dozens of small matrices, and zip
-archives charge per *member*, not per byte — storing each CSR buffer
-as its own array made load time per-entry overhead.  Instead, all
-buffers of one kind are concatenated into a single pooled array per
-dtype (``mdata_float64``, ``midx_int32``, ...), with per-entry lengths
-in the manifest; loading slices views back out of a handful of big
-reads.  Pools are segregated by dtype, never cast, so the restored
-buffers are bit-for-bit the saved ones.
+archives charge per *member*, not per byte — storing each buffer as its
+own array made load time per-entry overhead.  Instead, all buffers of
+one kind are concatenated into a single pooled array per dtype
+(``mdata_float64``, ``midx_int32``, ``diagonal_float64``, ...), with
+each record's dtypes and nnz in the manifest; loading slices views back
+out of a handful of big reads.  Pools are segregated by dtype, never
+cast, so the restored buffers are bit-for-bit the saved ones.
 
 Writes are atomic (temp file + ``os.replace``): the serving layer
 checkpoints after every successful ``apply``/``swap``, and a crash
@@ -33,7 +33,6 @@ mid-checkpoint must leave the previous good snapshot intact, never a
 torn file.
 """
 
-import io
 import json
 import os
 import tempfile
@@ -44,13 +43,16 @@ import numpy as np
 
 from repro.api.service import SimilarityService
 from repro.api.session import SimilaritySession
-from repro.exceptions import SnapshotError
+from repro.exceptions import ReproError, SnapshotError
 from repro.graph.io import database_from_json, database_to_json
 from repro.graph.matrices import trusted_csr
+from repro.lang.matrix_semantics import PlanEntry
 
 #: Bumped whenever the on-disk layout changes incompatibly; a loader
-#: refuses to guess at a format it does not know.
-SNAPSHOT_FORMAT = 1
+#: refuses to guess at a format it does not know.  Format 1 stored
+#: matrices, column norms and diagonals as three lists; format 2 stores
+#: one list of whole records.
+SNAPSHOT_FORMAT = 2
 
 _MAGIC = "repro-serving-snapshot"
 
@@ -58,50 +60,47 @@ _MAGIC = "repro-serving-snapshot"
 # ----------------------------------------------------------------------
 # Pooled-array layout
 # ----------------------------------------------------------------------
-def pool_matrices(pools, prefix, entries):
-    """Append each CSR's buffers to the dtype-segregated pools.
+def _pool_records(records):
+    """``(manifest entries, pool arrays)`` for ``[(text, PlanEntry)]``.
 
-    ``entries`` is ``[(key, csr_matrix)]``; buffers land in
-    ``pools["{prefix}data_{dtype}"]`` / ``...idx...`` / ``...ptr...``
-    lists (concatenate each list to get the stored pool array).
-    Returns the manifest entry list: per matrix, its key plus the
-    dtype of each buffer and the nnz needed to slice it back out.
+    Each buffer is appended to the pool of its kind and dtype; a
+    record's manifest entry names its text, each buffer's dtype (None
+    for an absent vector) and the nnz needed to slice it back out.
     """
-    manifest = []
-    for key, matrix in entries:
-        manifest.append(
-            {
-                "p": key,
-                "data": _pool(pools, prefix + "data", matrix.data),
-                "idx": _pool(pools, prefix + "idx", matrix.indices),
-                "ptr": _pool(pools, prefix + "ptr", matrix.indptr),
-                "nnz": int(matrix.nnz),
-            }
+    pools = {}
+
+    def pool(prefix, buffer):
+        if buffer is None:
+            return None
+        pools.setdefault("{}_{}".format(prefix, buffer.dtype), []).append(
+            buffer
         )
-    return manifest
+        return str(buffer.dtype)
 
-
-def pool_vectors(pools, prefix, entries):
-    """Append each dense vector to its dtype pool; returns manifest entries."""
-    return [
-        {"p": key, "dtype": _pool(pools, prefix, vector), "len": len(vector)}
-        for key, vector in entries
+    manifest = [
+        {
+            "p": text,
+            "nnz": int(entry.matrix.nnz),
+            "data": pool("mdata", entry.matrix.data),
+            "idx": pool("midx", entry.matrix.indices),
+            "ptr": pool("mptr", entry.matrix.indptr),
+            "norms": pool("norms", entry.norms),
+            "diagonal": pool("diagonal", entry.diagonal),
+        }
+        for text, entry in records
     ]
+    return manifest, {
+        key: np.concatenate(buffers) for key, buffers in pools.items()
+    }
 
 
-def _pool(pools, prefix, buffer):
-    key = "{}_{}".format(prefix, buffer.dtype)
-    pools.setdefault(key, []).append(buffer)
-    return str(buffer.dtype)
-
-
-class PoolReader:
-    """Sequentially slice per-entry buffers back out of pooled arrays.
+class _PoolReader:
+    """Sequentially slice per-record buffers back out of pooled arrays.
 
     ``arrays`` is any mapping from pool key (``mdata_float64``, ...) to
-    a 1-D ndarray, such as an ``np.load`` archive.  Entries must be
+    a 1-D ndarray, such as an ``np.load`` archive.  Buffers must be
     taken in the order they were pooled; a short pool raises
-    ``ValueError`` (callers map it to their own corruption error).
+    ``ValueError`` (the loader maps it to :class:`SnapshotError`).
     """
 
     def __init__(self, arrays):
@@ -110,6 +109,8 @@ class PoolReader:
         self._offsets = {}
 
     def take(self, prefix, dtype, count):
+        if dtype is None:
+            return None
         key = "{}_{}".format(prefix, dtype)
         if key not in self._pools:
             self._pools[key] = self._arrays[key]
@@ -123,28 +124,21 @@ class PoolReader:
         return chunk
 
 
-def unpool_matrices(reader, manifest_entries, prefix, n):
-    """``[(key, csr)]`` rebuilt from pooled buffers without validation."""
-    return [
-        (
-            entry["p"],
-            trusted_csr(
-                reader.take(prefix + "data", entry["data"], entry["nnz"]),
-                reader.take(prefix + "idx", entry["idx"], entry["nnz"]),
-                reader.take(prefix + "ptr", entry["ptr"], n + 1),
-                n,
-            ),
+def _unpool_records(arrays, manifest, n):
+    """``[(text, PlanEntry)]`` rebuilt from pooled buffers, unvalidated."""
+    reader = _PoolReader(arrays)
+    records = []
+    for item in manifest:
+        matrix = trusted_csr(
+            reader.take("mdata", item["data"], item["nnz"]),
+            reader.take("midx", item["idx"], item["nnz"]),
+            reader.take("mptr", item["ptr"], n + 1),
+            n,
         )
-        for entry in manifest_entries
-    ]
-
-
-def unpool_vectors(reader, manifest_entries, prefix):
-    """``[(key, vector)]`` sliced back out of the pooled arrays."""
-    return [
-        (entry["p"], reader.take(prefix, entry["dtype"], entry["len"]))
-        for entry in manifest_entries
-    ]
+        norms = reader.take("norms", item["norms"], n)
+        diagonal = reader.take("diagonal", item["diagonal"], n)
+        records.append((item["p"], PlanEntry.of(matrix, norms, diagonal)))
+    return records
 
 
 def _session_of(source):
@@ -163,20 +157,16 @@ def save_snapshot(path, source):
 
     ``source`` is a :class:`SimilarityService` (its current snapshot is
     saved) or a bare :class:`SimilaritySession`.  Everything needed for
-    a warm start goes into one ``.npz``: the database (JSON), every
-    cached commuting matrix (CSR buffers keyed by canonical pattern
-    text), and the cached column norms / diagonals.  Returns a stats
-    dict (``matrices`` / ``column_norms`` / ``diagonals`` entry counts,
+    a warm start goes into one ``.npz``: the database (JSON) and every
+    engine cache record (a commuting matrix with its cached column
+    norms and diagonal, keyed by canonical pattern text).  Returns a
+    stats dict (``matrices`` / ``column_norms`` / ``diagonals`` counts,
     ``nnz``, ``bytes`` written).
     """
     session, service_version = _session_of(source)
-    state = session.engine.export_cache()
+    records = session.engine.export_cache()
     database = session.database
-    pools = {}
-    matrices = pool_matrices(pools, "m", state["matrices"])
-    nnz = sum(entry["nnz"] for entry in matrices)
-    column_norms = pool_vectors(pools, "norm", state["column_norms"])
-    diagonals = pool_vectors(pools, "diag", state["diagonals"])
+    entries, pools = _pool_records(records)
     manifest = {
         "magic": _MAGIC,
         "format": SNAPSHOT_FORMAT,
@@ -184,16 +174,13 @@ def save_snapshot(path, source):
         "service_version": service_version,
         "num_nodes": database.num_nodes(),
         "num_edges": database.num_edges(),
-        "matrices": matrices,
-        "column_norms": column_norms,
-        "diagonals": diagonals,
+        "records": entries,
     }
-    arrays = {
-        "manifest": np.array(json.dumps(manifest)),
-        "database": np.array(database_to_json(database)),
-    }
-    for key, buffers in pools.items():
-        arrays[key] = np.concatenate(buffers)
+    arrays = dict(
+        pools,
+        manifest=np.array(json.dumps(manifest)),
+        database=np.array(database_to_json(database)),
+    )
 
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -213,10 +200,10 @@ def save_snapshot(path, source):
             pass
         raise
     return {
-        "matrices": len(state["matrices"]),
-        "column_norms": len(state["column_norms"]),
-        "diagonals": len(state["diagonals"]),
-        "nnz": int(nnz),
+        "matrices": len(records),
+        "column_norms": sum(e.norms is not None for _, e in records),
+        "diagonals": sum(e.diagonal is not None for _, e in records),
+        "nnz": sum(item["nnz"] for item in entries),
         "bytes": os.path.getsize(path),
     }
 
@@ -235,7 +222,9 @@ def _read_manifest(archive, path):
     if manifest.get("format") != SNAPSHOT_FORMAT:
         raise SnapshotError(
             "{}: snapshot format {} is not supported (this build reads "
-            "format {})".format(path, manifest.get("format"), SNAPSHOT_FORMAT)
+            "format {}); re-seed the server from its JSON database".format(
+                path, manifest.get("format"), SNAPSHOT_FORMAT
+            )
         )
     return manifest
 
@@ -247,7 +236,9 @@ def load_session(path, **session_options):
     metadata plus the preload counts (``matrices`` / ``column_norms``
     / ``diagonals`` installed, ``skipped``).  Raises
     :class:`~repro.exceptions.SnapshotError` on a missing, foreign,
-    corrupt, or wrong-format file.
+    corrupt, or wrong-format file — including an embedded database
+    that no longer loads — while invalid ``session_options`` raise as
+    they would for any session.
     """
     try:
         archive = np.load(path, allow_pickle=False)
@@ -263,21 +254,15 @@ def load_session(path, **session_options):
         manifest = _read_manifest(archive, path)
         try:
             database = database_from_json(str(archive["database"]))
-            session = SimilaritySession(database, **session_options)
-            n = session.view.num_nodes()
-            reader = PoolReader(archive)
-            matrices = unpool_matrices(reader, manifest["matrices"], "m", n)
-            column_norms = unpool_vectors(
-                reader, manifest["column_norms"], "norm"
+            records = _unpool_records(
+                archive, manifest["records"], database.num_nodes()
             )
-            diagonals = unpool_vectors(reader, manifest["diagonals"], "diag")
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, ReproError) as error:
             raise SnapshotError(
                 "{}: corrupt snapshot payload ({})".format(path, error)
             ) from error
-    loaded = session.engine.preload(
-        matrices, column_norms=column_norms, diagonals=diagonals
-    )
+    session = SimilaritySession(database, **session_options)
+    loaded = session.engine.preload(records)
     info = {
         "saved_at": manifest["saved_at"],
         "service_version": manifest["service_version"],

@@ -293,11 +293,10 @@ def test_materialize_prunes_ill_typed_meta_paths():
     # untyped; the typed schema admits far fewer (w.w is ill-typed,
     # w.p-in is fine, ...), and every cached one type-checks clean.
     assert cached < 42
-    state = session.engine.export_cache()
     checker = PatternTypeChecker(S.DBLP_SCHEMA)
     from repro.lang.parser import parse_pattern as parse
 
-    for text, _matrix in state["matrices"]:
+    for text, _entry in session.engine.export_cache():
         assert not has_errors(checker.check(parse(text))), text
 
 

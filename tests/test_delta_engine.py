@@ -21,8 +21,7 @@ from repro.exceptions import (
     UnknownLabelError,
 )
 from repro.graph.matrices import MatrixView, resized
-from repro.lang import matrix_semantics
-from repro.lang.matrix_semantics import CommutingMatrixEngine
+from repro.lang.matrix_semantics import CommutingMatrixEngine, PlanEntry
 from repro.lang.parser import parse_pattern
 
 PATTERNS = [
@@ -34,6 +33,15 @@ PATTERNS = [
     "w*",
     "r-a-.r-a + p-in.p-in-",
     "r-a-.<<p-in.p-in->>.r-a",
+    # Conjunction and epsilon shapes: the pass's Hadamard and eps
+    # rules, and sums and nested nodes over an unchanged input.
+    "w-.w & p-in.p-in-",
+    "(w-.w & p-in.p-in-).p-in",
+    "[w-.w & p-in.p-in-]",
+    "<<w-.w>> & p-in.p-in-",
+    "eps + w-.w",
+    "(eps + w-.w).p-in",
+    "<<w-.w>> + p-in.p-in-",
 ]
 
 
@@ -246,6 +254,68 @@ def test_engine_apply_delta_matches_fresh_engine(dblp):
         )
 
 
+def _mixed_delta(engine, database):
+    """Apply a delta that removes and adds edges and adds a node."""
+    present = sorted(database.edges("p-in"))[0]
+    missing = _some_missing_edge(
+        database,
+        "w",
+        database.nodes_of_type("author"),
+        database.nodes_of_type("paper"),
+    )
+    return engine.apply_delta(
+        edges_added=[missing, ("new:paper", "p-in", present[2])],
+        edges_removed=[present],
+    )
+
+
+def _assert_matches_fresh_engine(engine, database, patterns):
+    fresh = CommutingMatrixEngine(database)
+    for pattern in patterns:
+        assert _structurally_equal(
+            engine.matrix(pattern), fresh.matrix(pattern)
+        )
+        assert np.array_equal(
+            engine.diagonal(pattern), fresh.diagonal(pattern)
+        )
+
+
+def test_engine_delta_after_preload_matches_fresh_engine(dblp):
+    # Preloaded chains were never ordered; the pass orders them.
+    engine, patterns = _loaded_engine(dblp)
+    target = CommutingMatrixEngine(dblp.copy())
+    target.preload(engine.export_cache())
+    stats = _mixed_delta(target, target.view.database)
+    assert stats["patched"] > 0
+    _assert_matches_fresh_engine(target, target.view.database, patterns)
+
+
+def test_engine_delta_with_evicted_subplans_matches_fresh_engine(dblp):
+    # Only the patterns' own records and chain products stay cached, as
+    # after LRU eviction: a rule missing an input's record recomputes
+    # it or invalidates, and never serves a stale matrix.
+    engine = CommutingMatrixEngine(dblp)
+    patterns = [
+        parse_pattern(text)
+        for text in (
+            "(w-.w & p-in.p-in-).p-in",
+            "[w-.w & p-in.p-in-]",
+            "(eps + w-.w).p-in",
+            "<<w-.w>> + p-in.p-in-",
+        )
+    ]
+    for pattern in patterns:
+        engine.diagonal(pattern)
+    kept = {engine.compile(pattern) for pattern in patterns}
+    with engine._lock:
+        for plan in list(engine._cache):
+            if plan not in kept and plan.kind != "chain":
+                del engine._cache[plan]
+    stats = _mixed_delta(engine, dblp)
+    assert stats["patched"] > 0 and stats["invalidated"] > 0
+    _assert_matches_fresh_engine(engine, dblp, patterns)
+
+
 def test_engine_delta_resolves_shared_subchains_once(dblp):
     engine, _ = _loaded_engine(dblp)
     entries = engine.cache_size()
@@ -259,7 +329,7 @@ def test_engine_delta_resolves_shared_subchains_once(dblp):
 def test_engine_zero_threshold_invalidates_then_recomputes_exactly(
     dblp, monkeypatch
 ):
-    monkeypatch.setattr(matrix_semantics, "DELTA_REBUILD_THRESHOLD", 0.0)
+    monkeypatch.setattr("repro.lang.delta.DELTA_REBUILD_THRESHOLD", 0.0)
     engine, patterns = _loaded_engine(dblp)
     edge = sorted(dblp.edges("p-in"))[0]
     stats = engine.apply_delta(edges_removed=[edge])
@@ -329,12 +399,13 @@ def test_engine_fork_leaves_parent_serving_old_snapshot(dblp):
 # ----------------------------------------------------------------------
 def _expected_accounting(engine):
     """``(nnz, bytes)`` recounted from every buffer the cache exports."""
-    state = engine.export_cache()
-    matrices = [matrix for _, matrix in state["matrices"]]
+    records = [entry for _, entry in engine.export_cache()]
+    matrices = [entry.matrix for entry in records]
     vectors = [
         vector
-        for key in ("column_norms", "diagonals")
-        for _, vector in state[key]
+        for entry in records
+        for vector in (entry.norms, entry.diagonal)
+        if vector is not None
     ]
     nnz = sum(matrix.nnz for matrix in matrices)
     size = sum(
@@ -367,7 +438,7 @@ def test_cache_info_accurate_after_patches_and_invalidations(
         fresh_total += fresh._plan_matrix(plan).nnz
     assert info["nnz"] == fresh_total
     # Invalidated entries drop out of the figures immediately.
-    monkeypatch.setattr(matrix_semantics, "DELTA_REBUILD_THRESHOLD", 0.0)
+    monkeypatch.setattr("repro.lang.delta.DELTA_REBUILD_THRESHOLD", 0.0)
     strict = _loaded_engine(dblp)[0]
     before = strict.cache_info()
     stats = strict.apply_delta(edges_added=[present])
@@ -403,21 +474,44 @@ def test_cache_info_accurate_after_lru_eviction(dblp):
 
 def test_cache_info_accurate_after_preload(dblp):
     engine, _ = _loaded_engine(dblp)
-    state = engine.export_cache()
+    records = engine.export_cache()
     target = CommutingMatrixEngine(dblp)
     target.matrix(parse_pattern("w-.w"))  # replaced by the preload
-    loaded = target.preload(
-        state["matrices"],
-        column_norms=state["column_norms"],
-        diagonals=state["diagonals"],
-    )
+    loaded = target.preload(records)
     assert loaded["skipped"] == 0
     info = target.cache_info()
-    assert info["column_norms"] == len(state["column_norms"])
-    assert info["diagonals"] == len(state["diagonals"])
+    assert info["column_norms"] == loaded["column_norms"] == sum(
+        entry.norms is not None for _, entry in records
+    )
+    assert info["diagonals"] == loaded["diagonals"] == sum(
+        entry.diagonal is not None for _, entry in records
+    )
     nnz, size = _expected_accounting(target)
     assert info["nnz"] == nnz and info["bytes"] == size
     assert info["bytes"] == engine.cache_info()["bytes"]
+
+
+def test_preload_skips_records_that_no_longer_fit(dblp):
+    engine, _ = _loaded_engine(dblp)
+    records = engine.export_cache()
+    n = engine.view.num_nodes()
+    entry = dict(records)["p-in.p-in-"]
+    wrong_shape = PlanEntry.of(resized(entry.matrix, n + 1))
+    short_vector = PlanEntry.of(entry.matrix, diagonal=entry.diagonal[:-1])
+    target = CommutingMatrixEngine(dblp)
+    loaded = target.preload(
+        [
+            ("p-in.(", entry),  # no longer parses
+            ("w-.w", wrong_shape),
+            ("p-in.p-in-", short_vector),
+        ]
+        + records
+    )
+    assert loaded["skipped"] == 3
+    assert loaded["matrices"] == len(records)
+    for text, record in records:
+        assert target.matrix(parse_pattern(text)) is record.matrix
+    assert target.cache_info()["misses"] == 0
 
 
 def test_resized_preserves_values_and_shares_buffers(dblp):

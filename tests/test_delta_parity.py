@@ -167,7 +167,8 @@ def _assert_cache_canonical(service, step):
     scoring reads the buffers directly, and no caller may sort a cached
     matrix in place because forked engines share it.
     """
-    for text, matrix in service.session.engine.export_cache()["matrices"]:
+    for text, entry in service.session.engine.export_cache():
+        matrix = entry.matrix
         rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
         same_row = rows[1:] == rows[:-1]
         assert (np.diff(matrix.indices)[same_row] > 0).all(), (step, text)

@@ -20,8 +20,7 @@ from repro.graph import (
     matrices,
     row_normalize,
 )
-from repro.graph.matrices import csr_product
-from repro.lang.matrix_semantics import CommutingMatrixEngine
+from repro.graph.matrices import canonical, csr_product
 
 
 def test_indexer_roundtrip():
@@ -294,7 +293,7 @@ def _assert_bitwise(actual, expected):
 @settings(max_examples=300, deadline=None)
 def test_csr_product_matches_canonical_scipy_product(operands, blocks):
     left, right = operands
-    expected = CommutingMatrixEngine._canonicalize(left @ right)
+    expected = canonical(left @ right)
     # With int64 operands SciPy picks the product's index dtype by
     # reading its whole buffer, unwritten tail included when entries
     # cancelled; the oracle's dtype comes from the entries alone.
@@ -318,7 +317,7 @@ def test_csr_product_runs_small_products_inline(monkeypatch):
     monkeypatch.setattr(matrices, "usable_cores", refuse)
     view = MatrixView(generate_dblp_scale(10**4, seed=0).database)
     left, right = view.adjacency("w").T.tocsr(), view.adjacency("w")
-    expected = CommutingMatrixEngine._canonicalize(left @ right)
+    expected = canonical(left @ right)
     _assert_bitwise(csr_product(left, right), expected)
 
 

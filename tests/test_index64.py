@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from repro.api import SimilaritySession
 from repro.datasets import generate_dblp
 from repro.graph.matrices import dense_rows, trusted_csr
-from repro.lang.matrix_semantics import pathsim_rows
+from repro.lang.matrix_semantics import PlanEntry, pathsim_rows
 
 TOP_K = 10
 
@@ -91,19 +91,19 @@ def test_int64_index_warm_start_serves_identical_rankings(database):
 
     warm = SimilaritySession(database)
     expected = _rankings(warm, queries)
-    state = warm.engine.export_cache()
-    assert state["matrices"], "warm session should have cached matrices"
+    records = warm.engine.export_cache()
+    assert records, "warm session should have cached matrices"
 
-    upcast_matrices = [
-        (text, _upcast(matrix)) for text, matrix in state["matrices"]
+    upcast_records = [
+        (
+            text,
+            PlanEntry.of(_upcast(entry.matrix), entry.norms, entry.diagonal),
+        )
+        for text, entry in records
     ]
     cold = SimilaritySession(database)
-    loaded = cold.engine.preload(
-        upcast_matrices,
-        column_norms=state["column_norms"],
-        diagonals=state["diagonals"],
-    )
-    assert loaded["matrices"] == len(upcast_matrices)
+    loaded = cold.engine.preload(upcast_records)
+    assert loaded["matrices"] == len(upcast_records)
     assert loaded["skipped"] == 0
 
     actual = _rankings(cold, queries)
@@ -118,10 +118,12 @@ def test_engine_matrix_survives_int64_preload(database):
     warm = SimilaritySession(database)
     reference = warm.engine.matrix(pattern)
 
-    state = warm.engine.export_cache()
     cold = SimilaritySession(database)
     cold.engine.preload(
-        [(text, _upcast(matrix)) for text, matrix in state["matrices"]]
+        [
+            (text, PlanEntry.of(_upcast(entry.matrix)))
+            for text, entry in warm.engine.export_cache()
+        ]
     )
     served = cold.engine.matrix(pattern)
     assert served.shape == reference.shape

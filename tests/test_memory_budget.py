@@ -12,6 +12,7 @@ import pytest
 
 from repro.api import SimilarityService, SimilaritySession
 from repro.exceptions import ConfigurationError, EvaluationError
+from repro.graph.matrices import canonical
 from repro.lang import CommutingMatrixEngine, parse_pattern
 from repro.lang.plan import estimate_bytes
 
@@ -269,7 +270,7 @@ def test_streamed_chain_parity(dblp_small, monkeypatch):
         plan = engine.compile(parse_pattern(text))
         if plan.kind != "chain":
             continue
-        streamed = engine._canonicalize(engine._streamed_chain(plan))
+        streamed = canonical(engine._streamed_chain(plan))
         assert_same_matrix(streamed, reference.matrix(parse_pattern(text)))
     assert engine.cache_info()["streamed"] > 0
 

@@ -18,7 +18,7 @@ import pytest
 
 from repro.api import SimilarityService, SimilaritySession, available_algorithms
 from repro.datasets import generate_dblp
-from repro.exceptions import SnapshotError
+from repro.exceptions import ConfigurationError, SnapshotError
 from repro.server import (
     SNAPSHOT_FORMAT,
     load_service,
@@ -199,13 +199,16 @@ def test_load_rejects_foreign_npz(tmp_path):
 
 
 def test_load_rejects_unknown_format(tiny_dblp, tmp_path):
-    path = str(tmp_path / "future.npz")
+    # Format 1 (three lists: matrices, norms, diagonals) is refused too.
+    path = str(tmp_path / "other.npz")
     session = SimilaritySession(tiny_dblp)
-    save_snapshot(path, session)
-    _rewrite_manifest(path, lambda manifest: dict(manifest, format=99))
-    with pytest.raises(SnapshotError, match="format 99 is not supported"):
-        load_session(path)
-    assert SNAPSHOT_FORMAT == 1  # bump this test alongside the format
+    for version in (1, 99):
+        save_snapshot(path, session)
+        _rewrite_json(path, "manifest", lambda m: dict(m, format=version))
+        match = "format {} is not supported".format(version)
+        with pytest.raises(SnapshotError, match=match):
+            load_session(path)
+    assert SNAPSHOT_FORMAT == 2  # bump this test alongside the format
 
 
 def test_load_rejects_corrupt_payload(tiny_dblp, tmp_path):
@@ -217,21 +220,49 @@ def test_load_rejects_corrupt_payload(tiny_dblp, tmp_path):
     save_snapshot(path, session)
 
     def inflate(manifest):
-        matrices = [dict(entry) for entry in manifest["matrices"]]
-        matrices[-1]["nnz"] = matrices[-1]["nnz"] + 1_000_000
-        return dict(manifest, matrices=matrices)
+        records = [dict(entry) for entry in manifest["records"]]
+        records[-1]["nnz"] = records[-1]["nnz"] + 1_000_000
+        return dict(manifest, records=records)
 
-    _rewrite_manifest(path, inflate)
+    _rewrite_json(path, "manifest", inflate)
     with pytest.raises(SnapshotError, match="corrupt snapshot payload"):
         load_session(path)
 
 
-def _rewrite_manifest(path, transform):
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda db: dict(db, edges=db["edges"] + [["a", "no-such", "b"]]),
+        lambda db: dict(
+            db, schema=dict(db["schema"], constraints=["no arrow ("])
+        ),
+    ],
+    ids=["unknown-label", "unparseable-constraint"],
+)
+def test_load_maps_a_corrupt_database_to_snapshot_error(
+    tiny_dblp, tmp_path, corrupt
+):
+    path = str(tmp_path / "bad-database.npz")
+    save_snapshot(path, SimilaritySession(tiny_dblp))
+    _rewrite_json(path, "database", corrupt)
+    with pytest.raises(SnapshotError, match="corrupt snapshot payload"):
+        load_session(path)
+
+
+def test_load_raises_session_option_errors_unchanged(tiny_dblp, tmp_path):
+    path = str(tmp_path / "fine.npz")
+    save_snapshot(path, SimilaritySession(tiny_dblp))
+    with pytest.raises(ConfigurationError, match="memory_budget"):
+        load_session(path, memory_budget=0)
+
+
+def _rewrite_json(path, member, transform):
+    """Rewrite one JSON member (``manifest`` or ``database``) in place."""
     archive = np.load(path, allow_pickle=False)
     with archive:
         arrays = {name: archive[name] for name in archive.files}
-    manifest = transform(json.loads(str(arrays["manifest"])))
-    arrays["manifest"] = np.array(json.dumps(manifest))
+    payload = transform(json.loads(str(arrays[member])))
+    arrays[member] = np.array(json.dumps(payload))
     with open(path, "wb") as handle:
         np.savez(handle, **arrays)
     with zipfile.ZipFile(path) as check:  # still a well-formed archive
