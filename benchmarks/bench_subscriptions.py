@@ -102,10 +102,15 @@ def test_maintained_topk_matches_fresh_run_for_every_algorithm(
         for handle, node in zip(prepared, nodes)
     ]
     checks = 0
+    # The service never writes ``database``: a copy of it, written with
+    # every delta, is the independent reference.
+    reference_database = database.copy()
     for edge in edges:
         for delta in ({"edges_removed": [edge]}, {"edges_added": [edge]}):
             service.apply(**delta)
-            fresh = SimilaritySession(service.database)
+            reference_database.apply_delta(**delta)
+            assert service.database.same_content(reference_database)
+            fresh = SimilaritySession(reference_database)
             for (name, options, _), node, subscription in zip(
                 SPECS, nodes, subscriptions
             ):

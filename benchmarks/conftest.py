@@ -10,8 +10,8 @@ means little without the machine it was measured on.  Run with::
 
 Dataset sizes are scaled to laptop budgets (the paper used a 64 GB
 MATLAB server); the *shape* of each table — who wins, by roughly what
-factor — is the reproduction target, not absolute numbers (see
-EXPERIMENTS.md).
+factor — is the reproduction target, not absolute numbers (see the
+README's "Benchmarks" section).
 """
 
 import os
@@ -27,6 +27,7 @@ from repro.datasets import (
     generate_dblp_small,
     generate_wsu,
 )
+from repro.graph.matrices import usable_cores
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -36,7 +37,7 @@ def emit():
     """Print a table and persist it under benchmarks/results/."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
     host = "host: {} usable cores, Python {}, numpy {}, scipy {}".format(
-        len(os.sched_getaffinity(0)),
+        usable_cores(),
         platform.python_version(),
         numpy.__version__,
         scipy.__version__,

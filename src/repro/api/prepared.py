@@ -96,7 +96,7 @@ def expanded_options(session, name, options, expand):
         )
     constraints = expand["constraints"]
     if constraints is None:
-        constraints = session.database.schema.constraints
+        constraints = session.view.schema.constraints
     generated = generate_patterns(
         pattern,
         constraints,

@@ -7,13 +7,15 @@ for serving — a production system must absorb edge churn without
 pausing queries.  The service closes the gap with **atomic snapshot
 swap**:
 
-* the service owns the *current* :class:`~repro.api.session.SimilaritySession`
-  over a private copy of the database (callers can keep mutating their
-  own object without corrupting the snapshot);
+* the service owns the *current* :class:`~repro.api.session.SimilaritySession`,
+  whose detached :class:`~repro.graph.matrices.MatrixView` — schema,
+  node table and per-label CSR — is the version's whole graph: no
+  database is held or copied, and callers can keep mutating their own
+  database without touching what is served;
 * :meth:`SimilarityService.apply` (edge/node deltas) builds the next
   snapshot off the serving path by forking the serving engine and
-  patching its cached matrices through sparse delta propagation
-  (bitwise identical to a rebuild at any batch size);
+  patching its view and cached matrices through sparse delta
+  propagation (bitwise identical to a rebuild at any batch size);
   :meth:`SimilarityService.swap` (a whole replacement database) is the
   only full session rebuild.  The old snapshot keeps answering queries
   the entire time either way;
@@ -26,6 +28,8 @@ swap**:
   and :attr:`version` increases monotonically.
 
 Mutations are serialized by an internal lock; queries never take it.
+:attr:`SimilarityService.database` exports the current version as a new
+``GraphDatabase`` in O(|V| + |E|), for work off the serving path.
 """
 
 import threading
@@ -34,6 +38,7 @@ import weakref
 
 from repro.api.prepared import _UNSET
 from repro.api.session import SimilaritySession
+from repro.graph.matrices import MatrixView
 from repro.similarity.base import SimilarityAlgorithm
 from repro.exceptions import EvaluationError
 from repro.streaming import DeltaReport, SubscriptionManager
@@ -55,18 +60,17 @@ class SimilarityService:
     Parameters
     ----------
     database:
-        The initial :class:`~repro.graph.database.GraphDatabase`.
-        Copied by default (``copy=False`` trusts the caller never to
-        mutate it afterwards).
-    copy:
-        Whether to privately copy ``database`` (default True).
+        The initial :class:`~repro.graph.database.GraphDatabase`.  The
+        first version is a detached view built from it (every used
+        label's CSR and a copy of the node table), so later changes to
+        ``database`` change nothing that is served.
     session:
         Alternatively, adopt an already-built
         :class:`SimilaritySession` as the first snapshot — the
         warm-start path (:func:`repro.server.snapshot.load_service`
-        hands over a session whose engine cache was preloaded from
-        disk).  Mutually exclusive with ``database``; the session is
-        trusted to be private (nobody else mutates its database).
+        hands over a session over a detached view whose engine cache
+        was preloaded from disk).  Mutually exclusive with
+        ``database``; the session is trusted to be private.
     checkpoint:
         Optional ``callable(service, version)`` invoked after every
         *successful* ``apply``/``swap``, once the new snapshot is
@@ -96,7 +100,6 @@ class SimilarityService:
     def __init__(
         self,
         database=None,
-        copy=True,
         session=None,
         checkpoint=None,
         **session_options,
@@ -113,8 +116,9 @@ class SimilarityService:
                 raise EvaluationError(
                     "SimilarityService needs a database= or session="
                 )
-            snapshot_db = database.copy() if copy else database
-            initial = SimilaritySession(snapshot_db, **self._session_options)
+            initial = SimilaritySession(
+                MatrixView(database).detach(), **self._session_options
+            )
         self._snapshot = _Snapshot(initial, 1)
         self._mutate_lock = threading.RLock()
         self._handles = []
@@ -144,8 +148,14 @@ class SimilarityService:
 
     @property
     def database(self):
-        """The current snapshot's database (service-private; don't mutate)."""
-        return self._snapshot.session.database
+        """The current version exported as a new ``GraphDatabase``.
+
+        An O(|V| + |E|) export of the serving view
+        (:meth:`MatrixView.to_database
+        <repro.graph.matrices.MatrixView.to_database>`), for work off
+        the serving path; the caller owns the result.
+        """
+        return self._snapshot.session.view.to_database()
 
     def prepared_queries(self):
         """The live prepared handles the service keeps fresh."""
@@ -313,8 +323,10 @@ class SimilarityService:
         :class:`~repro.exceptions.UnknownEdgeError` — and the serving
         snapshot is untouched until the whole update succeeds.
 
-        The serving engine is forked onto a private database copy and
-        every cached commuting matrix, diagonal and norm is *patched*
+        The serving engine is forked (its detached view shares every
+        buffer until the delta replaces one; no database is copied) and
+        the view and every cached commuting matrix, diagonal and norm
+        are *patched*
         via sparse delta propagation
         (:meth:`CommutingMatrixEngine.apply_delta`) instead of being
         recomputed, and live prepared handles re-warm from the patched
@@ -349,13 +361,11 @@ class SimilarityService:
                 operation="apply",
             )
         with self._mutate_lock:
-            # Fork the serving engine onto a private database copy,
-            # patch the fork in place (old snapshot untouched — cached
-            # matrices are shared but only ever *replaced* in the fork),
-            # then publish through the same atomic protocol as a swap.
-            old_session = self._snapshot.session
-            database = old_session.database.copy()
-            engine = old_session.engine.fork(database)
+            # Fork the serving engine, patch the fork in place (old
+            # snapshot untouched — matrices and the node table are
+            # shared but only ever *replaced* in the fork), then publish
+            # through the same atomic protocol as a swap.
+            engine = self._snapshot.session.engine.fork()
             stats = engine.apply_delta(
                 edges_added=edges_added,
                 edges_removed=edges_removed,
@@ -366,7 +376,7 @@ class SimilarityService:
                 grew=stats["nodes_added"] > 0,
             )
             version = self._publish_locked(
-                SimilaritySession(database, engine=engine),
+                SimilaritySession(engine.view, engine=engine),
                 reuse_expansion=True,
                 report=report,
             )
@@ -378,11 +388,13 @@ class SimilarityService:
             return version
 
     def swap(self, database, wait=True):
-        """Replace the whole database (copied) and swap atomically.
+        """Replace the whole database and swap atomically.
 
         The service's only full rebuild — an arbitrary replacement
         database shares no delta with the serving snapshot to propagate,
-        so every subscription re-ranks.  Returns the new
+        so every subscription re-ranks.  The new version is a detached
+        view built from ``database``, so later changes to it change
+        nothing that is served.  Returns the new
         :attr:`version` (or the background ``threading.Thread`` with
         ``wait=False``).
         """
@@ -392,7 +404,7 @@ class SimilarityService:
             )
         with self._mutate_lock:
             session = SimilaritySession(
-                database.copy(), **self._session_options
+                MatrixView(database).detach(), **self._session_options
             )
             version = self._publish_locked(session, reuse_expansion=False)
             self._delta_stats["full_rebuilds"] += 1
@@ -458,6 +470,7 @@ class SimilarityService:
 
     def __repr__(self):
         snapshot = self._snapshot
-        return "SimilarityService(version={}, {!r})".format(
-            snapshot.version, snapshot.session.database
+        view = snapshot.session.view
+        return "SimilarityService(version={}, nodes={}, edges={})".format(
+            snapshot.version, view.num_nodes(), view.num_edges()
         )

@@ -38,6 +38,14 @@ Four levels of API, lowest to highest::
 
 The builder and ``rank_many`` are thin adapters over prepare-then-run,
 so all four levels share one execution path.
+
+A session reads its graph through one
+:class:`~repro.graph.matrices.MatrixView`, and every algorithm it
+constructs reads candidates and adjacency from that view.  Over a
+caller's ``GraphDatabase`` the view is lazy (a label's matrix is built
+on first use, so constructing a session costs nothing); a served
+version is a session over a *detached* view, which holds the schema,
+node table and per-label CSR and no database at all.
 """
 
 from repro.api.prepared import PreparedQuery
@@ -48,16 +56,21 @@ from repro.lang.parser import as_patterns
 
 
 class SimilaritySession:
-    """A shared-engine facade over one database snapshot.
+    """A shared-engine facade over one graph snapshot.
 
     Parameters
     ----------
     database:
-        The :class:`~repro.graph.database.GraphDatabase` to search.
+        The graph to search: a
+        :class:`~repro.graph.database.GraphDatabase` (read through a
+        lazy :class:`~repro.graph.matrices.MatrixView`, so constructing
+        a session builds no matrix) or a view itself, such as a
+        detached one that holds a whole served version.
     engine:
         Optional pre-built :class:`CommutingMatrixEngine` — pass one
         built on a shared :class:`~repro.graph.matrices.NodeIndexer`
-        when comparing scores across structural variants.
+        when comparing scores across structural variants.  The session
+        then reads the graph through the engine's view.
     max_star_depth:
         Forwarded to the engine (Kleene-star expansion bound).
     memory_budget:
@@ -71,10 +84,10 @@ class SimilaritySession:
     The session is a *snapshot*, like the engine: mutating the database
     afterwards makes cached matrices stale.  For workloads that must
     absorb mutations while serving, use
-    :class:`~repro.api.service.SimilarityService` — it owns the current
-    session, rebuilds a fresh one off the serving path on
-    ``apply``/``swap``, re-binds outstanding prepared queries, and
-    swaps snapshots atomically.  The session itself is thread-safe for
+    :class:`~repro.api.service.SimilarityService` — it serves sessions
+    over detached views (no database), builds the next one off the
+    serving path on ``apply``/``swap``, re-binds outstanding prepared
+    queries, and swaps snapshots atomically.  The session itself is thread-safe for
     *reads*: the engine, plan compiler, and matrix view are all
     lock-guarded, so N threads can query one session concurrently.
     """
@@ -86,7 +99,6 @@ class SimilaritySession:
         max_star_depth=None,
         memory_budget=None,
     ):
-        self._database = database
         if engine is None:
             engine = CommutingMatrixEngine(
                 database,
@@ -94,10 +106,6 @@ class SimilaritySession:
                 memory_budget=memory_budget,
             )
         self._engine = engine
-
-    @property
-    def database(self):
-        return self._database
 
     @property
     def engine(self):
@@ -189,7 +197,7 @@ class SimilaritySession:
             options.setdefault("engine", self._engine)
         elif "view" in parameters:
             options.setdefault("view", self._engine.view)
-        return algorithm_class(name)(self._database, **options)
+        return algorithm_class(name)(self._engine.view, **options)
 
     @staticmethod
     def _normalize_pattern_option(name, parameters, options):

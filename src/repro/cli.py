@@ -47,6 +47,7 @@ from repro.datasets import (
 from repro.eval import RobustnessExperiment, robustness_table
 from repro.exceptions import EvaluationError, ReproError
 from repro.graph.io import load_json, save_json
+from repro.graph.matrices import MatrixView
 from repro.graph.statistics import summarize
 from repro.lang import parse_pattern
 from repro.patterns import generate_patterns
@@ -470,7 +471,7 @@ def _cmd_stats(args, out):
         if args.snapshot is not None:
             session, info = load_session(args.snapshot)
             _print_snapshot_info(args.snapshot, info, out)
-            database, name = session.database, args.snapshot
+            database, name = session.view.to_database(), args.snapshot
         else:
             database, name = load_json(args.database), args.database
         print(summarize(database, name=name), file=out)
@@ -481,7 +482,7 @@ def _cmd_stats(args, out):
         name = args.snapshot
     else:
         service = SimilarityService(
-            load_json(args.database), copy=False, **_budget_options(args)
+            load_json(args.database), **_budget_options(args)
         )
         name = args.database
     _apply_delta_flags(service, args, out)
@@ -575,7 +576,7 @@ def _cmd_query(args, out):
 
 def _cmd_explain(args, out):
     database = load_json(args.database)
-    service = SimilarityService(database, copy=False)
+    service = SimilarityService(database)
     _apply_delta_flags(service, args, out)
     patterns = [parse_pattern(text) for text in args.patterns]
     if args.expand:
@@ -605,10 +606,8 @@ def _cmd_check(args, out):
     import json as json_module
 
     from repro.analysis import PatternTypeChecker
-    from repro.lang.matrix_semantics import ViewStats
 
     database = load_json(args.database)
-    session = SimilaritySession(database)
     patterns = [parse_pattern(text) for text in args.patterns]
     if args.expand:
         if len(patterns) != 1:
@@ -624,7 +623,7 @@ def _cmd_check(args, out):
         patterns = list(generated.patterns)
     checker = PatternTypeChecker(
         database.schema,
-        stats=ViewStats(session.view),
+        stats=MatrixView(database),
         density_budget=args.density_budget,
     )
     results = checker.check_many(patterns)
@@ -720,7 +719,7 @@ def _serving_service(args, out):
         )
     elif args.database is not None:
         service = SimilarityService(
-            load_json(args.database), copy=False, **_budget_options(args)
+            load_json(args.database), **_budget_options(args)
         )
     else:
         raise EvaluationError(

@@ -140,68 +140,23 @@ class GraphDatabase:
     def apply_delta(self, edges_added=(), edges_removed=(), nodes_added=()):
         """Validate and apply one batch delta; returns what actually changed.
 
-        ``edges_added`` / ``edges_removed`` are ``(source, label, target)``
-        triples and ``nodes_added`` holds node ids or ``(node, type)``
-        pairs.  The whole batch is **validated before anything mutates**
-        (unknown labels, absent or doubly-removed edges, node-type
-        conflicts), so a failing delta raises with the database
-        untouched — the atomicity the incremental serving path relies
-        on.  Removals apply before additions (re-adding a removed edge
-        in the same batch is legal and nets out).
-
-        Returns ``(added, removed, new_nodes)``: the edges *actually*
-        added (set semantics — re-adding a present edge is a no-op and
-        is not reported), the edges removed, and the genuinely new node
-        ids (explicit or auto-added endpoints) in insertion order.
-        Exactly the information a :class:`~repro.graph.matrices.MatrixView`
-        needs to patch itself instead of rebuilding.
+        The batch is checked by :func:`plan_delta` — the routine
+        :meth:`MatrixView.apply_delta <repro.graph.matrices.MatrixView.apply_delta>`
+        uses too — before anything mutates, so a failing delta raises
+        with the database untouched.  Returns ``(added, removed,
+        new_nodes)`` as :func:`plan_delta` describes them.
         """
-        edges_added = [tuple(edge) for edge in edges_added]
-        edges_removed = [tuple(edge) for edge in edges_removed]
-        nodes_added = [
-            entry if isinstance(entry, tuple) else (entry, None)
-            for entry in nodes_added
-        ]
-        # --- validate (nothing below may fail once mutation starts) ---
-        for _, label, _ in edges_added:
-            if label not in self._schema:
-                raise UnknownLabelError(label, self._schema.labels)
-        seen = set()
-        for edge in edges_removed:
-            if edge in seen or not self.has_edge(*edge):
-                raise UnknownEdgeError(*edge)
-            seen.add(edge)
-        declared = {}
-        for node, node_type in nodes_added:
-            if node_type is None:
-                continue
-            existing = declared.get(node)
-            if existing is None and self.has_node(node):
-                existing = self.node_type(node)
-            if existing is not None and existing != node_type:
-                raise NodeTypeConflictError(node, existing, node_type)
-            declared[node] = node_type
-        # --- mutate ---
-        new_nodes = []
-        for node, node_type in nodes_added:
-            if not self.has_node(node):
-                new_nodes.append(node)
-            self.add_node(node, node_type)
-        for edge in edges_removed:
+        added, removed, new_nodes, types = plan_delta(
+            self, edges_added, edges_removed, nodes_added
+        )
+        for node in new_nodes:
+            self.add_node(node)
+        self._nodes.update(types)
+        for edge in removed:
             self.remove_edge(*edge)
-        added = []
-        for source, label, target in edges_added:
-            if self.has_edge(source, label, target):
-                continue
-            for endpoint in (source, target):
-                # Added eagerly so a new self-loop endpoint (source is
-                # target) is reported once, not twice.
-                if not self.has_node(endpoint):
-                    new_nodes.append(endpoint)
-                    self.add_node(endpoint)
-            self.add_edge(source, label, target)
-            added.append((source, label, target))
-        return added, edges_removed, new_nodes
+        for edge in added:
+            self.add_edge(*edge)
+        return added, removed, new_nodes
 
     # ------------------------------------------------------------------
     # Introspection
@@ -290,40 +245,20 @@ class GraphDatabase:
     # ------------------------------------------------------------------
     # Copying / comparison
     # ------------------------------------------------------------------
-    def copy(self, schema=None):
-        """A deep copy, optionally re-homed onto a different schema.
+    def copy(self):
+        """A deep copy.
 
         Bulk-copies the internal indexes instead of replaying
-        ``add_edge`` per edge — the serving layer copies the database on
-        every live update, so this is on the update hot path.  When
-        re-homing onto a different schema, every used label is validated
-        against it (the per-edge path would have raised on the first
-        offending edge).
+        ``add_edge`` per edge.
         """
-        if schema is not None and schema is not self._schema:
-            for label in self.used_labels():
-                if label not in schema:
-                    raise UnknownLabelError(label, schema.labels)
-        clone = GraphDatabase(schema or self._schema)
+        clone = GraphDatabase(self._schema)
         clone._nodes = dict(self._nodes)
-        for label, adjacency in self._out.items():
-            if adjacency:
-                clone._out[label] = defaultdict(
-                    set,
-                    {
-                        source: set(targets)
-                        for source, targets in adjacency.items()
-                    },
-                )
-        for label, adjacency in self._in.items():
-            if adjacency:
-                clone._in[label] = defaultdict(
-                    set,
-                    {
-                        target: set(sources)
-                        for target, sources in adjacency.items()
-                    },
-                )
+        for index, copied in ((self._out, clone._out), (self._in, clone._in)):
+            for label, adjacency in index.items():
+                if adjacency:
+                    copied[label] = defaultdict(
+                        set, {key: set(values) for key, values in adjacency.items()}
+                    )
         clone._edge_count = self._edge_count
         return clone
 
@@ -346,3 +281,67 @@ class GraphDatabase:
         return "GraphDatabase(nodes={}, edges={})".format(
             self.num_nodes(), self.num_edges()
         )
+
+
+def plan_delta(graph, edges_added=(), edges_removed=(), nodes_added=()):
+    """Validate one batch delta against ``graph``; returns its effect.
+
+    The one delta validator: :meth:`GraphDatabase.apply_delta` and
+    :meth:`MatrixView.apply_delta <repro.graph.matrices.MatrixView.apply_delta>`
+    both call it, so they accept, refuse and report a batch alike.
+    ``graph`` is either of them (it needs ``schema``, ``has_node``,
+    ``node_type`` and ``has_edge``) and is only read.
+
+    ``edges_added`` / ``edges_removed`` are ``(source, label, target)``
+    triples and ``nodes_added`` holds node ids or ``(node, type)``
+    pairs.  The whole batch is validated here (unknown labels, absent
+    or doubly-removed edges, node-type conflicts), so a caller that
+    mutates only after this returns stays atomic.  Removals apply
+    before additions (re-adding a removed edge in the same batch is
+    legal and nets out).
+
+    Returns ``(added, removed, new_nodes, types)``: the edges *actually*
+    added (set semantics — re-adding a present edge is a no-op and is
+    not reported), the edges removed, the genuinely new node ids
+    (explicit or auto-added endpoints, a new self-loop endpoint once)
+    in insertion order, and the ``{node: type}`` declarations to
+    record.
+    """
+    edges_added = [tuple(edge) for edge in edges_added]
+    edges_removed = [tuple(edge) for edge in edges_removed]
+    nodes_added = [
+        entry if isinstance(entry, tuple) else (entry, None)
+        for entry in nodes_added
+    ]
+    schema = graph.schema
+    for _, label, _ in edges_added:
+        if label not in schema:
+            raise UnknownLabelError(label, schema.labels)
+    removed = set()
+    for edge in edges_removed:
+        if edge in removed or not graph.has_edge(*edge):
+            raise UnknownEdgeError(*edge)
+        removed.add(edge)
+    types = {}
+    for node, node_type in nodes_added:
+        if node_type is None:
+            continue
+        existing = types.get(node)
+        if existing is None and graph.has_node(node):
+            existing = graph.node_type(node)
+        if existing not in (None, node_type):
+            raise NodeTypeConflictError(node, existing, node_type)
+        types[node] = node_type
+    # Dicts as insertion-ordered sets.
+    new_nodes = dict.fromkeys(
+        node for node, _ in nodes_added if not graph.has_node(node)
+    )
+    added = {}
+    for edge in edges_added:
+        if edge in added or (edge not in removed and graph.has_edge(*edge)):
+            continue
+        for node in (edge[0], edge[2]):  # a new self-loop endpoint once
+            if not graph.has_node(node):
+                new_nodes[node] = None
+        added[edge] = None
+    return list(added), edges_removed, list(new_nodes), types

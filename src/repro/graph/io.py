@@ -67,24 +67,6 @@ def database_from_dict(payload):
     return database
 
 
-def database_to_json(database):
-    """``database`` as a compact JSON string.
-
-    The embedded-payload twin of :func:`save_json`: snapshot files
-    (:mod:`repro.server.snapshot`) store the database as one JSON
-    string next to the binary matrix buffers.  Key order is fixed, so
-    equal databases serialize to equal strings.
-    """
-    return json.dumps(
-        database_to_dict(database), sort_keys=True, separators=(",", ":")
-    )
-
-
-def database_from_json(text):
-    """Rebuild a database from :func:`database_to_json` output."""
-    return database_from_dict(json.loads(text))
-
-
 def save_json(database, path):
     """Write ``database`` to ``path`` as JSON."""
     with open(path, "w") as handle:

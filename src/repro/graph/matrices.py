@@ -1,10 +1,13 @@
-"""Sparse adjacency matrices for a graph database.
+"""Sparse adjacency matrices: the graph as the similarity stack reads it.
 
 The commuting-matrix computation of Section 4.3 works on per-label
-adjacency matrices ``A_l``.  This module provides a :class:`NodeIndexer`
-(stable node-id <-> row index mapping), a :class:`MatrixView` that
-extracts and caches CSR matrices from a :class:`GraphDatabase`, and
-:func:`csr_product`, the engine's multi-core sparse product.
+adjacency matrices ``A_l`` and node types only.  This module provides a
+:class:`NodeIndexer` (stable node-id <-> row index mapping), the
+:class:`MatrixView` — schema, indexer, ``{node: type}`` node table and
+one CSR matrix per label, which is the whole graph of a served version
+(built lazily over a :class:`GraphDatabase`, or detached from it and
+patched in place on writes) — and :func:`csr_product`, the engine's
+multi-core sparse product.
 
 Matrices use float64: instance counts can exceed int32 on long patterns
 and SciPy's sparse matmul is best-tuned for floats.  Counts are exact as
@@ -13,8 +16,10 @@ pattern produces.
 """
 
 import contextlib
+import copy
 import os
 import threading
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from itertools import chain, repeat
 
@@ -22,7 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from repro.exceptions import UnknownNodeError
+from repro.exceptions import UnknownLabelError, UnknownNodeError
+from repro.graph.database import GraphDatabase, plan_delta
 
 #: Products of at least this many multiply-adds run as one row block
 #: per usable core; smaller ones run inline on the calling thread.  On
@@ -297,38 +303,34 @@ def identity_patch(indices, n):
     return sp.csr_matrix((data, (indices, indices)), shape=(n, n))
 
 
-class ViewDelta:
+_VIEW_DELTA = "patches old_num_nodes num_nodes added removed added_nodes"
+
+
+class ViewDelta(namedtuple("ViewDelta", _VIEW_DELTA)):
     """What one :meth:`MatrixView.apply_delta` call changed.
 
-    ``patches`` maps each touched label to a ``(n, n)`` CSR matrix of
-    ``+1``/``-1`` adjacency changes (net-zero labels are omitted);
-    ``old_num_nodes``/``num_nodes`` bound the indexer growth and
-    ``added_nodes`` lists the genuinely new node ids in indexer order.
-    The engine consumes this to propagate the delta through cached
-    commuting matrices.
+    ``added`` / ``removed`` / ``added_nodes`` are the report of
+    :func:`~repro.graph.database.plan_delta` — what
+    :meth:`GraphDatabase.apply_delta
+    <repro.graph.database.GraphDatabase.apply_delta>` returns for the
+    same batch: the edges actually added and removed, and the genuinely
+    new node ids in indexer order.  ``patches`` maps each touched label
+    to a ``(n, n)`` CSR matrix of ``+1``/``-1`` adjacency changes
+    (net-zero labels are omitted) and ``old_num_nodes``/``num_nodes``
+    bound the indexer growth.  The engine consumes this to propagate the
+    delta through cached commuting matrices.
     """
 
-    __slots__ = ("patches", "old_num_nodes", "num_nodes", "added_nodes")
-
-    def __init__(self, patches, old_num_nodes, num_nodes, added_nodes):
-        self.patches = patches
-        self.old_num_nodes = old_num_nodes
-        self.num_nodes = num_nodes
-        self.added_nodes = list(added_nodes)
+    __slots__ = ()
 
     @property
     def grew(self):
         """True when the delta added nodes (matrix shapes changed)."""
         return self.num_nodes != self.old_num_nodes
 
-    def __repr__(self):
-        return "ViewDelta(labels={}, nodes +{})".format(
-            sorted(self.patches), len(self.added_nodes)
-        )
-
 
 class MatrixView:
-    """Per-label sparse adjacency matrices over a fixed node ordering.
+    """The graph of one version: schema, node table and per-label CSR.
 
     Parameters
     ----------
@@ -341,12 +343,24 @@ class MatrixView:
         preserved by invertible transformations, so a shared ordering makes
         entries directly comparable).
 
-    The view is a *snapshot*: mutate the database afterwards and the cached
-    matrices go stale.  Either build a fresh view after mutation, route
-    the mutation through :meth:`apply_delta` (which patches the cached
-    matrices in place instead of rebuilding them), or serve through
-    :class:`~repro.api.service.SimilarityService`, which swaps patched
-    snapshots for you.
+    A view holds everything the similarity stack reads of a graph: the
+    schema, the :class:`NodeIndexer`, a ``{node: type}`` node table and
+    each label's CSR adjacency matrix ``A_label``.  Sessions and
+    algorithms read the graph through it (:attr:`schema`, :meth:`nodes`,
+    :meth:`node_type`, :meth:`nodes_of_type`, :meth:`has_node`,
+    :meth:`has_edge`, :meth:`num_edges`, :meth:`used_labels`), and
+    :meth:`to_database` exports it.
+
+    A view over a caller's database is *lazy*: its node table is the
+    database's own, and each label's matrix is built on first use, so
+    a session costs nothing until it scores.  The matrices are a
+    snapshot — mutate the database afterwards and they go stale (a node
+    added later raises :class:`~repro.exceptions.UnknownNodeError` when
+    scored).  :meth:`detach`, :meth:`fork` and :meth:`apply_delta` make
+    a view *detached*: every used label built, a node table of its own,
+    and no database.  A detached view is the whole graph of a version —
+    :class:`~repro.api.service.SimilarityService` serves detached views,
+    patches them on writes and never copies or writes a database.
 
     The view is thread-safe: the adjacency and candidate-index caches are
     lock-guarded with double-checked access (matrices are built outside
@@ -355,26 +369,118 @@ class MatrixView:
     """
 
     def __init__(self, database, indexer=None):
+        # Until detach() copies it, the node table is the database's
+        # live one: a node added there shows in candidate lists (and
+        # raises when scored) exactly as it would on the database.
+        self._init(database, database.schema, database._nodes, indexer, {})
+
+    @classmethod
+    def restore(cls, schema, nodes, adjacency):
+        """A detached view from its parts — how a snapshot loads.
+
+        ``nodes`` is the ``{node: type}`` table in indexer order and
+        ``adjacency`` maps each used label to its canonical CSR matrix;
+        the view adopts both.  A label the schema lacks raises
+        :class:`~repro.exceptions.UnknownLabelError`.
+        """
+        for label in adjacency:
+            if label not in schema:
+                raise UnknownLabelError(label, schema.labels)
+        view = cls.__new__(cls)
+        view._init(None, schema, nodes, None, dict(adjacency))
+        return view
+
+    def _init(self, database, schema, nodes, indexer, cache):
         self._database = database
-        if indexer is None:
-            indexer = NodeIndexer(database.nodes())
-        self._indexer = indexer
+        self._schema = schema
+        self._nodes = nodes
+        self._indexer = NodeIndexer(nodes) if indexer is None else indexer
         self._lock = threading.RLock()
-        self._cache = {}
+        self._cache = cache
         self._candidates = {}
-        self._candidate_node_count = database.num_nodes()
+        self._candidate_node_count = len(nodes)
 
     @property
     def indexer(self):
         return self._indexer
 
     @property
-    def database(self):
-        return self._database
+    def schema(self):
+        return self._schema
 
     def num_nodes(self):
         return len(self._indexer)
 
+    # ------------------------------------------------------------------
+    # Graph reads
+    # ------------------------------------------------------------------
+    def nodes(self):
+        """An iterator over node ids (insertion order)."""
+        return iter(self._nodes)
+
+    def has_node(self, node):
+        return node in self._nodes
+
+    def node_type(self, node):
+        """The node's type string, or ``None`` if untyped; unknown raises."""
+        if node not in self._nodes:
+            raise UnknownNodeError(node)
+        return self._nodes[node]
+
+    def nodes_of_type(self, node_type):
+        """All node ids whose type equals ``node_type`` (insertion order)."""
+        return [node for node, kind in self._nodes.items() if kind == node_type]
+
+    def has_edge(self, source, label, target):
+        """Whether ``(source, label, target)`` is an edge.
+
+        A binary search in one sorted row of the label's CSR matrix.
+        """
+        index = self._indexer._index
+        if label not in self._schema or not (source in index and target in index):
+            return False
+        matrix = self.adjacency(label)
+        row, column = index[source], index[target]
+        columns = matrix.indices[matrix.indptr[row] : matrix.indptr[row + 1]]
+        position = np.searchsorted(columns, column)
+        return bool(position < len(columns) and columns[position] == column)
+
+    def used_labels(self):
+        """Labels that occur on at least one edge."""
+        database = self._database
+        if database is not None:
+            return database.used_labels()
+        with self._lock:
+            return {label for label, m in self._cache.items() if m.nnz}
+
+    def label_nnz(self, label):
+        """The number of ``label`` edges: the planner's and the type
+        checker's statistic for a leaf."""
+        return self.adjacency(label).nnz
+
+    def num_edges(self):
+        return sum(map(self.label_nnz, self.used_labels()))
+
+    def to_database(self):
+        """This view's graph as a new, independent ``GraphDatabase``.
+
+        An O(|V| + |E|) export for work off the serving path (a ``swap``
+        base, JSON export, statistics): nodes keep their table order
+        and types, and edges are read back out of the CSR matrices.
+        """
+        database = GraphDatabase(self._schema)
+        for node, node_type in list(self._nodes.items()):
+            database.add_node(node, node_type)
+        ids = self._indexer.ids
+        for label in sorted(self.used_labels()):
+            edges = self.adjacency(label).tocoo()
+            pairs = zip(edges.row.tolist(), edges.col.tolist())
+            database.add_edges_bulk(label, ((ids[u], ids[v]) for u, v in pairs))
+        return database
+
+    # ------------------------------------------------------------------
+    # Adjacency matrices
+    # ------------------------------------------------------------------
     def adjacency(self, label):
         """The CSR adjacency matrix ``A_label`` (entries are 0/1 counts)."""
         matrix = self._cache.get(label)
@@ -390,13 +496,20 @@ class MatrixView:
         return matrix
 
     def _build(self, label):
+        database = self._database
+        if database is None:
+            # Detached: every used label was built before the database
+            # was dropped, so an unbuilt label has no edges.
+            if label not in self._schema:
+                raise UnknownLabelError(label, self._schema.labels)
+            return self.zeros()
         # Each array is filled by one C-level ``map`` over the label's
         # {source: targets} dict, so no bytecode runs per source or per
         # edge.  Keys, degrees and the chained target sets all follow
         # the dict's one iteration order, which is what lets
         # ``np.repeat`` pair every target with its source.  An id the
         # (shared) indexer lacks maps to -1 and is masked out.
-        adjacency = self._database.adjacency_lists(label).mapping
+        adjacency = database.adjacency_lists(label).mapping
         position = self._indexer._index.get
         degrees = np.fromiter(
             map(len, adjacency.values()), dtype=np.intp, count=len(adjacency)
@@ -422,39 +535,57 @@ class MatrixView:
         matrix.sum_duplicates()
         return matrix
 
-    def fork(self, database):
-        """A new view over ``database`` inheriting this view's caches.
+    # ------------------------------------------------------------------
+    # Writes
+    # ------------------------------------------------------------------
+    def detach(self):
+        """Make this view the whole graph it serves; returns ``self``.
 
-        The incremental-update idiom: fork the serving view onto a
-        private copy of its database, then :meth:`apply_delta` *on the
-        fork* — the original view (and every matrix object it handed
-        out) keeps serving the old snapshot untouched, because cached
-        matrices are never mutated, only replaced.  The indexer is
-        shared until the fork's ``apply_delta`` extends it.
+        Builds every used label, copies the node table and drops the
+        database: later writes to that database no longer reach the
+        view, and the view never writes to it.  Idempotent.
         """
-        clone = MatrixView.__new__(MatrixView)
-        clone._database = database
-        clone._indexer = self._indexer
+        with self._lock:
+            if self._database is not None:
+                for label in self._database.used_labels():
+                    self.adjacency(label)
+                self._nodes = dict(self._nodes)
+                self._database = None
+        return self
+
+    def fork(self):
+        """A detached copy of this view that shares its buffers.
+
+        The incremental-update idiom: fork the serving view, then
+        :meth:`apply_delta` *on the fork* — the original view (and every
+        matrix object it handed out) keeps serving the old version
+        untouched, because cached matrices, the node table and the
+        indexer are never mutated, only replaced.
+        """
+        clone = copy.copy(self)
         clone._lock = threading.RLock()
         clone._cache = dict(self._cache)
         clone._candidates = dict(self._candidates)
-        clone._candidate_node_count = self._candidate_node_count
-        return clone
+        return clone.detach()
 
     def apply_delta(self, edges_added=(), edges_removed=(), nodes_added=()):
-        """Apply an edge/node delta to the database *and* this view, in place.
+        """Apply an edge/node delta to this view, in place.
 
-        The batch is validated and applied through
-        :meth:`~repro.graph.database.GraphDatabase.apply_delta` (a
-        failing delta raises with database and view untouched), then the
-        view patches itself instead of going stale:
+        The batch is validated by
+        :func:`~repro.graph.database.plan_delta`, the routine
+        :meth:`GraphDatabase.apply_delta
+        <repro.graph.database.GraphDatabase.apply_delta>` uses (a
+        failing delta raises with the view untouched).  The view then
+        detaches (:meth:`detach`) and patches itself; no database is
+        written:
 
+        * the node table and, when nodes were added, the indexer are
+          *replaced* by extended copies (the old objects stay frozen
+          for old readers and for forks that share them);
         * cached adjacencies get a sparse ``+1/-1`` patch per touched
           label (a new CSR object replaces the cache entry — anyone
-          holding the old matrix keeps a consistent old snapshot);
-        * when nodes were added, the indexer is *replaced* by an
-          extended copy (the old indexer object stays frozen for old
-          readers) and every cached matrix is resized;
+          holding the old matrix keeps a consistent old snapshot), and
+          every cached matrix is resized to the new node count;
         * candidate indexes are invalidated **scoped to affected
           types**: only the types of genuinely new nodes (plus the
           untyped "all nodes" list) are dropped; edge-only deltas leave
@@ -464,28 +595,24 @@ class MatrixView:
         new shape — the input the engine's ``apply_delta`` propagates
         through cached commuting matrices.
         """
-        nodes_added = [
-            entry if isinstance(entry, tuple) else (entry, None)
-            for entry in nodes_added
-        ]
-        added, removed, new_nodes = self._database.apply_delta(
-            edges_added=edges_added,
-            edges_removed=edges_removed,
-            nodes_added=nodes_added,
+        added, removed, new_nodes, types = plan_delta(
+            self, edges_added, edges_removed, nodes_added
         )
         with self._lock:
+            self.detach()
             old_n = len(self._indexer)
+            if new_nodes or types:  # replaced, never mutated: forks share it
+                self._nodes = {**self._nodes, **dict.fromkeys(new_nodes), **types}
             if new_nodes:
                 self._indexer = self._indexer.extended(new_nodes)
             n = len(self._indexer)
             entries = {}
-            for (source, label, target), sign in [
-                (edge, -1.0) for edge in removed
-            ] + [(edge, 1.0) for edge in added]:
-                rows, cols, vals = entries.setdefault(label, ([], [], []))
-                rows.append(self._indexer.index_of(source))
-                cols.append(self._indexer.index_of(target))
-                vals.append(sign)
+            for edges, sign in ((removed, -1.0), (added, 1.0)):
+                for source, label, target in edges:
+                    rows, cols, vals = entries.setdefault(label, ([], [], []))
+                    rows.append(self._indexer.index_of(source))
+                    cols.append(self._indexer.index_of(target))
+                    vals.append(sign)
             patches = {}
             for label, (rows, cols, vals) in entries.items():
                 patch = sp.csr_matrix(
@@ -497,6 +624,7 @@ class MatrixView:
                 patch.eliminate_zeros()
                 if patch.nnz:
                     patches[label] = patch
+                    self.adjacency(label)  # a label's first edge patches zeros
             for label, matrix in list(self._cache.items()):
                 patched = resized(matrix, n)
                 patch = patches.get(label)
@@ -510,18 +638,14 @@ class MatrixView:
             # joins that type's candidate list without changing the
             # node count.  The "all nodes" list only changes when
             # membership does.
-            affected = {self._database.node_type(node) for node in new_nodes}
-            affected.update(
-                node_type
-                for _, node_type in nodes_added
-                if node_type is not None
-            )
+            affected = {self._nodes[node] for node in new_nodes}
+            affected.update(types.values())
             for node_type in affected:
                 self._candidates.pop(("type", node_type), None)
             if new_nodes:
                 self._candidates.pop(("all",), None)
-                self._candidate_node_count = self._database.num_nodes()
-            return ViewDelta(patches, old_n, n, new_nodes)
+                self._candidate_node_count = len(self._nodes)
+            return ViewDelta(patches, old_n, n, added, removed, new_nodes)
 
     def candidate_index(self, node_type=None):
         """Cached ``(nodes, columns)`` answer-candidate arrays for a type.
@@ -537,24 +661,25 @@ class MatrixView:
         A node of the requested type that is missing from the indexer
         raises :class:`~repro.exceptions.UnknownNodeError`: scoring a
         candidate the snapshot does not cover is an error, not a zero
-        score.  The cache revalidates against the database's node count
-        on every call, so a node added after the view was built raises
-        the same error whether or not the index was already warm (no
-        silently stale candidate list).  Other mutations — edge changes,
-        retyping an existing node — follow the view's general snapshot
-        rule: build a fresh view after mutating.
+        score.  The cache revalidates against the node table's size on
+        every call, so a node added to a lazy view's database after the
+        view was built raises the same error whether or not the index
+        was already warm (no silently stale candidate list).  Other
+        mutations of that database — edge changes, retyping an existing
+        node — follow the view's general snapshot rule: build a fresh
+        view after mutating.
         """
         with self._lock:
-            if self._database.num_nodes() != self._candidate_node_count:
+            if len(self._nodes) != self._candidate_node_count:
                 self._candidates.clear()
-                self._candidate_node_count = self._database.num_nodes()
+                self._candidate_node_count = len(self._nodes)
             key = ("type", node_type) if node_type is not None else ("all",)
             cached = self._candidates.get(key)
             if cached is None:
                 if node_type is None:
-                    eligible = list(self._database.nodes())
+                    eligible = list(self._nodes)
                 else:
-                    eligible = self._database.nodes_of_type(node_type)
+                    eligible = self.nodes_of_type(node_type)
                 eligible.sort(key=str)
                 columns = np.array(
                     [self._indexer.index_of(node) for node in eligible],
@@ -598,7 +723,7 @@ class MatrixView:
             heterogeneous graphs conventionally walk edges both ways.
         """
         if labels is None:
-            labels = sorted(self._database.used_labels())
+            labels = sorted(self.used_labels())
         total = self.zeros()
         for label in labels:
             total = total + self.adjacency(label)

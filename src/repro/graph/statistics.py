@@ -1,6 +1,6 @@
 """Descriptive statistics of a graph database.
 
-Used by the examples, the CLI, and EXPERIMENTS.md to report dataset
+Used by the examples and the CLI (``repro stats``) to report dataset
 shapes the way the paper does ("DBLP consists of 1,227,602 nodes and
 2,692,679 edges ...") plus the degree-distribution facts that matter for
 degree-weighted query sampling.

@@ -129,7 +129,7 @@ class _Resolver:
             if node.split_at is None:
                 order_chain(
                     node,
-                    lambda label: self._view.adjacency(label).nnz,
+                    self._view.label_nnz,
                     self._n,
                     self._compiler,
                 )

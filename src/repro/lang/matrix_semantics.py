@@ -100,27 +100,6 @@ class PlanEntry(namedtuple("PlanEntry", "matrix norms diagonal bytes")):
         return PlanEntry.of(self.matrix, **vectors)
 
 
-class ViewStats:
-    """Adapter feeding graph statistics to the pattern type checker.
-
-    The checker only needs node and per-label edge counts; routing them
-    through the view reuses the adjacency cache the engine needs for
-    evaluation anyway, so density warnings cost one ``nnz`` lookup per
-    leaf.
-    """
-
-    __slots__ = ("_view",)
-
-    def __init__(self, view):
-        self._view = view
-
-    def num_nodes(self):
-        return self._view.num_nodes()
-
-    def label_nnz(self, label):
-        return self._view.adjacency(label).nnz
-
-
 def star_sum(identity, base, max_depth, origin):
     """``I + M + M^2 + ...`` with the divergence bound.
 
@@ -268,7 +247,7 @@ class CommutingMatrixEngine:
         # nonsensical ranking.  Untyped schemas (no node_types) only
         # ever reject unknown labels.
         self._checker = PatternTypeChecker(
-            self._view.database.schema, stats=ViewStats(self._view)
+            self._view.schema, stats=self._view
         )
         self._compiler = PlanCompiler(checker=self._checker)
         self._lock = threading.RLock()
@@ -316,7 +295,7 @@ class CommutingMatrixEngine:
             return False
         n = self._view.num_nodes()
         estimated = sum(
-            estimate_bytes(plan, self._leaf_nnz, n)
+            estimate_bytes(plan, self._view.label_nnz, n)
             for plan in dict.fromkeys(plans)
         )
         return estimated > self._memory_budget
@@ -381,15 +360,17 @@ class CommutingMatrixEngine:
     # ------------------------------------------------------------------
     # Incremental delta maintenance
     # ------------------------------------------------------------------
-    def fork(self, database):
-        """A new engine over ``database`` inheriting this engine's caches.
+    def fork(self):
+        """A new engine over a fork of this view, inheriting the caches.
 
-        The incremental-serving idiom: fork the serving engine onto a
-        private copy of its database, :meth:`apply_delta` on the fork,
-        and publish the fork as the new snapshot — the original engine
-        (and every matrix it handed out) keeps serving the old snapshot
-        untouched, because cached matrices are shared but never mutated,
-        only replaced in the fork's own cache.
+        The incremental-serving idiom: fork the serving engine,
+        :meth:`apply_delta` on the fork, and publish the fork as the new
+        snapshot — the original engine (and every matrix it handed out)
+        keeps serving the old snapshot untouched, because cached
+        matrices are shared but never mutated, only replaced in the
+        fork's own cache.  The fork's view is detached
+        (:meth:`MatrixView.fork <repro.graph.matrices.MatrixView.fork>`):
+        it holds the whole graph, and no database is copied.
 
         The plan compiler is shared (canonical plan nodes keep keying
         both engines' caches — that sharing is what lets the fork patch
@@ -397,7 +378,7 @@ class CommutingMatrixEngine:
         star bound, and hit/miss counters.
         """
         clone = CommutingMatrixEngine.__new__(CommutingMatrixEngine)
-        clone._view = self._view.fork(database)
+        clone._view = self._view.fork()
         clone._default_star_depth = self._default_star_depth
         clone._max_star_depth = self._max_star_depth
         clone._memory_budget = self._memory_budget
@@ -422,9 +403,10 @@ class CommutingMatrixEngine:
     def apply_delta(self, edges_added=(), edges_removed=(), nodes_added=()):
         """Apply an edge/node delta and maintain every cached matrix, in place.
 
-        The delta is validated and applied to the database and the
-        matrix view (:meth:`MatrixView.apply_delta` — a failing delta
-        raises with everything untouched), then the per-label adjacency
+        The delta is validated and applied to the matrix view
+        (:meth:`MatrixView.apply_delta`, which detaches a view still
+        over a database and never writes to it — a failing delta raises
+        with everything untouched), then the per-label adjacency
         patches ``ΔA`` are propagated through the cached records by
         :func:`repro.lang.delta.propagate`: a chain's change is
         ``ΔL·R_new + L_old·ΔR``, each shared sub-plan is resolved once,
@@ -579,13 +561,10 @@ class CommutingMatrixEngine:
             raise TypeError("unhandled plan node kind {!r}".format(kind))
         return canonical(result)
 
-    def _leaf_nnz(self, label):
-        return self._view.adjacency(label).nnz
-
     def _ensure_ordered(self, node):
         if node.split_at is None:
             order_chain(
-                node, self._leaf_nnz, self._view.num_nodes(), self._compiler
+                node, self._view.label_nnz, self._view.num_nodes(), self._compiler
             )
 
     def _chunk_budget(self):
@@ -617,7 +596,7 @@ class CommutingMatrixEngine:
             with self._lock:
                 if sub in self._cache:
                     continue
-            if estimate_bytes(sub, self._leaf_nnz, n) > threshold:
+            if estimate_bytes(sub, self._view.label_nnz, n) > threshold:
                 return True
             self._ensure_ordered(sub)
             stack.append(sub.left)
@@ -723,7 +702,7 @@ class CommutingMatrixEngine:
         evict each matrix as the next is built.
         """
         if labels is None:
-            labels = sorted(self._view.database.used_labels())
+            labels = sorted(self._view.used_labels())
         steps = [(name, False) for name in labels]
         steps += [(name, True) for name in labels]
         patterns = [
@@ -743,7 +722,7 @@ class CommutingMatrixEngine:
         if self._memory_budget is not None:
             n = self._view.num_nodes()
             estimated = sum(
-                estimate_bytes(self.compile(pattern), self._leaf_nnz, n)
+                estimate_bytes(self.compile(pattern), self._view.label_nnz, n)
                 for pattern in patterns
             )
             if estimated > self._memory_budget:
@@ -932,7 +911,7 @@ class CommutingMatrixEngine:
             lines.append("[{}] pattern:   {}".format(position, pattern))
             lines.append("    canonical: {}".format(plan))
             lines.append("    order:     {}".format(render_order(plan)))
-            estimate = estimate_nnz(plan, self._leaf_nnz, n)
+            estimate = estimate_nnz(plan, self._view.label_nnz, n)
             cost = plan.est_cost if plan.kind == "chain" else None
             lines.append(
                 "    est nnz ~ {:.0f}{}".format(
@@ -953,7 +932,7 @@ class CommutingMatrixEngine:
                     "    {}   (in {} patterns, est nnz ~ {:.0f})".format(
                         node,
                         usage[node],
-                        estimate_nnz(node, self._leaf_nnz, n),
+                        estimate_nnz(node, self._view.label_nnz, n),
                     )
                 )
         return "\n".join(lines)

@@ -12,8 +12,10 @@ package is what turns it into a deployable service:
   concurrent top-k requests for one prepared query into a single
   ``run_many`` call;
 * :mod:`repro.server.snapshot` — save/load of a full serving snapshot
-  (database + materialized commuting matrices + derived vectors) so a
-  restarted server warm-starts from disk instead of recomputing;
+  (format 3: the graph as schema, node table and per-label CSR, plus
+  the materialized commuting matrices and derived vectors; no
+  database) so a restarted server warm-starts from disk with
+  ``np.load`` plus a cache preload instead of recomputing;
 * :mod:`repro.server.protocol` — the JSON wire format and the mapping
   from library exceptions to HTTP statuses.
 """

@@ -105,10 +105,10 @@ class ReproServer:
         Bound on concurrent ``/subscribe`` SSE streams (each pins a
         connection and a live subscription); excess gets 503.
     threads:
-        Worker threads for similarity execution.
+        Worker threads for similarity execution (at least 1).
     snapshot_path:
         When set, the service checkpoints to this file after every
-        successful apply/swap (atomic replace).
+        successful apply/swap (an fsynced, atomic replace).
     """
 
     def __init__(
@@ -132,6 +132,10 @@ class ReproServer:
         if max_subscribers < 0:
             raise ConfigurationError(
                 "max_subscribers must be >= 0, got {}".format(max_subscribers)
+            )
+        if threads < 1:
+            raise ConfigurationError(
+                "threads must be >= 1, got {}".format(threads)
             )
         self.service = service
         self.prepared = prepared

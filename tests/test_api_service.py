@@ -14,9 +14,10 @@ from repro.exceptions import (
     NodeTypeConflictError,
     UnknownEdgeError,
 )
-from repro.graph import matrices
+from repro.graph import GraphDatabase, matrices
 from repro.lang import CommutingMatrixEngine, parse_pattern
 from repro.patterns.generator import generate_patterns
+from repro.server import load_service, save_snapshot
 
 PATTERN = "r-a-.p-in.p-in-.r-a"
 QUERIES = ("DataMining", "Databases", "SoftwareEngineering")
@@ -39,12 +40,62 @@ def _expected(database, top_k=10):
 # ----------------------------------------------------------------------
 def test_service_versions_and_snapshot_copy(fig1):
     service = SimilarityService(fig1)
+    prepared = service.prepare(algorithm="relsim", pattern=PATTERN, top_k=10)
+    before = {q: prepared.run(q).items() for q in QUERIES}
     assert service.version == 1
     assert service.database is not fig1
     assert service.database.same_content(fig1)
     # Mutating the caller's database never touches the snapshot.
     fig1.add_edge("LeakMining", "p-in", "SIGKDD")
+    fig1.add_edge(*DELTA_EDGE)
     assert not service.database.has_node("LeakMining")
+    assert not service.database.has_edge(*DELTA_EDGE)
+    assert {q: prepared.run(q).items() for q in QUERIES} == before
+
+
+def _held_databases(session):
+    """GraphDatabase objects a session, its engine or its view holds."""
+    return [
+        value
+        for owner in (session, session.engine, session.view)
+        for value in vars(owner).values()
+        if isinstance(value, GraphDatabase)
+    ]
+
+
+def test_served_versions_hold_no_database(fig1, tmp_path):
+    service = SimilarityService(fig1)
+    assert not _held_databases(service.session)
+    service.apply(edges_added=[DELTA_EDGE])
+    assert not _held_databases(service.session)
+    service.swap(figure1_dblp())
+    assert not _held_databases(service.session)
+    path = str(tmp_path / "serving.npz")
+    save_snapshot(path, service)
+    warm, _ = load_service(path)
+    assert not _held_databases(warm.session)
+
+
+def test_apply_and_swap_never_copy_a_database(fig1, monkeypatch):
+    def refuse(self, schema=None):
+        raise AssertionError("GraphDatabase.copy on the serving path")
+
+    reference = fig1.copy()
+    monkeypatch.setattr(GraphDatabase, "copy", refuse)
+    service = SimilarityService(fig1)
+    prepared = service.prepare(algorithm="relsim", pattern=PATTERN, top_k=10)
+    for delta in (
+        {"edges_added": [DELTA_EDGE]},
+        {"edges_removed": [DELTA_EDGE], "nodes_added": [("New", "area")]},
+    ):
+        service.apply(**delta)
+        reference.apply_delta(**delta)
+    assert service.database.same_content(reference)
+    service.swap(reference)
+    monkeypatch.undo()
+    assert {q: prepared.run(q).items() for q in QUERIES} == _expected(
+        reference
+    )
 
 
 def test_service_prepare_and_run(fig1):
@@ -117,14 +168,16 @@ def test_swap_whole_database(fig1):
     replacement = figure1_dblp()
     replacement.add_edge("ExtraMining", "r-a", "SoftwareEngineering")
     replacement.add_edge("ExtraMining", "p-in", "VLDB")
+    reference = replacement.copy()
     version = service.swap(replacement)
     assert version == 2
     assert service.database.has_node("ExtraMining")
-    # The service copied: mutating the caller's replacement afterwards
+    # The service detached: mutating the caller's replacement afterwards
     # does not leak into the serving snapshot.
     replacement.add_edge("LaterMining", "p-in", "VLDB")
     assert not service.database.has_node("LaterMining")
-    expected = _expected(service.database, top_k=5)
+    assert service.database.same_content(reference)
+    expected = _expected(reference, top_k=5)
     for query, items in expected.items():
         assert prepared.run(query).items() == items
 
@@ -237,15 +290,19 @@ def test_bulk_apply_patches_and_prunes_disjoint_subscriptions():
     removed, added = present[::2], absent[:25]
     assert len(removed) + len(added) == 66
     service.apply(edges_added=added, edges_removed=removed)
+    # The service never writes the caller's database: it stays the
+    # independent reference, written here with the same delta.
+    database.apply_delta(edges_added=added, edges_removed=removed)
+    assert service.database.same_content(database)
 
     stats = service.delta_stats
     assert stats["last_path"] == "incremental"
     assert (stats["incremental_applies"], stats["full_rebuilds"]) == (1, 0)
     assert stats["invalidated"] > 0  # too dense to patch: recomputed
-    fresh = SimilaritySession(service.database).prepare(
+    fresh = SimilaritySession(database).prepare(
         algorithm="relsim", pattern=PATTERN, top_k=10
     )
-    areas = sorted(service.database.nodes_of_type("area"))
+    areas = sorted(database.nodes_of_type("area"))
     assert all(fresh.run(area).items() for area in areas)
     for area in areas:
         assert prepared.run(area).items() == fresh.run(area).items()
@@ -285,7 +342,7 @@ def test_prepared_handles_survive_apply_cycles_with_gc(fig1):
             else {"edges_removed": [DELTA_EDGE]}
         )
         if cycle % 3 == 2:
-            replacement = service.database.copy()
+            replacement = service.database  # an export the test owns
             replacement.apply_delta(**delta)
             service.swap(replacement)
         else:

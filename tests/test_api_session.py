@@ -13,6 +13,7 @@ from repro.api import (
 from repro.core import RelSim
 from repro.eval import RobustnessExperiment, time_queries
 from repro.exceptions import EvaluationError, RegistryError
+from repro.graph import GraphDatabase
 from repro.lang import parse_pattern
 from repro.similarity import PathSim, SimilarityAlgorithm
 from repro.transform import dblp2sigm, map_pattern
@@ -68,6 +69,20 @@ def test_register_rejects_non_algorithm_class():
         register_algorithm("not-an-algorithm", dict)
     with pytest.raises(RegistryError):
         register_algorithm("", RelSim)
+
+
+def test_session_over_a_database_builds_no_label_matrix(fig1, monkeypatch):
+    # Sessions read a caller's database through a lazy view: building
+    # one, and reading node types through it, touches no adjacency.
+    def refuse(self, label):
+        raise AssertionError("label {!r} was built".format(label))
+
+    monkeypatch.setattr(GraphDatabase, "adjacency_lists", refuse)
+    session = SimilaritySession(fig1)
+    assert session.view.node_type("DataMining") == "area"
+    assert session.view.nodes_of_type("area") == fig1.nodes_of_type("area")
+    monkeypatch.undo()
+    assert session.view.num_edges() == fig1.num_edges()
 
 
 def test_register_and_unregister_custom_algorithm(fig1):

@@ -482,6 +482,16 @@ def test_serve_validates_algorithm_flags(dblp_json, capsys):
     assert "does not take --pattern" in capsys.readouterr().err
 
 
+def test_serve_refuses_zero_threads(dblp_json, capsys):
+    # Refused while the server is constructed, before any socket binds.
+    code, _ = run_cli(
+        ["serve", dblp_json, "--pattern", "r-a-.r-a", "--threads", "0",
+         "--port", "0"]
+    )
+    assert code == 2
+    assert "error: threads must be >= 1" in capsys.readouterr().err
+
+
 def test_check_clean_pattern(dblp_json):
     code, output = run_cli(
         ["check", dblp_json, "--pattern", "r-a-.r-a"]

@@ -20,6 +20,7 @@ from repro.exceptions import (
     UnknownEdgeError,
     UnknownLabelError,
 )
+from repro.graph import GraphDatabase, Schema
 from repro.graph.matrices import MatrixView, resized
 from repro.lang.matrix_semantics import CommutingMatrixEngine, PlanEntry
 from repro.lang.parser import parse_pattern
@@ -61,6 +62,39 @@ def _structurally_equal(a, b):
     )
 
 
+def _apply_both(target, database, **delta):
+    """``target.apply_delta(**delta)``, then the same on ``database``.
+
+    Views and engines never write their database, so a test keeps
+    ``database`` as its reference by applying each delta to it too —
+    after the target, whose lazy view validates against the database's
+    live node table before detaching from it.
+    """
+    result = target.apply_delta(**delta)
+    database.apply_delta(**delta)
+    return result
+
+
+def _graphs(database):
+    """The database and a lazy view over a copy: one validator, two graphs."""
+    return [database, MatrixView(database.copy())]
+
+
+def _apply(graph, **delta):
+    """``graph.apply_delta`` as ``(added, removed, new_nodes)``."""
+    report = graph.apply_delta(**delta)
+    if isinstance(graph, MatrixView):
+        return report.added, report.removed, report.added_nodes
+    return report
+
+
+def _content(graph):
+    """``(nodes, edges)`` of a database or of a view's export."""
+    if isinstance(graph, MatrixView):
+        graph = graph.to_database()
+    return set(graph.nodes()), graph.edge_set()
+
+
 def _some_missing_edge(database, label, sources, targets):
     for source in sources:
         for target in targets:
@@ -70,31 +104,31 @@ def _some_missing_edge(database, label, sources, targets):
 
 
 # ----------------------------------------------------------------------
-# GraphDatabase.apply_delta
+# GraphDatabase.apply_delta and MatrixView.apply_delta share plan_delta:
+# each case runs on the database and on a view, with the same outcome.
 # ----------------------------------------------------------------------
 def test_database_apply_delta_validates_before_mutating(dblp):
     present = sorted(dblp.edges("p-in"))[0]
-    edges_before = dblp.edge_set()
-    nodes_before = set(dblp.nodes())
-    # Unknown label in additions: nothing applied.
-    with pytest.raises(UnknownLabelError):
-        dblp.apply_delta(
-            edges_added=[("a", "no-such-label", "b")],
-            edges_removed=[present],
-        )
-    # Absent (and doubly-removed) edges: nothing applied.
-    with pytest.raises(UnknownEdgeError):
-        dblp.apply_delta(
-            edges_added=[("x", "p-in", "y")],
-            edges_removed=[("ghost", "p-in", "nowhere")],
-        )
-    with pytest.raises(UnknownEdgeError):
-        dblp.apply_delta(edges_removed=[present, present])
-    # Node-type conflicts: nothing applied.
-    with pytest.raises(NodeTypeConflictError):
-        dblp.apply_delta(nodes_added=[(present[0], "area")])
-    assert dblp.edge_set() == edges_before
-    assert set(dblp.nodes()) == nodes_before
+    for graph in _graphs(dblp):
+        before = _content(graph)
+        # Unknown label in additions: nothing applied.
+        with pytest.raises(UnknownLabelError):
+            graph.apply_delta(
+                edges_added=[("a", "no-such-label", "b")],
+                edges_removed=[present],
+            )
+        # Absent (and doubly-removed) edges: nothing applied.
+        with pytest.raises(UnknownEdgeError):
+            graph.apply_delta(
+                edges_added=[("x", "p-in", "y")],
+                edges_removed=[("ghost", "p-in", "nowhere")],
+            )
+        with pytest.raises(UnknownEdgeError):
+            graph.apply_delta(edges_removed=[present, present])
+        # Node-type conflicts: nothing applied.
+        with pytest.raises(NodeTypeConflictError):
+            graph.apply_delta(nodes_added=[(present[0], "area")])
+        assert _content(graph) == before
 
 
 def test_database_apply_delta_reports_effective_changes(dblp):
@@ -102,43 +136,48 @@ def test_database_apply_delta_reports_effective_changes(dblp):
     procs = dblp.nodes_of_type("proc")
     present = sorted(dblp.edges("p-in"))[0]
     missing = _some_missing_edge(dblp, "p-in", papers, procs)
-    added, removed, new_nodes = dblp.apply_delta(
-        # A present edge is a set-semantics no-op and not reported; an
-        # edge with fresh endpoints reports the endpoints as new nodes.
-        edges_added=[missing, sorted(dblp.edges("w"))[0],
-                     ("fresh:paper", "p-in", procs[0])],
-        edges_removed=[present],
-        nodes_added=["loose", ("typed", "proc")],
-    )
-    assert added == [missing, ("fresh:paper", "p-in", procs[0])]
-    assert removed == [present]
-    assert new_nodes == ["loose", "typed", "fresh:paper"]
-    assert not dblp.has_edge(*present)
-    assert dblp.has_edge(*missing)
-    assert dblp.node_type("typed") == "proc"
-    # Removing and re-adding in one batch nets out.
-    added, removed, _ = dblp.apply_delta(
-        edges_added=[missing], edges_removed=[missing]
-    )
-    assert added == [missing] and removed == [missing]
-    assert dblp.has_edge(*missing)
+    for graph in _graphs(dblp):
+        added, removed, new_nodes = _apply(
+            graph,
+            # A present edge is a set-semantics no-op and not reported;
+            # an edge with fresh endpoints reports them as new nodes.
+            edges_added=[missing, sorted(dblp.edges("w"))[0],
+                         ("fresh:paper", "p-in", procs[0])],
+            edges_removed=[present],
+            nodes_added=["loose", ("typed", "proc")],
+        )
+        assert added == [missing, ("fresh:paper", "p-in", procs[0])]
+        assert removed == [present]
+        assert new_nodes == ["loose", "typed", "fresh:paper"]
+        assert not graph.has_edge(*present)
+        assert graph.has_edge(*missing)
+        assert graph.node_type("typed") == "proc"
+        # Removing and re-adding in one batch nets out.
+        added, removed, _ = _apply(
+            graph, edges_added=[missing], edges_removed=[missing]
+        )
+        assert added == [missing] and removed == [missing]
+        assert graph.has_edge(*missing)
+
+
+def test_database_apply_delta_self_loop_on_new_node_reported_once(dblp):
+    for graph in _graphs(dblp):
+        added, _, new_nodes = _apply(
+            graph, edges_added=[("loop:new", "w", "loop:new")]
+        )
+        assert added == [("loop:new", "w", "loop:new")]
+        assert new_nodes == ["loop:new"]
 
 
 # ----------------------------------------------------------------------
 # MatrixView.apply_delta
 # ----------------------------------------------------------------------
-def test_database_apply_delta_self_loop_on_new_node_reported_once(dblp):
-    added, _, new_nodes = dblp.apply_delta(
-        edges_added=[("loop:new", "w", "loop:new")]
-    )
-    assert added == [("loop:new", "w", "loop:new")]
-    assert new_nodes == ["loop:new"]
-
-
 def test_view_apply_delta_self_loop_on_new_node(dblp):
     view = MatrixView(dblp)
     view.adjacency("w")
-    delta = view.apply_delta(edges_added=[("loop:new", "w", "loop:new")])
+    delta = _apply_both(
+        view, dblp, edges_added=[("loop:new", "w", "loop:new")]
+    )
     assert delta.added_nodes == ["loop:new"]
     fresh = MatrixView(dblp)
     assert view.indexer.ids == fresh.indexer.ids
@@ -153,7 +192,9 @@ def test_view_apply_delta_matches_fresh_adjacency(dblp):
     missing = _some_missing_edge(
         dblp, "r-a", dblp.nodes_of_type("paper"), dblp.nodes_of_type("area")
     )
-    delta = view.apply_delta(
+    delta = _apply_both(
+        view,
+        dblp,
         edges_added=[missing, ("new:paper", "p-in", present[2])],
         edges_removed=[present],
     )
@@ -162,6 +203,23 @@ def test_view_apply_delta_matches_fresh_adjacency(dblp):
     fresh = MatrixView(dblp)
     assert view.indexer.ids == fresh.indexer.ids
     for label in ("w", "p-in", "r-a"):
+        assert _structurally_equal(
+            view.adjacency(label), fresh.adjacency(label)
+        )
+
+
+def test_detached_view_patches_the_first_edge_of_an_unused_label():
+    # A detached view has no database to build an unused label from:
+    # its first edge patches an empty matrix, as a fresh build reads it.
+    # The edge's new endpoint keeps validation from building the label.
+    database = GraphDatabase(Schema(["a", "b"]))
+    database.add_edges([(1, "a", 2), (2, "a", 3)])
+    view = MatrixView(database).detach()
+    delta = _apply_both(view, database, edges_added=[(3, "b", 4)])
+    assert sorted(delta.patches) == ["b"] and delta.added_nodes == [4]
+    assert view.used_labels() == {"a", "b"} and view.has_edge(3, "b", 4)
+    fresh = MatrixView(database)
+    for label in ("a", "b"):
         assert _structurally_equal(
             view.adjacency(label), fresh.adjacency(label)
         )
@@ -194,7 +252,7 @@ def test_view_retyping_untyped_node_invalidates_new_types_candidates(dblp):
     assert "untyped:0" not in proc_index[0]
     # Upgrading the untyped node to "proc" changes no node count, but
     # it joins the proc candidate list — the list must be rebuilt.
-    view.apply_delta(nodes_added=[("untyped:0", "proc")])
+    _apply_both(view, dblp, nodes_added=[("untyped:0", "proc")])
     assert "untyped:0" in view.candidate_index("proc")[0]
     assert view.candidate_index("paper") is paper_index  # still scoped
     fresh = MatrixView(dblp)
@@ -204,13 +262,12 @@ def test_view_retyping_untyped_node_invalidates_new_types_candidates(dblp):
 def test_view_fork_isolates_the_original(dblp):
     view = MatrixView(dblp)
     original = view.adjacency("p-in")
-    forked_db = dblp.copy()
-    fork = view.fork(forked_db)
+    fork = view.fork()
     edge = sorted(dblp.edges("p-in"))[0]
     fork.apply_delta(edges_removed=[edge])
     assert view.adjacency("p-in") is original  # untouched, same object
-    assert dblp.has_edge(*edge)
-    assert not forked_db.has_edge(*edge)
+    assert dblp.has_edge(*edge) and view.has_edge(*edge)
+    assert not fork.has_edge(*edge)
     assert fork.adjacency("p-in").nnz == original.nnz - 1
 
 
@@ -234,7 +291,9 @@ def test_engine_apply_delta_matches_fresh_engine(dblp):
         dblp, "r-a", dblp.nodes_of_type("paper"), dblp.nodes_of_type("area")
     )
     entries = engine.cache_size()
-    stats = engine.apply_delta(
+    stats = _apply_both(
+        engine,
+        dblp,
         edges_added=[missing, ("new:paper", "p-in", present[2])],
         edges_removed=[present],
         nodes_added=[("new:proc", "proc")],
@@ -255,7 +314,10 @@ def test_engine_apply_delta_matches_fresh_engine(dblp):
 
 
 def _mixed_delta(engine, database):
-    """Apply a delta that removes and adds edges and adds a node."""
+    """Apply a delta that removes and adds edges and adds a node.
+
+    Applied to ``engine`` and to its reference ``database``.
+    """
     present = sorted(database.edges("p-in"))[0]
     missing = _some_missing_edge(
         database,
@@ -263,7 +325,9 @@ def _mixed_delta(engine, database):
         database.nodes_of_type("author"),
         database.nodes_of_type("paper"),
     )
-    return engine.apply_delta(
+    return _apply_both(
+        engine,
+        database,
         edges_added=[missing, ("new:paper", "p-in", present[2])],
         edges_removed=[present],
     )
@@ -283,11 +347,12 @@ def _assert_matches_fresh_engine(engine, database, patterns):
 def test_engine_delta_after_preload_matches_fresh_engine(dblp):
     # Preloaded chains were never ordered; the pass orders them.
     engine, patterns = _loaded_engine(dblp)
-    target = CommutingMatrixEngine(dblp.copy())
+    database = dblp.copy()
+    target = CommutingMatrixEngine(database)
     target.preload(engine.export_cache())
-    stats = _mixed_delta(target, target.view.database)
+    stats = _mixed_delta(target, database)
     assert stats["patched"] > 0
-    _assert_matches_fresh_engine(target, target.view.database, patterns)
+    _assert_matches_fresh_engine(target, database, patterns)
 
 
 def test_engine_delta_with_evicted_subplans_matches_fresh_engine(dblp):
@@ -332,7 +397,7 @@ def test_engine_zero_threshold_invalidates_then_recomputes_exactly(
     monkeypatch.setattr("repro.lang.delta.DELTA_REBUILD_THRESHOLD", 0.0)
     engine, patterns = _loaded_engine(dblp)
     edge = sorted(dblp.edges("p-in"))[0]
-    stats = engine.apply_delta(edges_removed=[edge])
+    stats = _apply_both(engine, dblp, edges_removed=[edge])
     assert stats["invalidated"] > 0  # every touched product is dropped
     fresh = CommutingMatrixEngine(dblp)
     for pattern in patterns:  # lazily recomputed entries are exact
@@ -366,7 +431,7 @@ def test_engine_star_with_changed_base_is_invalidated_not_stale(dblp):
     authors = dblp.nodes_of_type("author")
     papers = dblp.nodes_of_type("paper")
     missing = _some_missing_edge(dblp, "w", authors, papers)
-    stats = engine.apply_delta(edges_added=[missing])
+    stats = _apply_both(engine, dblp, edges_added=[missing])
     assert stats["invalidated"] >= 1
     assert _structurally_equal(
         engine.matrix(star), CommutingMatrixEngine(dblp).matrix(star)
@@ -379,7 +444,7 @@ def test_engine_fork_leaves_parent_serving_old_snapshot(dblp):
         p: (engine.matrix(p), engine.diagonal(p), engine.column_norms(p))
         for p in patterns
     }
-    fork = engine.fork(dblp.copy())
+    fork = engine.fork()
     edge = sorted(dblp.edges("p-in"))[0]
     fork.apply_delta(edges_removed=[edge])
     for pattern in patterns:
@@ -420,7 +485,7 @@ def test_cache_info_accurate_after_patches_and_invalidations(
 ):
     engine, patterns = _loaded_engine(dblp)
     present = sorted(dblp.edges("p-in"))[0]
-    engine.apply_delta(edges_removed=[present])
+    _apply_both(engine, dblp, edges_removed=[present])
     info = engine.cache_info()
     nnz, size = _expected_accounting(engine)
     assert info["nnz"] == nnz

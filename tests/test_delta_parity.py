@@ -12,10 +12,17 @@ remove-edge / add-node deltas are applied through
 :meth:`SimilarityService.apply`, and after **every** step the rankings
 served by every registered algorithm's live prepared handle must equal
 — item for item, score bit for score bit — those of a fresh
-:class:`SimilaritySession` built on the same database.  Every fifth
+:class:`SimilaritySession` built on the same graph.  Every fifth
 step is a bulk batch that rewrites a third of one label's edges, dense
 enough that the engine drops and lazily recomputes the products it
 touches instead of patching them.
+
+The fresh session is built on an independent reference
+``GraphDatabase``, written with :meth:`GraphDatabase.apply_delta` beside
+every service write (the service never writes a database); the
+service's export, ``service.database``, must equal it but is never its
+own oracle.  The isolation fuzz keeps every published version and
+checks that none of them ever sees a later write.
 
 Tunables (the CI ``delta-fuzz`` job raises them):
 
@@ -25,6 +32,7 @@ Tunables (the CI ``delta-fuzz`` job raises them):
 
 import os
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -138,8 +146,8 @@ def _random_delta(rng, database, step):
 
 
 def _swap_with(service, delta):
-    """``swap`` in a copy of the serving database with ``delta`` applied."""
-    replacement = service.database.copy()
+    """``swap`` in the serving graph's export with ``delta`` applied."""
+    replacement = service.database
     replacement.apply_delta(**delta)
     return service.swap(replacement)
 
@@ -206,21 +214,23 @@ def test_delta_fuzz_incremental_parity_all_algorithms(seed, budgeted):
     service = SimilarityService(database, memory_budget=budget)
     prepared = _prepare_all(service)
 
+    # ``database`` is the reference: the service never writes it.
     for step in range(STEPS):
-        version = service.apply(**_random_delta(rng, service.database, step))
+        delta = _random_delta(rng, database, step)
+        version = service.apply(**delta)
+        database.apply_delta(**delta)
         assert version == step + 2
         assert service.delta_stats["last_path"] == "incremental"
+        assert service.database.same_content(database)
         _assert_cache_canonical(service, step)
 
-        fresh = SimilaritySession(service.database)
+        fresh = SimilaritySession(database)
         fresh_prepared = _prepare_all(fresh)
-        queries = _queries(service.database, rng)
+        queries = _queries(database, rng)
         for (name, options), live, reference in zip(
             SPECS, prepared, fresh_prepared
         ):
-            for query in _expected_queries(
-                options, queries, service.database
-            ):
+            for query in _expected_queries(options, queries, database):
                 live_items = live.run(query).items()
                 reference_items = reference.run(query).items()
                 assert live_items == reference_items, (
@@ -260,13 +270,15 @@ def test_delta_fuzz_subscriptions_track_fresh_rankings():
     subscriptions = [service.subscribe(handle, node) for handle in prepared]
 
     for step in range(STEPS):
-        delta = _random_delta(rng, service.database, step)
+        delta = _random_delta(rng, database, step)
         if step % 2 == 0:
             service.apply(**delta)
         else:
             _swap_with(service, delta)
+        database.apply_delta(**delta)
+        assert service.database.same_content(database)
         _assert_cache_canonical(service, step)
-        fresh = SimilaritySession(service.database)
+        fresh = SimilaritySession(database)
         fresh_prepared = _prepare_all(fresh)
         for (name, _), live, reference in zip(
             SPECS, subscriptions, fresh_prepared
@@ -295,21 +307,118 @@ def test_delta_fuzz_mixed_incremental_and_rebuild_paths():
         top_k=TOP_K,
     )
     for step in range(STEPS):
-        delta = _random_delta(rng, service.database, step)
+        delta = _random_delta(rng, database, step)
         if step % 2 == 0:
             service.apply(**delta)
         else:
             _swap_with(service, delta)
+        database.apply_delta(**delta)
+        assert service.database.same_content(database)
         _assert_cache_canonical(service, step)
-        fresh = SimilaritySession(service.database)
+        fresh = SimilaritySession(database)
         reference = fresh.prepare(
             algorithm="relsim",
             pattern="r-a-.p-in.p-in-.r-a",
             expand={"max_patterns": 8},
             top_k=TOP_K,
         )
-        for query in sorted(service.database.nodes_of_type("area")):
+        for query in sorted(database.nodes_of_type("area")):
             assert prepared.run(query).items() == reference.run(query).items()
     stats = service.delta_stats
     assert stats["incremental_applies"] == (STEPS + 1) // 2
     assert stats["full_rebuilds"] == STEPS // 2
+
+
+def _version_facts(session, probes, query, handle):
+    """What one version reports: the record the isolation fuzz keeps."""
+    view = session.view
+    return {
+        "edges": [view.has_edge(*edge) for edge in probes],
+        "nnz": {label: view.adjacency(label).nnz for label in ENDPOINTS},
+        "num_edges": view.num_edges(),
+        "types": {node: view.node_type(node) for node in view.nodes()},
+        "ranking": handle.run(query).items(),
+    }
+
+
+def test_isolation_fuzz_old_versions_never_see_later_writes():
+    """Every published version keeps reporting what it did when published.
+
+    Random writes run along a chain of versions.  Every published
+    session is kept with a RelSim handle prepared on it (a session
+    handle, which the service never re-binds).  After each write, every
+    kept version must report the edge presence of every edge any write
+    touches, per-label nnz, ``num_edges``, node types and the handle's
+    ranking exactly as at its publication, while a reader thread keeps
+    re-reading version 1 as the newer versions publish.
+    """
+    rng = random.Random(SEED + 41)
+    database = _tiny_dblp(SEED + 41)
+    reference = database.copy()
+    deltas = []
+    for step in range(STEPS):
+        deltas.append(_random_delta(rng, reference, step))
+        reference.apply_delta(**deltas[-1])
+    probes = sorted(
+        {
+            edge
+            for delta in deltas
+            for edge in delta["edges_added"] + delta["edges_removed"]
+        },
+        key=str,
+    )
+    query = sorted(database.nodes_of_type("area"))[0]
+    service = SimilarityService(database)
+    # A live handle, so every write also re-binds and re-warms.
+    service.prepare(algorithm="relsim", pattern=SPECS[0][1]["pattern"])
+
+    def published():
+        session = service.session
+        handle = session.prepare(
+            algorithm="relsim", pattern=SPECS[0][1]["pattern"], top_k=TOP_K
+        )
+        return session, handle, _version_facts(session, probes, query, handle)
+
+    versions = [published()]
+    failures = []
+    reads = []
+    first_read = threading.Event()
+    stop = threading.Event()
+
+    def reader():
+        session, handle, facts = versions[0]
+        try:
+            while not stop.is_set():
+                if _version_facts(session, probes, query, handle) != facts:
+                    failures.append("version 1 changed under its reader")
+                reads.append(1)
+                first_read.set()
+        except Exception as error:  # pragma: no cover - surfaced below
+            failures.append(error)
+            first_read.set()
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    try:
+        assert first_read.wait(timeout=60)
+        for step, delta in enumerate(deltas):
+            service.apply(**delta)
+            versions.append(published())
+            for number, (session, handle, facts) in enumerate(versions, 1):
+                now = _version_facts(session, probes, query, handle)
+                assert now == facts, (
+                    "step {}: version {} saw a later write".format(
+                        step, number
+                    )
+                )
+    finally:
+        stop.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert not failures, failures[:3]
+    assert reads
+    assert service.database.same_content(reference)
+    fresh = SimilaritySession(reference).prepare(
+        algorithm="relsim", pattern=SPECS[0][1]["pattern"], top_k=TOP_K
+    )
+    assert versions[-1][2]["ranking"] == fresh.run(query).items()

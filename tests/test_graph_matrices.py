@@ -170,9 +170,9 @@ def _reference_build(database, indexer, label):
     return matrix
 
 
-def _assert_matches_reference(view, label):
+def _assert_matches_reference(view, database, label):
     built = view.adjacency(label)
-    expected = _reference_build(view.database, view.indexer, label)
+    expected = _reference_build(database, view.indexer, label)
     assert np.array_equal(built.indptr, expected.indptr), label
     assert np.array_equal(built.indices, expected.indices), label
     assert np.array_equal(built.data, expected.data), label
@@ -187,7 +187,7 @@ def test_build_matches_per_edge_loop(tiny_db, dblp_small):
     for database in (tiny_db, dblp_small.database, power_law):
         view = MatrixView(database)
         for label in sorted(database.used_labels()):
-            _assert_matches_reference(view, label)
+            _assert_matches_reference(view, database, label)
 
 
 def test_build_matches_per_edge_loop_shared_indexer(tiny_db, tiny_schema):
@@ -198,7 +198,7 @@ def test_build_matches_per_edge_loop_shared_indexer(tiny_db, tiny_schema):
     bigger.add_edges([(99, "a", 1), (1, "a", 98), (99, "b", 98)])
     view = MatrixView(bigger, indexer=indexer)
     for label in sorted(bigger.used_labels()):
-        _assert_matches_reference(view, label)
+        _assert_matches_reference(view, bigger, label)
 
 
 _NODE_IDS = [0, 1, 2, "x", "y", ("t", 0), ("t", 1)]
@@ -206,10 +206,10 @@ _NODE_IDS = [0, 1, 2, "x", "y", ("t", 0), ("t", 1)]
 
 @st.composite
 def _views(draw):
-    """A small mixed-id database (self-loops allowed, schema label "c"
-    never used) and a view over it, optionally through a shared indexer
-    over a drawn subset of the ids in a drawn order, plus ids the
-    database lacks."""
+    """``(database, view)``: a small mixed-id database (self-loops
+    allowed, schema label "c" never used) and a view over it, optionally
+    through a shared indexer over a drawn subset of the ids in a drawn
+    order, plus ids the database lacks."""
     database = GraphDatabase(Schema(["a", "b", "c"]))
     database.add_edges(
         draw(
@@ -232,14 +232,15 @@ def _views(draw):
                 )
             )
         )
-    return MatrixView(database, indexer=indexer)
+    return database, MatrixView(database, indexer=indexer)
 
 
 @given(_views())
 @settings(max_examples=150, deadline=None)
-def test_build_matches_per_edge_loop_property(view):
-    for label in sorted(view.database.schema.labels):
-        _assert_matches_reference(view, label)
+def test_build_matches_per_edge_loop_property(drawn):
+    database, view = drawn
+    for label in sorted(database.schema.labels):
+        _assert_matches_reference(view, database, label)
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ import http.client
 import pytest
 
 from repro.api import SimilarityService
+from repro.exceptions import ConfigurationError
 from repro.server import BackgroundServer, load_service
 from repro.server.app import MAX_BODY_BYTES, ReproServer
 
@@ -509,6 +510,22 @@ def test_subscriber_limit_sheds_with_retry_after(fig1):
     assert status == 503
     assert "subscriber limit" in payload["error"]
     assert int(headers["Retry-After"]) >= 1
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("threads", 0),
+        ("threads", -1),
+        ("max_inflight", 0),
+        ("max_subscribers", -1),
+    ],
+)
+def test_constructor_refuses_out_of_range_limits(fig1, option, value):
+    service = SimilarityService(fig1)
+    prepared = service.prepare(algorithm="relsim", pattern=PATTERN, top_k=2)
+    with pytest.raises(ConfigurationError, match=option):
+        ReproServer(service, prepared, **{option: value})
 
 
 def test_retry_after_scales_with_congestion(fig1):

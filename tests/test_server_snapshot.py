@@ -1,8 +1,9 @@
 """Snapshot round trips: save -> load -> bitwise-identical serving.
 
 The serving snapshot (:mod:`repro.server.snapshot`) persists a
-session's database plus its materialized engine cache so a warm start
-replaces computation with disk reads.  The contract tested here is the
+session's graph (schema, node table, per-label CSR) plus its
+materialized engine cache so a warm start replaces computation with
+disk reads.  The contract tested here is the
 same one the warm-start benchmark gates: a loaded session must serve
 **bitwise-identical** rankings for every registered algorithm with
 **zero** engine cache misses, including when the saved database was
@@ -11,6 +12,7 @@ mutated through the live-update delta path first.
 
 import json
 import os
+import stat
 import zipfile
 
 import numpy as np
@@ -147,13 +149,17 @@ def test_round_trip_through_incrementally_patched_cache(tiny_dblp, tmp_path):
     prepared = _prepare_all(service)
     papers = sorted(tiny_dblp.nodes_of_type("paper"))
     areas = sorted(tiny_dblp.nodes_of_type("area"))
-    service.apply(edges_added=[(papers[2], "r-a", areas[0])])
+    delta = {"edges_added": [(papers[2], "r-a", areas[0])]}
+    service.apply(**delta)
     save_snapshot(path, service)
+    reference = tiny_dblp.copy()
+    reference.apply_delta(**delta)
 
     warm, _ = load_session(path)
-    fresh = SimilaritySession(service.database)
-    assert _rankings(warm.database, _prepare_all(warm)) == _rankings(
-        fresh.database, _prepare_all(fresh)
+    assert warm.view.to_database().same_content(reference)
+    fresh = SimilaritySession(reference)
+    assert _rankings(reference, _prepare_all(warm)) == _rankings(
+        reference, _prepare_all(fresh)
     )
     assert warm.cache_info()["misses"] == 0
 
@@ -171,6 +177,29 @@ def test_save_is_atomic_overwrite(tiny_dblp, tmp_path):
         name for name in os.listdir(str(tmp_path)) if name.endswith(".tmp")
     ], "temporary snapshot files were left behind"
     assert len(open(path, "rb").read()) >= len(first) - 64
+
+
+def test_save_fsyncs_file_before_replace_and_directory_after(
+    tiny_dblp, tmp_path, monkeypatch
+):
+    # Durability: the data must be on disk before the rename publishes
+    # it, and the rename itself must be on disk before save returns.
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def traced_fsync(fd):
+        kind = "directory" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        events.append("fsync " + kind)
+        fsync(fd)
+
+    def traced_replace(source, target):
+        events.append("replace")
+        replace(source, target)
+
+    monkeypatch.setattr(os, "fsync", traced_fsync)
+    monkeypatch.setattr(os, "replace", traced_replace)
+    save_snapshot(str(tmp_path / "durable.npz"), SimilaritySession(tiny_dblp))
+    assert events == ["fsync file", "replace", "fsync directory"]
 
 
 def test_save_rejects_other_sources(tiny_dblp, tmp_path):
@@ -199,16 +228,17 @@ def test_load_rejects_foreign_npz(tmp_path):
 
 
 def test_load_rejects_unknown_format(tiny_dblp, tmp_path):
-    # Format 1 (three lists: matrices, norms, diagonals) is refused too.
+    # Formats 1 (three lists: matrices, norms, diagonals) and 2 (records
+    # beside a JSON database) are refused too, with the re-seed hint.
     path = str(tmp_path / "other.npz")
     session = SimilaritySession(tiny_dblp)
-    for version in (1, 99):
+    for version in (1, 2, 99):
         save_snapshot(path, session)
         _rewrite_json(path, "manifest", lambda m: dict(m, format=version))
-        match = "format {} is not supported".format(version)
+        match = "format {} is not supported.*re-seed".format(version)
         with pytest.raises(SnapshotError, match=match):
             load_session(path)
-    assert SNAPSHOT_FORMAT == 2  # bump this test alongside the format
+    assert SNAPSHOT_FORMAT == 3  # bump this test alongside the format
 
 
 def test_load_rejects_corrupt_payload(tiny_dblp, tmp_path):
@@ -229,12 +259,18 @@ def test_load_rejects_corrupt_payload(tiny_dblp, tmp_path):
         load_session(path)
 
 
+def _rename_first_label(manifest):
+    labels = [dict(entry) for entry in manifest["labels"]]
+    labels[0]["p"] = "no-such"
+    return dict(manifest, labels=labels)
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda db: dict(db, edges=db["edges"] + [["a", "no-such", "b"]]),
-        lambda db: dict(
-            db, schema=dict(db["schema"], constraints=["no arrow ("])
+        _rename_first_label,
+        lambda m: dict(
+            m, schema=dict(m["schema"], constraints=["no arrow ("])
         ),
     ],
     ids=["unknown-label", "unparseable-constraint"],
@@ -242,9 +278,12 @@ def test_load_rejects_corrupt_payload(tiny_dblp, tmp_path):
 def test_load_maps_a_corrupt_database_to_snapshot_error(
     tiny_dblp, tmp_path, corrupt
 ):
+    # The graph (schema and per-label matrices) lives in the manifest
+    # and the pools; a label or constraint that no longer loads is a
+    # corrupt snapshot.
     path = str(tmp_path / "bad-database.npz")
     save_snapshot(path, SimilaritySession(tiny_dblp))
-    _rewrite_json(path, "database", corrupt)
+    _rewrite_json(path, "manifest", corrupt)
     with pytest.raises(SnapshotError, match="corrupt snapshot payload"):
         load_session(path)
 
@@ -257,7 +296,7 @@ def test_load_raises_session_option_errors_unchanged(tiny_dblp, tmp_path):
 
 
 def _rewrite_json(path, member, transform):
-    """Rewrite one JSON member (``manifest`` or ``database``) in place."""
+    """Rewrite one JSON member (the ``manifest``) in place."""
     archive = np.load(path, allow_pickle=False)
     with archive:
         arrays = {name: archive[name] for name in archive.files}

@@ -27,8 +27,14 @@ def _tiny_dblp():
 
 
 @pytest.fixture
-def service():
-    return SimilarityService(_tiny_dblp())
+def reference():
+    """The oracle database: each test writes it beside the service."""
+    return _tiny_dblp()
+
+
+@pytest.fixture
+def service(reference):
+    return SimilarityService(reference)
 
 
 @pytest.fixture
@@ -43,8 +49,18 @@ def watched(service):
     return service, prepared, subscription, events
 
 
-def _fresh_items(service, node=NODE):
-    session = SimilaritySession(service.database)
+def _apply(service, reference, **delta):
+    reference.apply_delta(**delta)
+    return service.apply(**delta)
+
+
+def _fresh_items(service, reference, node=NODE):
+    """``node``'s ranking on a fresh session over the reference database.
+
+    Also checks that the service serves exactly the reference's graph.
+    """
+    assert service.database.same_content(reference)
+    session = SimilaritySession(reference)
     prepared = session.prepare(
         algorithm="pathsim", pattern=PATTERN, top_k=TOP_K
     )
@@ -198,46 +214,48 @@ def test_cancel_detaches_the_subscription(watched):
 # ----------------------------------------------------------------------
 
 
-def test_footprint_disjoint_delta_is_pruned(watched):
+def test_footprint_disjoint_delta_is_pruned(watched, reference):
     service, prepared, subscription, events = watched
     assert prepared.footprint() == (frozenset({"p-in"}), False)
-    edge = _new_edge(service.database, "r-a", "paper", "area")
-    service.apply(edges_added=[edge])
+    edge = _new_edge(reference, "r-a", "paper", "area")
+    _apply(service, reference, edges_added=[edge])
     service.subscriptions.flush()
     stats = subscription.stats()
     assert stats["pruned"] == 1
     assert (stats["fallbacks"], stats["notified"]) == (0, 0)
     assert [event.type for event in events] == ["snapshot"]
     assert subscription.version == service.version
-    assert subscription.items() == _fresh_items(service)
+    assert subscription.items() == _fresh_items(service, reference)
 
 
-def test_relevant_delta_that_keeps_the_ranking_does_not_notify(watched):
+def test_relevant_delta_that_keeps_the_ranking_does_not_notify(
+    watched, reference
+):
     service, prepared, subscription, events = watched
     members = {node for node, _ in subscription.items()}
     # A p-in edge in a different proceedings: label-relevant, so the
     # query re-runs, but no member moves and no outsider enters.
     edge = _new_edge(
-        service.database, "p-in", "paper", "proc",
+        reference, "p-in", "paper", "proc",
         exclude=members | {NODE, "proc:2"},
     )
-    service.apply(edges_added=[edge])
+    _apply(service, reference, edges_added=[edge])
     service.subscriptions.flush()
     stats = subscription.stats()
     assert (stats["fallbacks"], stats["notified"]) == (1, 0)
     assert [event.type for event in events] == ["snapshot"]
-    assert subscription.items() == _fresh_items(service)
+    assert subscription.items() == _fresh_items(service, reference)
 
 
-def test_member_edge_removal_falls_back_and_notifies(watched):
+def test_member_edge_removal_falls_back_and_notifies(watched, reference):
     service, prepared, subscription, events = watched
     before = subscription.items()
     member = before[0][0]
     edge = next(
-        (s, l, t) for (s, l, t) in service.database.edges("p-in")
+        (s, l, t) for (s, l, t) in reference.edges("p-in")
         if s == member
     )
-    service.apply(edges_removed=[edge])
+    _apply(service, reference, edges_removed=[edge])
     service.subscriptions.flush()
     stats = subscription.stats()
     assert stats["fallbacks"] == 1
@@ -247,11 +265,11 @@ def test_member_edge_removal_falls_back_and_notifies(watched):
     assert update.version == service.version
     assert member in update.left
     assert update.items == subscription.items()
-    assert subscription.items() == _fresh_items(service)
+    assert subscription.items() == _fresh_items(service, reference)
     assert subscription.items() != before
 
 
-def test_full_rebuild_swap_falls_back(watched):
+def test_full_rebuild_swap_falls_back(watched, reference):
     service, prepared, subscription, events = watched
     service.swap(service.database)
     service.subscriptions.flush()
@@ -260,7 +278,7 @@ def test_full_rebuild_swap_falls_back(watched):
     # An identical ranking after the swap must not notify.
     assert stats["notified"] == 0
     assert [event.type for event in events] == ["snapshot"]
-    assert subscription.items() == _fresh_items(service)
+    assert subscription.items() == _fresh_items(service, reference)
 
 
 def test_poll_applies_one_maintenance_step(watched):
