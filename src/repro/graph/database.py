@@ -10,11 +10,20 @@ Design notes
 ------------
 * Node ids are arbitrary hashable values (the paper fixes a countable id
   universe).  Dataset generators use strings like ``"paper:17"``.
+* Each node gets its row position once, the first time it is added:
+  ``_ids`` lists the ids in insertion order and ``_index`` maps each id
+  to its position there.  The table is append-only (no API removes a
+  node), so its first ``n`` entries never change: a lazy
+  :class:`~repro.graph.matrices.MatrixView` shares the table, bounded
+  at its node count, instead of building an indexer of its own.
+* Edges are stored as positions.  Per label, ``_out`` maps a source
+  position to the set of its target positions and ``_in`` holds the
+  reverse orientation, so reverse traversal (``a-``) is O(1) per
+  neighbor and a view builds a label's CSR from the stored sets with no
+  id lookup.  Every public method takes and returns ids.
 * Edges form a *set*: adding the same ``(u, a, v)`` twice is a no-op, which
   matches the paper's set-of-edges definition.  Parallel edges with
   different labels are of course allowed.
-* Both directions are indexed so reverse traversal (``a-``) is O(1) per
-  neighbor.
 """
 
 from collections import defaultdict
@@ -39,8 +48,13 @@ class GraphDatabase:
 
     def __init__(self, schema):
         self._schema = schema
+        # {id: type} in insertion order, and the position table: the ids
+        # by position and each id's position.
         self._nodes = {}
-        # label -> {u -> set(v)} and the reverse orientation.
+        self._ids = []
+        self._index = {}
+        # label -> {source position -> set(target positions)} and the
+        # reverse orientation.
         self._out = defaultdict(lambda: defaultdict(set))
         self._in = defaultdict(lambda: defaultdict(set))
         self._edge_count = 0
@@ -52,6 +66,21 @@ class GraphDatabase:
     def schema(self):
         return self._schema
 
+    def _intern(self, node, node_type=None):
+        """Give a new node the next row position; returns the position."""
+        position = len(self._ids)
+        # The id is listed before it is indexed, so anyone who copies
+        # ``_index`` finds every copied id in ``_ids`` afterwards.
+        self._ids.append(node)
+        self._index[node] = position
+        self._nodes[node] = node_type
+        return position
+
+    def _position(self, node):
+        """``node``'s row position; a new node is added untyped."""
+        position = self._index.get(node)
+        return self._intern(node) if position is None else position
+
     def add_node(self, node, node_type=None):
         """Add ``node`` (idempotent).  Returns the node id for chaining.
 
@@ -61,8 +90,8 @@ class GraphDatabase:
         :class:`~repro.exceptions.NodeTypeConflictError` instead of
         silently keeping the old type.
         """
-        if node not in self._nodes:
-            self._nodes[node] = node_type
+        if node not in self._index:
+            self._intern(node, node_type)
         elif node_type is not None:
             existing = self._nodes[node]
             if existing is None:
@@ -75,12 +104,11 @@ class GraphDatabase:
         """Add edge ``(source, label, target)``; endpoints are auto-added."""
         if label not in self._schema:
             raise UnknownLabelError(label, self._schema.labels)
-        self.add_node(source)
-        self.add_node(target)
-        targets = self._out[label][source]
-        if target not in targets:
-            targets.add(target)
-            self._in[label][target].add(source)
+        u, v = self._position(source), self._position(target)
+        targets = self._out[label][u]
+        if v not in targets:
+            targets.add(v)
+            self._in[label][v].add(u)
             self._edge_count += 1
 
     def add_edges(self, edges):
@@ -101,19 +129,22 @@ class GraphDatabase:
         """
         if label not in self._schema:
             raise UnknownLabelError(label, self._schema.labels)
-        nodes = self._nodes
+        position = self._index.get
+        intern = self._intern
         out = self._out[label]
         backward = self._in[label]
         added = 0
         for source, target in pairs:
-            if source not in nodes:
-                nodes[source] = None
-            if target not in nodes:
-                nodes[target] = None
-            targets = out[source]
-            if target not in targets:
-                targets.add(target)
-                backward[target].add(source)
+            u = position(source)
+            if u is None:
+                u = intern(source)
+            v = position(target)
+            if v is None:
+                v = intern(target)
+            targets = out[u]
+            if v not in targets:
+                targets.add(v)
+                backward[v].add(u)
                 added += 1
         self._edge_count += added
         return added
@@ -125,16 +156,17 @@ class GraphDatabase:
         ``KeyError`` subclass, so existing guards keep working) when the
         edge is absent.
         """
-        targets = self._out.get(label, {}).get(source)
-        if not targets or target not in targets:
+        u, v = self._index.get(source), self._index.get(target)
+        targets = self._out.get(label, {}).get(u)
+        if not targets or v not in targets:
             raise UnknownEdgeError(source, label, target)
-        targets.discard(target)
+        targets.discard(v)
         if not targets:
-            del self._out[label][source]
-        sources = self._in[label][target]
-        sources.discard(source)
+            del self._out[label][u]
+        sources = self._in[label][v]
+        sources.discard(u)
         if not sources:
-            del self._in[label][target]
+            del self._in[label][v]
         self._edge_count -= 1
 
     def apply_delta(self, edges_added=(), edges_removed=(), nodes_added=()):
@@ -177,53 +209,71 @@ class GraphDatabase:
 
     def edges(self, label=None):
         """Iterate ``(source, label, target)`` triples, optionally filtered."""
+        ids = self._ids
         labels = [label] if label is not None else list(self._out)
         for lab in labels:
-            for source, targets in self._out.get(lab, {}).items():
-                for target in targets:
-                    yield (source, lab, target)
+            for u, targets in self._out.get(lab, {}).items():
+                source = ids[u]
+                for v in targets:
+                    yield (source, lab, ids[v])
 
     def adjacency_lists(self, label):
         """Iterate ``(source, set_of_targets)`` for one label.
 
         The bulk counterpart of :meth:`edges`: one pair per source
-        instead of one triple per edge.  The result is a ``dict_items``
-        view whose ``.mapping`` is a read-only proxy of the label's
-        ``{source: set_of_targets}`` dict, so matrix construction can
-        map all sources, degrees and targets through the node indexer
-        in bulk.  The sets are the live internal ones — callers must not
-        mutate them.
+        instead of one triple per edge.  Each set is a new set of ids.
+        """
+        ids = self._ids
+        return (
+            (ids[u], {ids[v] for v in targets})
+            for u, targets in self._position_lists(label).items()
+        )
+
+    def _position_lists(self, label):
+        """The label's stored ``{source position: set(target positions)}``.
+
+        The read a lazy :class:`~repro.graph.matrices.MatrixView` builds
+        a label's CSR from.  The dict and its sets are the live internal
+        ones — callers must not mutate them.  An unknown label raises
+        :class:`~repro.exceptions.UnknownLabelError`.
         """
         if label not in self._schema:
             raise UnknownLabelError(label, self._schema.labels)
-        return self._out.get(label, {}).items()
+        return self._out.get(label, {})
 
     def has_node(self, node):
-        return node in self._nodes
+        return node in self._index
 
     def has_edge(self, source, label, target):
-        return target in self._out.get(label, {}).get(source, ())
+        # An unknown id looks up None, which no position set holds.
+        targets = self._out.get(label, {}).get(self._index.get(source), ())
+        return self._index.get(target) in targets
 
     def successors(self, node, label):
         """Nodes ``v`` with an edge ``(node, label, v)``."""
-        return set(self._out.get(label, {}).get(node, ()))
+        ids = self._ids
+        targets = self._out.get(label, {}).get(self._index.get(node), ())
+        return {ids[v] for v in targets}
 
     def predecessors(self, node, label):
         """Nodes ``u`` with an edge ``(u, label, node)``."""
-        return set(self._in.get(label, {}).get(node, ()))
+        ids = self._ids
+        sources = self._in.get(label, {}).get(self._index.get(node), ())
+        return {ids[u] for u in sources}
 
     def degree(self, node):
         """Total degree (in + out) across all labels."""
-        if node not in self._nodes:
+        position = self._index.get(node)
+        if position is None:
             raise UnknownNodeError(node)
         total = 0
         for label in self._out:
-            total += len(self._out[label].get(node, ()))
-            total += len(self._in.get(label, {}).get(node, ()))
+            total += len(self._out[label].get(position, ()))
+            total += len(self._in.get(label, {}).get(position, ()))
         return total
 
     def num_nodes(self):
-        return len(self._nodes)
+        return len(self._ids)
 
     def num_edges(self):
         return self._edge_count
@@ -234,12 +284,11 @@ class GraphDatabase:
 
     def label_pairs(self, label):
         """The binary relation ``[[label]]_D`` as a set of ``(u, v)`` pairs."""
-        if label not in self._schema:
-            raise UnknownLabelError(label, self._schema.labels)
+        ids = self._ids
         return {
-            (source, target)
-            for source, targets in self._out.get(label, {}).items()
-            for target in targets
+            (ids[u], ids[v])
+            for u, targets in self._position_lists(label).items()
+            for v in targets
         }
 
     # ------------------------------------------------------------------
@@ -248,11 +297,14 @@ class GraphDatabase:
     def copy(self):
         """A deep copy.
 
-        Bulk-copies the internal indexes instead of replaying
-        ``add_edge`` per edge.
+        Bulk-copies the position table and the internal indexes instead
+        of replaying ``add_edge`` per edge; every node keeps its
+        position.
         """
         clone = GraphDatabase(self._schema)
         clone._nodes = dict(self._nodes)
+        clone._ids = list(self._ids)
+        clone._index = dict(self._index)
         for index, copied in ((self._out, clone._out), (self._in, clone._in)):
             for label, adjacency in index.items():
                 if adjacency:

@@ -2,7 +2,8 @@
 
 The commuting-matrix computation of Section 4.3 works on per-label
 adjacency matrices ``A_l`` and node types only.  This module provides a
-:class:`NodeIndexer` (stable node-id <-> row index mapping), the
+:class:`NodeIndexer` (stable node-id <-> row index mapping, possibly a
+bounded share of a database's own position table), the
 :class:`MatrixView` — schema, indexer, ``{node: type}`` node table and
 one CSR matrix per label, which is the whole graph of a served version
 (built lazily over a :class:`GraphDatabase`, or detached from it and
@@ -39,47 +40,71 @@ PARALLEL_PRODUCT_FLOPS = 1_000_000
 
 
 class NodeIndexer:
-    """A stable bijection between node ids and ``0..n-1`` matrix indices."""
+    """A stable bijection between node ids and ``0..n-1`` matrix indices.
+
+    The table may be shared.  A lazy :class:`MatrixView` adopts its
+    :class:`~repro.graph.database.GraphDatabase`'s own position table
+    (:meth:`bounded`) instead of building one, so the table can gain
+    entries after the indexer is made; the bound ``n`` hides them.
+    """
 
     def __init__(self, nodes):
-        self._ids = list(nodes)
-        self._index = {node: i for i, node in enumerate(self._ids)}
-        if len(self._index) != len(self._ids):
+        ids = list(nodes)
+        index = {node: i for i, node in enumerate(ids)}
+        if len(index) != len(ids):
             raise ValueError("duplicate node ids passed to NodeIndexer")
+        self._ids, self._index, self._bound = ids, index, len(ids)
+
+    @classmethod
+    def bounded(cls, ids, index, bound):
+        """An indexer over the first ``bound`` entries of a shared table.
+
+        ``ids`` lists node ids by position and ``index`` maps each id to
+        its position.  Both may grow after this call, by appending only,
+        so their first ``bound`` entries stay fixed.  Nothing is copied.
+        """
+        indexer = cls.__new__(cls)
+        indexer._ids, indexer._index, indexer._bound = ids, index, bound
+        return indexer
 
     def extended(self, nodes):
         """A new indexer with ``nodes`` appended after this one's ids.
 
-        Copies the mapping instead of re-enumerating every id, and
-        leaves ``self`` unchanged for readers that still hold it.
+        Copies the mapping instead of re-enumerating every id, without
+        the entries a shared table gained past the bound, and leaves
+        ``self`` unchanged for readers that still hold it.
         """
-        old = len(self._ids)
-        clone = NodeIndexer(())
-        clone._ids = self._ids + list(nodes)
-        clone._index = dict(self._index)
-        clone._index.update(zip(clone._ids[old:], range(old, len(clone._ids))))
-        if len(clone._index) != len(clone._ids):
+        bound = self._bound
+        index = dict(self._index)
+        # Read after the copy, so it lists every id the copy holds past
+        # the bound.
+        for node in self._ids[bound:]:
+            index.pop(node, None)
+        ids = self._ids[:bound] + list(nodes)
+        index.update(zip(ids[bound:], range(bound, len(ids))))
+        if len(index) != len(ids):
             raise ValueError("duplicate node ids passed to NodeIndexer")
-        return clone
+        return NodeIndexer.bounded(ids, index, len(ids))
 
     def __len__(self):
-        return len(self._ids)
+        return self._bound
 
     def index_of(self, node):
-        try:
-            return self._index[node]
-        except KeyError:
-            raise UnknownNodeError(node) from None
+        position = self._index.get(node, self._bound)
+        if position >= self._bound:
+            raise UnknownNodeError(node)
+        return position
 
     def node_at(self, index):
-        return self._ids[index]
+        # ``range`` checks the index against the bound, negatives too.
+        return self._ids[range(self._bound)[index]]
 
     def __contains__(self, node):
-        return node in self._index
+        return self._index.get(node, self._bound) < self._bound
 
     @property
     def ids(self):
-        return list(self._ids)
+        return self._ids[: self._bound]
 
 
 def resized(matrix, n):
@@ -337,11 +362,12 @@ class MatrixView:
     database:
         The :class:`repro.graph.database.GraphDatabase` to project.
     indexer:
-        Optional :class:`NodeIndexer`; defaults to the database's node
-        insertion order.  Pass a shared indexer when comparing matrices
-        across structural variants of the same database (node ids are
-        preserved by invertible transformations, so a shared ordering makes
-        entries directly comparable).
+        Optional :class:`NodeIndexer`; defaults to the database's own
+        position table (node insertion order).  Pass a shared indexer
+        when comparing matrices across structural variants of the same
+        database (node ids are preserved by invertible transformations,
+        so a shared ordering makes entries directly comparable); the
+        view then maps the database's positions to its rows once.
 
     A view holds everything the similarity stack reads of a graph: the
     schema, the :class:`NodeIndexer`, a ``{node: type}`` node table and
@@ -352,11 +378,14 @@ class MatrixView:
     :meth:`to_database` exports it.
 
     A view over a caller's database is *lazy*: its node table is the
-    database's own, and each label's matrix is built on first use, so
-    a session costs nothing until it scores.  The matrices are a
-    snapshot — mutate the database afterwards and they go stale (a node
-    added later raises :class:`~repro.exceptions.UnknownNodeError` when
-    scored).  :meth:`detach`, :meth:`fork` and :meth:`apply_delta` make
+    database's own, its indexer shares the database's position table,
+    bounded at the database's node count when the view is made, and
+    each label's matrix is built from the stored position sets on first
+    use, so a session costs nothing until it scores.  The matrices are
+    a snapshot — mutate the database afterwards and they go stale: a
+    node added later lies past the bound, stays out of every matrix and
+    raises :class:`~repro.exceptions.UnknownNodeError` when scored.
+    :meth:`detach`, :meth:`fork` and :meth:`apply_delta` make
     a view *detached*: every used label built, a node table of its own,
     and no database.  A detached view is the whole graph of a version —
     :class:`~repro.api.service.SimilarityService` serves detached views,
@@ -372,7 +401,21 @@ class MatrixView:
         # Until detach() copies it, the node table is the database's
         # live one: a node added there shows in candidate lists (and
         # raises when scored) exactly as it would on the database.
-        self._init(database, database.schema, database._nodes, indexer, {})
+        ids, remap = database._ids, None
+        if indexer is None:  # the database's own table, as it is now
+            indexer = NodeIndexer.bounded(ids, database._index, len(ids))
+        else:
+            # Database position -> the caller's row, -1 where it lacks
+            # the node: one remap per view instead of a lookup per edge.
+            remap = np.fromiter(
+                map(indexer._index.get, ids, repeat(-1)),
+                dtype=np.intp,
+                count=len(ids),
+            )
+            remap[remap >= len(indexer)] = -1
+        self._init(
+            database, database.schema, database._nodes, indexer, {}, remap
+        )
 
     @classmethod
     def restore(cls, schema, nodes, adjacency):
@@ -390,10 +433,14 @@ class MatrixView:
         view._init(None, schema, nodes, None, dict(adjacency))
         return view
 
-    def _init(self, database, schema, nodes, indexer, cache):
+    def _init(self, database, schema, nodes, indexer, cache, remap=None):
         self._database = database
         self._schema = schema
         self._nodes = nodes
+        # The matrices cover the table's first ``extent`` nodes: over a
+        # database, the ones it held when the view was made.
+        self._extent = len(nodes)
+        self._remap = remap
         self._indexer = NodeIndexer(nodes) if indexer is None else indexer
         self._lock = threading.RLock()
         self._cache = cache
@@ -436,11 +483,13 @@ class MatrixView:
 
         A binary search in one sorted row of the label's CSR matrix.
         """
-        index = self._indexer._index
-        if label not in self._schema or not (source in index and target in index):
+        indexer = self._indexer
+        if label not in self._schema or not (
+            source in indexer and target in indexer
+        ):
             return False
         matrix = self.adjacency(label)
-        row, column = index[source], index[target]
+        row, column = indexer.index_of(source), indexer.index_of(target)
         columns = matrix.indices[matrix.indptr[row] : matrix.indptr[row + 1]]
         position = np.searchsorted(columns, column)
         return bool(position < len(columns) and columns[position] == column)
@@ -503,30 +552,30 @@ class MatrixView:
             if label not in self._schema:
                 raise UnknownLabelError(label, self._schema.labels)
             return self.zeros()
-        # Each array is filled by one C-level ``map`` over the label's
-        # {source: targets} dict, so no bytecode runs per source or per
-        # edge.  Keys, degrees and the chained target sets all follow
-        # the dict's one iteration order, which is what lets
-        # ``np.repeat`` pair every target with its source.  An id the
-        # (shared) indexer lacks maps to -1 and is masked out.
-        adjacency = database.adjacency_lists(label).mapping
-        position = self._indexer._index.get
+        # The database stores positions, so each array is filled by one
+        # C-level pass over the label's {source: targets} dict with no
+        # id lookup and no bytecode per source or per edge.  Keys,
+        # degrees and the chained target sets all follow the dict's one
+        # iteration order, which is what lets ``np.repeat`` pair every
+        # target with its source.
+        adjacency = database._position_lists(label)
         degrees = np.fromiter(
             map(len, adjacency.values()), dtype=np.intp, count=len(adjacency)
         )
-        sources = np.fromiter(
-            map(position, adjacency, repeat(-1)),
-            dtype=np.intp,
-            count=len(adjacency),
-        )
+        sources = np.fromiter(adjacency, dtype=np.intp, count=len(adjacency))
         cols = np.fromiter(
-            map(position, chain.from_iterable(adjacency.values()), repeat(-1)),
+            chain.from_iterable(adjacency.values()),
             dtype=np.intp,
             count=int(degrees.sum()),
         )
         rows = np.repeat(sources, degrees)
-        keep = np.minimum(rows, cols) >= 0
+        # Nodes added to the database after the view lie past its extent.
+        keep = np.maximum(rows, cols) < self._extent
         rows, cols = rows[keep], cols[keep]
+        if self._remap is not None:  # a caller's indexer
+            rows, cols = self._remap[rows], self._remap[cols]
+            keep = np.minimum(rows, cols) >= 0
+            rows, cols = rows[keep], cols[keep]
         n = len(self._indexer)
         data = np.ones(len(rows), dtype=np.float64)
         matrix = sp.csr_matrix(
@@ -541,16 +590,21 @@ class MatrixView:
     def detach(self):
         """Make this view the whole graph it serves; returns ``self``.
 
-        Builds every used label, copies the node table and drops the
-        database: later writes to that database no longer reach the
-        view, and the view never writes to it.  Idempotent.
+        Builds every used label, copies the node table (the nodes the
+        view covers, not those added to the database after it) and
+        drops the database: later writes to that database no longer
+        reach the view, and the view never writes to it.  Idempotent.
         """
         with self._lock:
-            if self._database is not None:
-                for label in self._database.used_labels():
+            database = self._database
+            if database is not None:
+                for label in database.used_labels():
                     self.adjacency(label)
-                self._nodes = dict(self._nodes)
-                self._database = None
+                nodes = dict(self._nodes)
+                for node in database._ids[self._extent :]:
+                    nodes.pop(node, None)
+                self._nodes = nodes
+                self._database = self._remap = None
         return self
 
     def fork(self):

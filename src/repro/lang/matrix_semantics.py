@@ -245,11 +245,16 @@ class CommutingMatrixEngine:
         # database schema before it compiles: ill-typed patterns raise
         # PatternTypeError here instead of evaluating to an empty or
         # nonsensical ranking.  Untyped schemas (no node_types) only
-        # ever reject unknown labels.
+        # ever reject unknown labels.  That checker reads no graph
+        # statistics (its density warnings never block), so forks share
+        # the compiler without pinning this version's view; density
+        # warnings come from a checker over each engine's own view.
+        self._compiler = PlanCompiler(
+            checker=PatternTypeChecker(self._view.schema)
+        )
         self._checker = PatternTypeChecker(
             self._view.schema, stats=self._view
         )
-        self._compiler = PlanCompiler(checker=self._checker)
         self._lock = threading.RLock()
         self._cache = OrderedDict()
         self._hits = 0
@@ -382,10 +387,9 @@ class CommutingMatrixEngine:
         clone._default_star_depth = self._default_star_depth
         clone._max_star_depth = self._max_star_depth
         clone._memory_budget = self._memory_budget
-        # Shared with the compiler: a delta never changes the schema, so
-        # the parent's checker stays exact for the fork (its density
-        # *estimates* read the parent view — a warning-tier approximation).
-        clone._checker = self._checker
+        clone._checker = PatternTypeChecker(
+            clone._view.schema, stats=clone._view
+        )
         clone._compiler = self._compiler
         clone._lock = threading.RLock()
         with self._lock:

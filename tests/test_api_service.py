@@ -3,6 +3,7 @@
 import gc
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -74,6 +75,20 @@ def test_served_versions_hold_no_database(fig1, tmp_path):
     save_snapshot(path, service)
     warm, _ = load_service(path)
     assert not _held_databases(warm.session)
+
+
+def test_applies_release_the_first_version(fig1):
+    # Every fork shares the plan compiler, so nothing it holds may pin
+    # an earlier version's view and that view's label matrices.
+    service = SimilarityService(fig1)
+    prepared = service.prepare(algorithm="relsim", pattern=PATTERN, top_k=10)
+    first = weakref.ref(service.session.view)
+    for delta in ("edges_added", "edges_removed", "edges_added"):
+        service.apply(**{delta: [DELTA_EDGE]})
+    gc.collect()
+    assert first() is None
+    fig1.add_edge(*DELTA_EDGE)
+    assert {q: prepared.run(q).items() for q in QUERIES} == _expected(fig1)
 
 
 def test_apply_and_swap_never_copy_a_database(fig1, monkeypatch):

@@ -73,11 +73,11 @@ def test_register_rejects_non_algorithm_class():
 
 def test_session_over_a_database_builds_no_label_matrix(fig1, monkeypatch):
     # Sessions read a caller's database through a lazy view: building
-    # one, and reading node types through it, touches no adjacency.
+    # one, and reading node types through it, reads no stored edge.
     def refuse(self, label):
         raise AssertionError("label {!r} was built".format(label))
 
-    monkeypatch.setattr(GraphDatabase, "adjacency_lists", refuse)
+    monkeypatch.setattr(GraphDatabase, "_position_lists", refuse)
     session = SimilaritySession(fig1)
     assert session.view.node_type("DataMining") == "area"
     assert session.view.nodes_of_type("area") == fig1.nodes_of_type("area")

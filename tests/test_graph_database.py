@@ -1,6 +1,8 @@
 """Unit tests for repro.graph.database."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro.exceptions import (
     NodeTypeConflictError,
@@ -240,3 +242,194 @@ def test_reads_leave_label_keys_unchanged(db, read, label):
     except (UnknownLabelError, UnknownEdgeError):
         pass
     assert (set(db._out), set(db._in)) == before
+
+
+# ----------------------------------------------------------------------
+# The position store against an id-level model
+# ----------------------------------------------------------------------
+_IDS = [0, 1, 2, "x", "y", ("t", 0)]
+_LABELS = ["a", "b"]
+_TYPES = [None, "p", "q"]
+
+
+class _Model:
+    """The database's semantics over ids: a dict of sets per label."""
+
+    def __init__(self):
+        self.nodes = {}
+        self.out = {label: {} for label in _LABELS + ["c"]}
+
+    def copy(self):
+        clone = _Model()
+        clone.nodes = dict(self.nodes)
+        clone.out = {
+            label: {u: set(vs) for u, vs in adjacency.items()}
+            for label, adjacency in self.out.items()
+        }
+        return clone
+
+    def add_node(self, node, node_type=None):
+        existing = self.nodes.setdefault(node, node_type)
+        if node_type is not None and existing is None:
+            self.nodes[node] = node_type
+        elif node_type not in (None, existing):
+            raise NodeTypeConflictError(node, existing, node_type)
+
+    def has_edge(self, u, label, v):
+        return v in self.out[label].get(u, ())
+
+    def add_edge(self, u, label, v):
+        self.add_node(u)
+        self.add_node(v)
+        self.out[label].setdefault(u, set()).add(v)
+
+    def add_edges_bulk(self, label, pairs):
+        for u, v in pairs:
+            self.add_edge(u, label, v)
+
+    def remove_edge(self, u, label, v):
+        if not self.has_edge(u, label, v):
+            raise UnknownEdgeError(u, label, v)
+        self.out[label][u].discard(v)
+        if not self.out[label][u]:
+            del self.out[label][u]
+
+    def apply_delta(self, added, removed, nodes_added):
+        # Validate the whole batch first, as plan_delta does.
+        seen = set()
+        for edge in removed:
+            if edge in seen or not self.has_edge(*edge):
+                raise UnknownEdgeError(*edge)
+            seen.add(edge)
+        types = {}
+        for node, node_type in nodes_added:
+            if node_type is None:
+                continue
+            existing = types.get(node, self.nodes.get(node))
+            if existing not in (None, node_type):
+                raise NodeTypeConflictError(node, existing, node_type)
+            types[node] = node_type
+        for node, _ in nodes_added:
+            self.add_node(node)
+        self.nodes.update(types)
+        for edge in removed:
+            self.remove_edge(*edge)
+        for edge in added:
+            self.add_edge(*edge)
+
+    def edges(self):
+        return {
+            (u, label, v)
+            for label, adjacency in self.out.items()
+            for u, vs in adjacency.items()
+            for v in vs
+        }
+
+
+_node = st.sampled_from(_IDS)
+_label = st.sampled_from(_LABELS)
+_edge = st.tuples(_node, _label, _node)
+_operation = st.one_of(
+    st.tuples(st.just("add_node"), _node, st.sampled_from(_TYPES)),
+    st.tuples(st.just("add_edge"), _node, _label, _node),
+    st.tuples(
+        st.just("add_edges_bulk"),
+        _label,
+        st.lists(st.tuples(_node, _node), max_size=6),
+    ),
+    st.tuples(st.just("remove_edge"), _node, _label, _node),
+    st.tuples(
+        st.just("apply_delta"),
+        st.lists(_edge, max_size=4),
+        st.lists(_edge, max_size=2),
+        st.lists(st.tuples(_node, st.sampled_from(_TYPES)), max_size=3),
+    ),
+)
+
+
+def _apply(target, operation):
+    """Run one drawn operation; returns the error type it raised, if any."""
+    name, *args = operation
+    try:
+        getattr(target, name)(*args)
+    except (NodeTypeConflictError, UnknownEdgeError) as error:
+        return type(error)
+    return None
+
+
+def _assert_matches(database, model):
+    edges = model.edges()
+    assert list(database.nodes()) == list(model.nodes)
+    assert database.num_nodes() == len(model.nodes)
+    assert database.num_edges() == len(edges)
+    listed = list(database.edges())
+    assert len(listed) == len(edges) and set(listed) == edges
+    assert database.edge_set() == edges
+    assert database.used_labels() == {label for _, label, _ in edges}
+    for node_type in _TYPES:
+        assert database.nodes_of_type(node_type) == [
+            node for node, kind in model.nodes.items() if kind == node_type
+        ]
+    for label, adjacency in model.out.items():
+        assert set(database.edges(label)) == {
+            edge for edge in edges if edge[1] == label
+        }
+        assert dict(database.adjacency_lists(label)) == adjacency
+        assert database.label_pairs(label) == {
+            (u, v) for u, vs in adjacency.items() for v in vs
+        }
+    for node in _IDS + ["absent"]:
+        assert database.has_node(node) == (node in model.nodes)
+        if node in model.nodes:
+            assert database.node_type(node) == model.nodes[node]
+            assert database.degree(node) == sum(
+                (u == node) + (v == node) for u, _, v in edges
+            )
+        for label in model.out:
+            assert database.successors(node, label) == {
+                v for u, lab, v in edges if (u, lab) == (node, label)
+            }
+            assert database.predecessors(node, label) == {
+                u for u, lab, v in edges if (lab, v) == (label, node)
+            }
+            for target in _IDS:
+                assert database.has_edge(node, label, target) == (
+                    (node, label, target) in edges
+                )
+
+
+_SELF_LOOP = (1, "a", 1)
+
+
+@example(
+    operations=[
+        ("add_node", "x", None),
+        ("add_edge", *_SELF_LOOP),
+        ("remove_edge", *_SELF_LOOP),
+        ("add_node", "x", "p"),  # typed after it was added untyped
+        ("add_edge", *_SELF_LOOP),  # a removed edge added back
+        ("apply_delta", [_SELF_LOOP], [_SELF_LOOP], [("y", "q")]),
+        ("add_node", "x", "q"),  # a conflicting type raises
+    ],
+    later=[("remove_edge", *_SELF_LOOP)],
+)
+@given(
+    operations=st.lists(_operation, max_size=25),
+    later=st.lists(_operation, max_size=5),
+)
+@settings(max_examples=200, deadline=None)
+def test_position_store_matches_an_id_level_model(operations, later):
+    database = GraphDatabase(Schema(_LABELS + ["c"]))
+    model = _Model()
+    for operation in operations:
+        assert _apply(database, operation) == _apply(model, operation)
+    _assert_matches(database, model)
+    # A copy and its source change independently of each other.
+    clone, snapshot = database.copy(), model.copy()
+    assert clone.same_content(database)
+    for operation in later:
+        assert _apply(database, operation) == _apply(model, operation)
+    clone.add_edge("fresh", "a", 0)
+    snapshot.add_edge("fresh", "a", 0)
+    _assert_matches(database, model)
+    _assert_matches(clone, snapshot)

@@ -70,6 +70,23 @@ def test_indexer_extended_rejects_duplicates():
     assert old.ids == ["x"]
 
 
+def test_bounded_indexer_hides_entries_past_its_bound():
+    ids, index = ["x", "y"], {"x": 0, "y": 1}
+    indexer = NodeIndexer.bounded(ids, index, 2)
+    ids.append("z")  # the shared table grows after the indexer
+    index["z"] = 2
+    assert len(indexer) == 2 and indexer.ids == ["x", "y"]
+    assert "z" not in indexer
+    with pytest.raises(UnknownNodeError):
+        indexer.index_of("z")
+    with pytest.raises(IndexError):
+        indexer.node_at(2)
+    assert indexer.node_at(-1) == "y"
+    grown = indexer.extended(["w"])
+    assert grown.ids == ["x", "y", "w"]
+    assert grown._index == {"x": 0, "y": 1, "w": 2}
+
+
 @pytest.fixture
 def view(tiny_db):
     return MatrixView(tiny_db)
@@ -122,6 +139,50 @@ def test_shared_indexer_ignores_extra_nodes(tiny_db):
     view = MatrixView(bigger, indexer=indexer)
     # edges among indexed nodes only
     assert view.adjacency("a").sum() == len(list(tiny_db.edges("a")))
+
+
+def test_views_keep_their_node_count_when_the_database_grows(tiny_db):
+    lazy = MatrixView(tiny_db)
+    detached = MatrixView(tiny_db).detach()
+    old_ids = list(tiny_db.nodes())
+    tiny_db.add_edges([(9, "a", 1), (1, "a", 9), (3, "a", 4), (4, "c", 4)])
+    tiny_db.add_node("late", "kind")
+    for grown in (lazy, detached):
+        assert grown.num_nodes() == len(old_ids)
+        for node in (9, "late"):
+            assert node not in grown.indexer
+            with pytest.raises(UnknownNodeError):
+                grown.indexer.index_of(node)
+        assert not grown.has_edge(9, "a", 1)
+        assert not grown.has_edge(1, "a", 9)
+    # The lazy view builds its labels only now: it takes the new edges
+    # among its own nodes, and none of a later node.
+    for label in sorted(tiny_db.schema.labels):
+        _assert_matches_reference(lazy, tiny_db, label)
+    assert lazy.has_edge(3, "a", 4) and not detached.has_edge(3, "a", 4)
+    assert list(detached.nodes()) == old_ids
+    assert list(MatrixView(tiny_db).detach().nodes())[-2:] == [9, "late"]
+    assert list(lazy.detach().nodes()) == old_ids
+    # A node-adding delta on the detached view appends a fresh position
+    # and copies none of the database's later entries.
+    detached.apply_delta(edges_added=[("fresh", "a", 1)])
+    assert detached.indexer.ids == old_ids + ["fresh"]
+    assert detached.indexer._index == {
+        node: i for i, node in enumerate(old_ids + ["fresh"])
+    }
+    assert detached.has_edge("fresh", "a", 1)
+    assert not tiny_db.has_node("fresh")
+
+
+def test_view_leaves_out_nodes_the_database_gains_later(tiny_db):
+    # Even an id the caller's indexer holds stays out of the matrices
+    # when the database gains it only after the view was made.
+    indexer = NodeIndexer(list(tiny_db.nodes()) + ["late"])
+    view = MatrixView(tiny_db, indexer=indexer)
+    tiny_db.add_edge("late", "a", 1)
+    assert view.num_nodes() == len(indexer)
+    assert not view.has_edge("late", "a", 1)
+    assert view.adjacency("a").sum() == len(list(tiny_db.edges("a"))) - 1
 
 
 def test_boolean_thresholds_counts():
@@ -209,20 +270,22 @@ def _views(draw):
     """``(database, view)``: a small mixed-id database (self-loops
     allowed, schema label "c" never used) and a view over it, optionally
     through a shared indexer over a drawn subset of the ids in a drawn
-    order, plus ids the database lacks."""
-    database = GraphDatabase(Schema(["a", "b", "c"]))
-    database.add_edges(
-        draw(
-            st.lists(
-                st.tuples(
-                    st.sampled_from(_NODE_IDS),
-                    st.sampled_from(["a", "b"]),
-                    st.sampled_from(_NODE_IDS),
-                ),
-                max_size=30,
-            )
+    order, plus ids the database lacks.  The database may gain edges
+    after the view is made, among its nodes and to a node no indexer
+    holds."""
+
+    def edges(ids):
+        return st.lists(
+            st.tuples(
+                st.sampled_from(ids),
+                st.sampled_from(["a", "b"]),
+                st.sampled_from(ids),
+            ),
+            max_size=30,
         )
-    )
+
+    database = GraphDatabase(Schema(["a", "b", "c"]))
+    database.add_edges(draw(edges(_NODE_IDS)))
     indexer = None
     if draw(st.booleans()):
         indexer = NodeIndexer(
@@ -232,7 +295,9 @@ def _views(draw):
                 )
             )
         )
-    return database, MatrixView(database, indexer=indexer)
+    view = MatrixView(database, indexer=indexer)
+    database.add_edges(draw(edges(list(database.nodes()) + ["late"])))
+    return database, view
 
 
 @given(_views())

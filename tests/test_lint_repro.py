@@ -329,6 +329,51 @@ def test_private_scipy_import_waived():
     ) == []
 
 
+# -- private-graph ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "attribute",
+    ["_out", "_in", "_nodes", "_ids", "_index", "_position_lists"],
+)
+def test_private_graph_read_flagged(attribute):
+    violations = lint(
+        """
+        def degree(database, node):
+            return database.{}
+        """.format(attribute),
+        path="src/repro/lang/plan.py",
+    )
+    assert rules_of(violations) == ["private-graph"]
+    assert "degree" in violations[0].message
+
+
+@pytest.mark.parametrize(
+    "path", ["src/repro/graph/database.py", "src/repro/graph/matrices.py"]
+)
+def test_private_graph_read_allowed_in_owner_modules(path):
+    assert lint("nodes = database._nodes", path=path) == []
+
+
+def test_private_graph_own_attributes_allowed():
+    assert lint(
+        """
+        class Table:
+            def size(self):
+                return len(self._index) + len(self._nodes)
+        """
+    ) == []
+
+
+def test_private_graph_read_waived():
+    assert lint(
+        """
+        # repro-lint: ok(private-graph) a debugging dump of raw positions
+        raw = database._out
+        """
+    ) == []
+
+
 # -- suppressions ------------------------------------------------------
 
 

@@ -1,5 +1,9 @@
 """Tests for roundtrip verification and lossy transformations."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.exceptions import NotInvertibleError, TransformationError
@@ -59,6 +63,32 @@ def test_drop_edges_deterministic(tiny_db):
     first = drop_edges(tiny_db, 0.5, seed=42)
     second = drop_edges(tiny_db, 0.5, seed=42)
     assert first.edge_set() == second.edge_set()
+
+
+_DROP_IN_A_PROCESS = (
+    "from repro.datasets import generate_dblp\n"
+    "from repro.transform import drop_edges\n"
+    "database = generate_dblp(seed=0).database\n"
+    "print(sorted(map(repr, drop_edges(database, 0.05, seed=1).edges())))\n"
+)
+
+
+def test_drop_edges_deterministic_across_processes():
+    # Every process hashes string ids differently; the edges a seed
+    # drops must not depend on that.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    kept = {
+        subprocess.run(
+            [sys.executable, "-c", _DROP_IN_A_PROCESS],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout
+        for seed in ("1", "2", "3")
+    }
+    assert len(kept) == 1
 
 
 def test_drop_edges_seed_matters(tiny_db):

@@ -47,6 +47,15 @@ Rules
     signature between SciPy releases; one module owning them keeps the
     code a SciPy upgrade can break in one place.
 
+``private-graph``
+    Only ``repro/graph/database.py`` and ``repro/graph/matrices.py``
+    may read a database's storage on an object other than ``self``:
+    ``_out``, ``_in``, ``_nodes``, the position table ``_ids`` /
+    ``_index``, and ``_position_lists``, which returns the live
+    position sets.  Positions and their sets are an internal encoding
+    that every public method translates to ids; anything else that
+    reads them must be changed whenever that encoding is.
+
 Suppressions
 ------------
 A finding is waived by a comment on the same line or the line above::
@@ -101,10 +110,17 @@ RULES = (
     "int32-index",
     "exception-taxonomy",
     "private-scipy",
+    "private-graph",
 )
 
 #: The one module allowed to import private SciPy modules.
 _PRIVATE_SCIPY_OWNER = "repro/graph/matrices.py"
+
+#: The modules that own a graph database's storage, and its attributes.
+_GRAPH_OWNERS = ("repro/graph/database.py", "repro/graph/matrices.py")
+_GRAPH_STORAGE = {
+    "_out", "_in", "_nodes", "_ids", "_index", "_position_lists",
+}
 
 #: Exception names public api/server modules may not raise bare.
 _BARE_EXCEPTIONS = {"KeyError", "ValueError", "IndexError"}
@@ -340,6 +356,20 @@ class _Linter(ast.NodeVisitor):
                 )
 
     def visit_Attribute(self, node):
+        on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+        if (
+            node.attr in _GRAPH_STORAGE
+            and not on_self
+            and not _posix(self.path).endswith(_GRAPH_OWNERS)
+        ):
+            self.report(
+                node,
+                "private-graph",
+                "read of graph storage .{} in {}; only {} may read it "
+                "on another object".format(
+                    node.attr, self.qualname, " and ".join(_GRAPH_OWNERS)
+                ),
+            )
         if (
             node.attr == "int32"
             and isinstance(node.value, ast.Name)
