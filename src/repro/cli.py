@@ -574,23 +574,27 @@ def _cmd_query(args, out):
     return 0
 
 
+def _pattern_set(args, schema):
+    """The ``--pattern`` set, run through Algorithm 1 under ``--expand``."""
+    patterns = [parse_pattern(text) for text in args.patterns]
+    if not args.expand:
+        return patterns
+    if len(patterns) != 1:
+        raise EvaluationError(
+            "--expand runs Algorithm 1 on one simple pattern; got "
+            "{}".format(len(patterns))
+        )
+    generated = generate_patterns(
+        patterns[0], schema.constraints, max_patterns=args.max_expand
+    )
+    return list(generated.patterns)
+
+
 def _cmd_explain(args, out):
     database = load_json(args.database)
     service = SimilarityService(database)
     _apply_delta_flags(service, args, out)
-    patterns = [parse_pattern(text) for text in args.patterns]
-    if args.expand:
-        if len(patterns) != 1:
-            raise EvaluationError(
-                "--expand runs Algorithm 1 on one simple pattern; got "
-                "{}".format(len(patterns))
-            )
-        generated = generate_patterns(
-            patterns[0],
-            database.schema.constraints,
-            max_patterns=args.max_expand,
-        )
-        patterns = list(generated.patterns)
+    patterns = _pattern_set(args, database.schema)
     print(service.session.explain(patterns), file=out)
     return 0
 
@@ -608,19 +612,7 @@ def _cmd_check(args, out):
     from repro.analysis import PatternTypeChecker
 
     database = load_json(args.database)
-    patterns = [parse_pattern(text) for text in args.patterns]
-    if args.expand:
-        if len(patterns) != 1:
-            raise EvaluationError(
-                "--expand runs Algorithm 1 on one simple pattern; got "
-                "{}".format(len(patterns))
-            )
-        generated = generate_patterns(
-            patterns[0],
-            database.schema.constraints,
-            max_patterns=args.max_expand,
-        )
-        patterns = list(generated.patterns)
+    patterns = _pattern_set(args, database.schema)
     checker = PatternTypeChecker(
         database.schema,
         stats=MatrixView(database),

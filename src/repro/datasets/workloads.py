@@ -7,6 +7,18 @@ users mostly ask about prominent venues, courses or diseases.
 
 import random
 
+from repro.graph.statistics import _degrees
+
+
+def _candidates(database, node_type):
+    """``(node, degree)`` for the nodes of ``node_type`` with positive
+    degree, in insertion order; every degree is taken in one pass."""
+    return [
+        (node, degree)
+        for node, degree in zip(database.nodes(), _degrees(database))
+        if degree > 0 and database.node_type(node) == node_type
+    ]
+
 
 def sample_queries_by_degree(database, node_type, count, seed=0):
     """Sample ``count`` distinct nodes of ``node_type``, degree-weighted.
@@ -15,17 +27,13 @@ def sample_queries_by_degree(database, node_type, count, seed=0):
     isolated node has no meaningful answers).  If fewer than ``count``
     candidates exist, all of them are returned (deterministic order).
     """
-    candidates = [
-        node
-        for node in database.nodes_of_type(node_type)
-        if database.degree(node) > 0
-    ]
+    candidates = _candidates(database, node_type)
     if len(candidates) <= count:
-        return sorted(candidates)
+        return sorted(node for node, _ in candidates)
     rng = random.Random(seed)
     chosen = []
-    pool = list(candidates)
-    weights = [float(database.degree(node)) for node in pool]
+    pool = [node for node, _ in candidates]
+    weights = [float(degree) for _, degree in candidates]
     for _ in range(count):
         index = rng.choices(range(len(pool)), weights=weights, k=1)[0]
         chosen.append(pool.pop(index))
@@ -35,11 +43,7 @@ def sample_queries_by_degree(database, node_type, count, seed=0):
 
 def uniform_queries(database, node_type, count, seed=0):
     """Uniformly sampled distinct queries of one node type."""
-    candidates = [
-        node
-        for node in database.nodes_of_type(node_type)
-        if database.degree(node) > 0
-    ]
+    candidates = [node for node, _ in _candidates(database, node_type)]
     if len(candidates) <= count:
         return sorted(candidates)
     rng = random.Random(seed)

@@ -10,17 +10,19 @@ Design notes
 ------------
 * Node ids are arbitrary hashable values (the paper fixes a countable id
   universe).  Dataset generators use strings like ``"paper:17"``.
-* Each node gets its row position once, the first time it is added:
-  ``_ids`` lists the ids in insertion order and ``_index`` maps each id
-  to its position there.  The table is append-only (no API removes a
-  node), so its first ``n`` entries never change: a lazy
-  :class:`~repro.graph.matrices.MatrixView` shares the table, bounded
-  at its node count, instead of building an indexer of its own.
-* Edges are stored as positions.  Per label, ``_out`` maps a source
-  position to the set of its target positions and ``_in`` holds the
-  reverse orientation, so reverse traversal (``a-``) is O(1) per
-  neighbor and a view builds a label's CSR from the stored sets with no
-  id lookup.  Every public method takes and returns ids.
+* One node table.  Each node gets its row position once, the first time
+  it is added: ``_ids`` lists the ids and ``_types`` their types in
+  insertion order, and ``_index`` maps each id to its position.  The
+  table is append-only (no API removes a node), so its first ``n`` ids
+  never change: a lazy :class:`~repro.graph.matrices.MatrixView` shares
+  the table, bounded at its node count, instead of building its own.
+* One edge index.  Edges are stored as positions: per label, ``_out``
+  maps a source position to the set of its target positions, and a
+  view builds a label's CSR from the stored sets with no id lookup.
+  Reverse steps (``a-``) run on that CSR's transpose, so no reverse
+  index is kept; :meth:`GraphDatabase.predecessors` and
+  :meth:`GraphDatabase.degree` scan ``_out`` instead.  Every public
+  method takes and returns ids.
 * Edges form a *set*: adding the same ``(u, a, v)`` twice is a no-op, which
   matches the paper's set-of-edges definition.  Parallel edges with
   different labels are of course allowed.
@@ -48,15 +50,12 @@ class GraphDatabase:
 
     def __init__(self, schema):
         self._schema = schema
-        # {id: type} in insertion order, and the position table: the ids
-        # by position and each id's position.
-        self._nodes = {}
+        # The node table: ids and types by position, each id's position.
         self._ids = []
+        self._types = []
         self._index = {}
-        # label -> {source position -> set(target positions)} and the
-        # reverse orientation.
+        # label -> {source position -> set(target positions)}.
         self._out = defaultdict(lambda: defaultdict(set))
-        self._in = defaultdict(lambda: defaultdict(set))
         self._edge_count = 0
 
     # ------------------------------------------------------------------
@@ -69,11 +68,12 @@ class GraphDatabase:
     def _intern(self, node, node_type=None):
         """Give a new node the next row position; returns the position."""
         position = len(self._ids)
-        # The id is listed before it is indexed, so anyone who copies
-        # ``_index`` finds every copied id in ``_ids`` afterwards.
+        # The id and its type are listed before the id is indexed, so
+        # anyone who copies ``_index`` finds every copied id in ``_ids``
+        # and ``_types`` afterwards.
         self._ids.append(node)
+        self._types.append(node_type)
         self._index[node] = position
-        self._nodes[node] = node_type
         return position
 
     def _position(self, node):
@@ -90,12 +90,13 @@ class GraphDatabase:
         :class:`~repro.exceptions.NodeTypeConflictError` instead of
         silently keeping the old type.
         """
-        if node not in self._index:
+        position = self._index.get(node)
+        if position is None:
             self._intern(node, node_type)
         elif node_type is not None:
-            existing = self._nodes[node]
+            existing = self._types[position]
             if existing is None:
-                self._nodes[node] = node_type
+                self._types[position] = node_type
             elif existing != node_type:
                 raise NodeTypeConflictError(node, existing, node_type)
         return node
@@ -108,7 +109,6 @@ class GraphDatabase:
         targets = self._out[label][u]
         if v not in targets:
             targets.add(v)
-            self._in[label][v].add(u)
             self._edge_count += 1
 
     def add_edges(self, edges):
@@ -132,7 +132,6 @@ class GraphDatabase:
         position = self._index.get
         intern = self._intern
         out = self._out[label]
-        backward = self._in[label]
         added = 0
         for source, target in pairs:
             u = position(source)
@@ -144,7 +143,6 @@ class GraphDatabase:
             targets = out[u]
             if v not in targets:
                 targets.add(v)
-                backward[v].add(u)
                 added += 1
         self._edge_count += added
         return added
@@ -163,10 +161,6 @@ class GraphDatabase:
         targets.discard(v)
         if not targets:
             del self._out[label][u]
-        sources = self._in[label][v]
-        sources.discard(u)
-        if not sources:
-            del self._in[label][v]
         self._edge_count -= 1
 
     def apply_delta(self, edges_added=(), edges_removed=(), nodes_added=()):
@@ -183,7 +177,8 @@ class GraphDatabase:
         )
         for node in new_nodes:
             self.add_node(node)
-        self._nodes.update(types)
+        for node, node_type in types.items():  # validated: never conflicts
+            self.add_node(node, node_type)
         for edge in removed:
             self.remove_edge(*edge)
         for edge in added:
@@ -195,17 +190,18 @@ class GraphDatabase:
     # ------------------------------------------------------------------
     def nodes(self):
         """An iterator over node ids (insertion order)."""
-        return iter(self._nodes)
+        return iter(self._index)
 
     def node_type(self, node):
         """The node's type string, or ``None`` if untyped/unknown node."""
-        if node not in self._nodes:
+        position = self._index.get(node)
+        if position is None:
             raise UnknownNodeError(node)
-        return self._nodes[node]
+        return self._types[position]
 
     def nodes_of_type(self, node_type):
         """All node ids whose type equals ``node_type`` (insertion order)."""
-        return [n for n, t in self._nodes.items() if t == node_type]
+        return [n for n, t in zip(self._ids, self._types) if t == node_type]
 
     def edges(self, label=None):
         """Iterate ``(source, label, target)`` triples, optionally filtered."""
@@ -256,20 +252,31 @@ class GraphDatabase:
         return {ids[v] for v in targets}
 
     def predecessors(self, node, label):
-        """Nodes ``u`` with an edge ``(u, label, node)``."""
-        ids = self._ids
-        sources = self._in.get(label, {}).get(self._index.get(node), ())
-        return {ids[u] for u in sources}
+        """Nodes ``u`` with an edge ``(u, label, node)``.
+
+        A scan of the label's sources: no reverse index is stored.
+        """
+        ids, v = self._ids, self._index.get(node)
+        return {
+            ids[u]
+            for u, targets in self._out.get(label, {}).items()
+            if v in targets
+        }
 
     def degree(self, node):
-        """Total degree (in + out) across all labels."""
+        """Total degree (in + out) across all labels.
+
+        A self-loop counts twice.  A scan of every label's sources, as no
+        reverse index is stored; every node's degree at once is a row sum
+        of ``MatrixView(database).combined_adjacency(symmetric=True)``.
+        """
         position = self._index.get(node)
         if position is None:
             raise UnknownNodeError(node)
         total = 0
-        for label in self._out:
-            total += len(self._out[label].get(position, ()))
-            total += len(self._in.get(label, {}).get(position, ()))
+        for adjacency in self._out.values():
+            total += len(adjacency.get(position, ()))
+            total += sum(position in targets for targets in adjacency.values())
         return total
 
     def num_nodes(self):
@@ -302,15 +309,14 @@ class GraphDatabase:
         position.
         """
         clone = GraphDatabase(self._schema)
-        clone._nodes = dict(self._nodes)
         clone._ids = list(self._ids)
+        clone._types = list(self._types)
         clone._index = dict(self._index)
-        for index, copied in ((self._out, clone._out), (self._in, clone._in)):
-            for label, adjacency in index.items():
-                if adjacency:
-                    copied[label] = defaultdict(
-                        set, {key: set(values) for key, values in adjacency.items()}
-                    )
+        for label, adjacency in self._out.items():
+            if adjacency:
+                clone._out[label] = defaultdict(
+                    set, {key: set(values) for key, values in adjacency.items()}
+                )
         clone._edge_count = self._edge_count
         return clone
 
@@ -325,7 +331,7 @@ class GraphDatabase:
         transformations: ``Sigma_TS(Sigma_ST(I)) == I`` exactly.
         """
         return (
-            set(self._nodes) == set(other._nodes)
+            self._index.keys() == other._index.keys()
             and self.edge_set() == other.edge_set()
         )
 

@@ -4,11 +4,11 @@ The commuting-matrix computation of Section 4.3 works on per-label
 adjacency matrices ``A_l`` and node types only.  This module provides a
 :class:`NodeIndexer` (stable node-id <-> row index mapping, possibly a
 bounded share of a database's own position table), the
-:class:`MatrixView` — schema, indexer, ``{node: type}`` node table and
-one CSR matrix per label, which is the whole graph of a served version
-(built lazily over a :class:`GraphDatabase`, or detached from it and
-patched in place on writes) — and :func:`csr_product`, the engine's
-multi-core sparse product.
+:class:`MatrixView` — schema, a node table (the indexer plus one type
+per row) and one CSR matrix per label, which is the whole graph of a
+served version (built lazily over a :class:`GraphDatabase`, or
+detached from it and patched in place on writes) — and
+:func:`csr_product`, the engine's multi-core sparse product.
 
 Matrices use float64: instance counts can exceed int32 on long patterns
 and SciPy's sparse matmul is best-tuned for floats.  Counts are exact as
@@ -367,26 +367,28 @@ class MatrixView:
         when comparing matrices across structural variants of the same
         database (node ids are preserved by invertible transformations,
         so a shared ordering makes entries directly comparable); the
-        view then maps the database's positions to its rows once.
+        view then maps the database's positions to its rows once, and
+        its nodes are the indexer's ids, typed as the database types
+        them (a node the database lacks is untyped).
 
     A view holds everything the similarity stack reads of a graph: the
-    schema, the :class:`NodeIndexer`, a ``{node: type}`` node table and
-    each label's CSR adjacency matrix ``A_label``.  Sessions and
+    schema, a node table — the :class:`NodeIndexer` and one type per
+    row — and each label's CSR adjacency matrix ``A_label``.  Sessions and
     algorithms read the graph through it (:attr:`schema`, :meth:`nodes`,
     :meth:`node_type`, :meth:`nodes_of_type`, :meth:`has_node`,
     :meth:`has_edge`, :meth:`num_edges`, :meth:`used_labels`), and
     :meth:`to_database` exports it.
 
-    A view over a caller's database is *lazy*: its node table is the
-    database's own, its indexer shares the database's position table,
-    bounded at the database's node count when the view is made, and
-    each label's matrix is built from the stored position sets on first
-    use, so a session costs nothing until it scores.  The matrices are
-    a snapshot — mutate the database afterwards and they go stale: a
-    node added later lies past the bound, stays out of every matrix and
+    A view over a caller's database is *lazy*: its node table shares
+    the database's own ids and types, bounded at the database's node
+    count when the view is made, and each label's matrix is built from
+    the stored position sets on first use, so a session costs nothing
+    until it scores.  The view is a snapshot — mutate the database
+    afterwards and it goes stale: a node added later lies past the
+    bound, so it is no node of the view, stays out of every matrix and
     raises :class:`~repro.exceptions.UnknownNodeError` when scored.
     :meth:`detach`, :meth:`fork` and :meth:`apply_delta` make
-    a view *detached*: every used label built, a node table of its own,
+    a view *detached*: every used label built, a types list of its own,
     and no database.  A detached view is the whole graph of a version —
     :class:`~repro.api.service.SimilarityService` serves detached views,
     patches them on writes and never copies or writes a database.
@@ -398,10 +400,9 @@ class MatrixView:
     """
 
     def __init__(self, database, indexer=None):
-        # Until detach() copies it, the node table is the database's
-        # live one: a node added there shows in candidate lists (and
-        # raises when scored) exactly as it would on the database.
-        ids, remap = database._ids, None
+        # Until detach() copies it, the types list is the database's
+        # live one, read only up to the indexer's bound.
+        ids, types, remap = database._ids, database._types, None
         if indexer is None:  # the database's own table, as it is now
             indexer = NodeIndexer.bounded(ids, database._index, len(ids))
         else:
@@ -413,39 +414,49 @@ class MatrixView:
                 count=len(ids),
             )
             remap[remap >= len(indexer)] = -1
-        self._init(
-            database, database.schema, database._nodes, indexer, {}, remap
-        )
+            # The caller's ids are the view's nodes, typed by the remap.
+            by_row = [None] * len(indexer)
+            for row, node_type in zip(remap.tolist(), types):
+                if row >= 0:
+                    by_row[row] = node_type
+            types = by_row
+        self._init(database, database.schema, indexer, types, {}, remap)
 
     @classmethod
-    def restore(cls, schema, nodes, adjacency):
+    def restore(cls, schema, nodes, types, adjacency):
         """A detached view from its parts — how a snapshot loads.
 
-        ``nodes`` is the ``{node: type}`` table in indexer order and
-        ``adjacency`` maps each used label to its canonical CSR matrix;
-        the view adopts both.  A label the schema lacks raises
-        :class:`~repro.exceptions.UnknownLabelError`.
+        ``nodes`` lists the node ids in indexer order, ``types`` their
+        types by row, and ``adjacency`` maps each used label to its
+        canonical CSR matrix; the view adopts the types list and the
+        matrices.  A label the schema lacks raises
+        :class:`~repro.exceptions.UnknownLabelError`, and lists of
+        different lengths raise ``ValueError``.
         """
         for label in adjacency:
             if label not in schema:
                 raise UnknownLabelError(label, schema.labels)
+        if len(types) != len(nodes):
+            raise ValueError(
+                "{} node types for {} nodes".format(len(types), len(nodes))
+            )
         view = cls.__new__(cls)
-        view._init(None, schema, nodes, None, dict(adjacency))
+        view._init(None, schema, NodeIndexer(nodes), types, dict(adjacency))
         return view
 
-    def _init(self, database, schema, nodes, indexer, cache, remap=None):
+    def _init(self, database, schema, indexer, types, cache, remap=None):
         self._database = database
         self._schema = schema
-        self._nodes = nodes
-        # The matrices cover the table's first ``extent`` nodes: over a
-        # database, the ones it held when the view was made.
-        self._extent = len(nodes)
+        # The node table: the indexer's ids and their types by row.
+        self._indexer = indexer
+        self._types = types
+        # The database positions the matrices cover: the nodes it held
+        # when the view was made.
+        self._extent = len(indexer) if remap is None else len(remap)
         self._remap = remap
-        self._indexer = NodeIndexer(nodes) if indexer is None else indexer
         self._lock = threading.RLock()
         self._cache = cache
         self._candidates = {}
-        self._candidate_node_count = len(nodes)
 
     @property
     def indexer(self):
@@ -462,21 +473,20 @@ class MatrixView:
     # Graph reads
     # ------------------------------------------------------------------
     def nodes(self):
-        """An iterator over node ids (insertion order)."""
-        return iter(self._nodes)
+        """An iterator over node ids (indexer order)."""
+        return iter(self._indexer.ids)
 
     def has_node(self, node):
-        return node in self._nodes
+        return node in self._indexer
 
     def node_type(self, node):
         """The node's type string, or ``None`` if untyped; unknown raises."""
-        if node not in self._nodes:
-            raise UnknownNodeError(node)
-        return self._nodes[node]
+        return self._types[self._indexer.index_of(node)]
 
     def nodes_of_type(self, node_type):
-        """All node ids whose type equals ``node_type`` (insertion order)."""
-        return [node for node, kind in self._nodes.items() if kind == node_type]
+        """All node ids whose type equals ``node_type`` (indexer order)."""
+        pairs = zip(self._indexer.ids, self._types)
+        return [node for node, kind in pairs if kind == node_type]
 
     def has_edge(self, source, label, target):
         """Whether ``(source, label, target)`` is an edge.
@@ -518,9 +528,9 @@ class MatrixView:
         and types, and edges are read back out of the CSR matrices.
         """
         database = GraphDatabase(self._schema)
-        for node, node_type in list(self._nodes.items()):
-            database.add_node(node, node_type)
         ids = self._indexer.ids
+        for node, node_type in zip(ids, self._types):
+            database.add_node(node, node_type)
         for label in sorted(self.used_labels()):
             edges = self.adjacency(label).tocoo()
             pairs = zip(edges.row.tolist(), edges.col.tolist())
@@ -590,20 +600,17 @@ class MatrixView:
     def detach(self):
         """Make this view the whole graph it serves; returns ``self``.
 
-        Builds every used label, copies the node table (the nodes the
-        view covers, not those added to the database after it) and
-        drops the database: later writes to that database no longer
-        reach the view, and the view never writes to it.  Idempotent.
+        Builds every used label, copies the types of the nodes the view
+        covers and drops the database: later writes to that database no
+        longer reach the view, and the view never writes to it.
+        Idempotent.
         """
         with self._lock:
             database = self._database
             if database is not None:
                 for label in database.used_labels():
                     self.adjacency(label)
-                nodes = dict(self._nodes)
-                for node in database._ids[self._extent :]:
-                    nodes.pop(node, None)
-                self._nodes = nodes
+                self._types = self._types[: len(self._indexer)]
                 self._database = self._remap = None
         return self
 
@@ -633,7 +640,7 @@ class MatrixView:
         detaches (:meth:`detach`) and patches itself; no database is
         written:
 
-        * the node table and, when nodes were added, the indexer are
+        * the types list and, when nodes were added, the indexer are
           *replaced* by extended copies (the old objects stay frozen
           for old readers and for forks that share them);
         * cached adjacencies get a sparse ``+1/-1`` patch per touched
@@ -655,10 +662,13 @@ class MatrixView:
         with self._lock:
             self.detach()
             old_n = len(self._indexer)
-            if new_nodes or types:  # replaced, never mutated: forks share it
-                self._nodes = {**self._nodes, **dict.fromkeys(new_nodes), **types}
             if new_nodes:
                 self._indexer = self._indexer.extended(new_nodes)
+            if new_nodes or types:  # replaced, never mutated: forks share it
+                by_row = self._types + [None] * len(new_nodes)
+                for node, node_type in types.items():
+                    by_row[self._indexer.index_of(node)] = node_type
+                self._types = by_row
             n = len(self._indexer)
             entries = {}
             for edges, sign in ((removed, -1.0), (added, 1.0)):
@@ -692,13 +702,12 @@ class MatrixView:
             # joins that type's candidate list without changing the
             # node count.  The "all nodes" list only changes when
             # membership does.
-            affected = {self._nodes[node] for node in new_nodes}
+            affected = set(self._types[old_n:])
             affected.update(types.values())
             for node_type in affected:
                 self._candidates.pop(("type", node_type), None)
             if new_nodes:
                 self._candidates.pop(("all",), None)
-                self._candidate_node_count = len(self._nodes)
             return ViewDelta(patches, old_n, n, added, removed, new_nodes)
 
     def candidate_index(self, node_type=None):
@@ -712,26 +721,28 @@ class MatrixView:
         ``node_type`` is the resolved answer type of a query — ``None``
         means every node (untyped queries).
 
-        A node of the requested type that is missing from the indexer
+        A node of the requested type that the view does not cover
         raises :class:`~repro.exceptions.UnknownNodeError`: scoring a
         candidate the snapshot does not cover is an error, not a zero
-        score.  The cache revalidates against the node table's size on
-        every call, so a node added to a lazy view's database after the
-        view was built raises the same error whether or not the index
-        was already warm (no silently stale candidate list).  Other
-        mutations of that database — edge changes, retyping an existing
-        node — follow the view's general snapshot rule: build a fresh
-        view after mutating.
+        score.  Every call on a lazy view checks the database's nodes
+        past the view's bound, so a node of the type added to the
+        database after the view was built raises that error whether or
+        not the index was already warm (no silently stale candidate
+        list).  Other mutations of that database — edge changes,
+        retyping an existing node — follow the view's general snapshot
+        rule: build a fresh view after mutating.
         """
         with self._lock:
-            if len(self._nodes) != self._candidate_node_count:
-                self._candidates.clear()
-                self._candidate_node_count = len(self._nodes)
+            database = self._database
+            if database is not None:  # nodes it gained after the view
+                for position in range(self._extent, len(database._types)):
+                    if node_type in (None, database._types[position]):
+                        raise UnknownNodeError(database._ids[position])
             key = ("type", node_type) if node_type is not None else ("all",)
             cached = self._candidates.get(key)
             if cached is None:
                 if node_type is None:
-                    eligible = list(self._nodes)
+                    eligible = self._indexer.ids
                 else:
                     eligible = self.nodes_of_type(node_type)
                 eligible.sort(key=str)

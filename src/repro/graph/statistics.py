@@ -8,6 +8,10 @@ degree-weighted query sampling.
 
 from collections import Counter
 
+import numpy as np
+
+from repro.graph.matrices import MatrixView
+
 
 def label_histogram(database):
     """``{label: edge count}`` over labels that actually occur."""
@@ -25,9 +29,22 @@ def node_type_histogram(database):
     return dict(histogram)
 
 
+def _degrees(database):
+    """Every node's total degree (in + out, all labels), in node order.
+
+    One pass: the row sums of the symmetric combined adjacency, where
+    each label of a parallel edge counts once and a self-loop twice —
+    the values :meth:`GraphDatabase.degree
+    <repro.graph.database.GraphDatabase.degree>` returns per node.
+    """
+    combined = MatrixView(database).combined_adjacency(symmetric=True)
+    sums = np.asarray(combined.sum(axis=1)).ravel()
+    return sums.astype(np.int64).tolist()
+
+
 def degree_statistics(database):
     """Min/mean/max/isolated-count over total node degree."""
-    degrees = [database.degree(node) for node in database.nodes()]
+    degrees = _degrees(database)
     if not degrees:
         return {"min": 0, "mean": 0.0, "max": 0, "isolated": 0}
     return {
@@ -48,8 +65,7 @@ def degree_distribution(database, buckets=(1, 2, 4, 8, 16, 32, 64)):
     """
     counts = {bound: 0 for bound in buckets}
     isolated = 0
-    for node in database.nodes():
-        degree = database.degree(node)
+    for degree in _degrees(database):
         if degree == 0:
             isolated += 1
             continue

@@ -337,11 +337,6 @@ def product_nnz(nnz_a, nnz_b, n):
     return min(n * n, nnz_a * nnz_b / n)
 
 
-#: Backwards-compatible private alias (the DP below predates the public
-#: name).
-_product_nnz = product_nnz
-
-
 def _product_cost(nnz_a, nnz_b, n):
     """Expected flops of a sparse product under uniform sparsity."""
     return nnz_a * nnz_b / max(float(n), 1.0)
@@ -384,7 +379,7 @@ def estimate_nnz(node, leaf_nnz, n):
     elif kind == "chain":
         estimate = estimate_nnz(node.children[0], leaf_nnz, n)
         for child in node.children[1:]:
-            estimate = _product_nnz(
+            estimate = product_nnz(
                 estimate, estimate_nnz(child, leaf_nnz, n), n
             )
     else:
@@ -457,7 +452,7 @@ def _order_chain_locked(node, leaf_nnz, n, compiler):
                 if best is None or candidate < best:
                     best, best_m = candidate, m
             split[(i, j)] = best_m
-            nnz[(i, j)] = _product_nnz(
+            nnz[(i, j)] = product_nnz(
                 nnz[(i, best_m)], nnz[(best_m, j)], n
             )
             uses = shared.get(uids[i:j], 0)

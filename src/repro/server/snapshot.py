@@ -264,7 +264,7 @@ def load_session(path, **session_options):
     with archive:
         manifest = _read_manifest(archive, path)
         try:
-            nodes = dict(zip(manifest["nodes"], manifest["types"]))
+            nodes = manifest["nodes"]
             count = len(manifest["labels"])
             records = _unpool_records(
                 archive, manifest["labels"] + manifest["records"], len(nodes)
@@ -272,6 +272,7 @@ def load_session(path, **session_options):
             view = MatrixView.restore(
                 schema_from_dict(manifest["schema"]),
                 nodes,
+                manifest["types"],
                 {label: entry.matrix for label, entry in records[:count]},
             )
         except (KeyError, TypeError, ValueError, ReproError) as error:

@@ -43,6 +43,43 @@ def tiny_db(tiny_schema):
     return db
 
 
+@pytest.fixture
+def island_db():
+    """Typed nodes around a hub, with an isolated typed node ("island")
+    and a self-loop."""
+    db = GraphDatabase(Schema(["a", "b"]))
+    db.add_node("island", "leaf")
+    db.add_node("hub", "city")
+    for i in range(5):
+        db.add_node("leaf{}".format(i), "leaf")
+        db.add_edge("hub", "a", "leaf{}".format(i))
+    db.add_edges([("leaf0", "b", "leaf1"), ("leaf2", "a", "leaf2")])
+    return db
+
+
+@pytest.fixture(params=["tiny_db", "island_db", "dblp_small"])
+def degree_db(request):
+    """Each graph the degree readers are checked on: a self-loop and
+    parallel labels, an isolated typed node, and dblp-small."""
+    database = request.getfixturevalue(request.param)
+    return getattr(database, "database", database)  # a dataset bundle
+
+
+@pytest.fixture
+def reference_degrees():
+    """Per-node total degree counted edge by edge: out-degree plus
+    in-degree over every label, so a self-loop counts twice."""
+
+    def degrees(database):
+        counts = dict.fromkeys(database.nodes(), 0)
+        for source, _, target in database.edges():
+            counts[source] += 1
+            counts[target] += 1
+        return counts
+
+    return degrees
+
+
 @pytest.fixture(scope="session")
 def dblp_small():
     return generate_dblp_small(seed=7)

@@ -234,10 +234,11 @@ def test_explain_expand(dblp_json):
     assert "shared sub-plans" in output
 
 
-def test_explain_expand_rejects_pattern_set(dblp_json):
+@pytest.mark.parametrize("command", ["explain", "check"])
+def test_explain_expand_rejects_pattern_set(dblp_json, command, capsys):
     code, _ = run_cli(
         [
-            "explain",
+            command,
             dblp_json,
             "--pattern",
             "r-a",
@@ -247,6 +248,9 @@ def test_explain_expand_rejects_pattern_set(dblp_json):
         ]
     )
     assert code == 2
+    assert "--expand runs Algorithm 1 on one simple pattern; got 2" in (
+        capsys.readouterr().err
+    )
 
 
 def test_patterns(dblp_json):

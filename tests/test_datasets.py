@@ -1,5 +1,7 @@
 """Tests for the synthetic dataset generators and workload samplers."""
 
+import random
+
 import pytest
 
 from repro.datasets import (
@@ -175,6 +177,48 @@ def test_uniform_queries(dblp_small):
     queries = uniform_queries(db, "paper", 15, seed=0)
     assert len(queries) == 15
     assert all(db.node_type(q) == "paper" for q in queries)
+
+
+def _reference_pool(database, node_type, degrees):
+    return [n for n in database.nodes_of_type(node_type) if degrees[n] > 0]
+
+
+def _reference_by_degree(database, node_type, count, seed, degrees):
+    """The degree-weighted sampler over per-node reference degrees."""
+    pool = _reference_pool(database, node_type, degrees)
+    if len(pool) <= count:
+        return sorted(pool)
+    rng = random.Random(seed)
+    weights = [float(degrees[n]) for n in pool]
+    chosen = []
+    for _ in range(count):
+        index = rng.choices(range(len(pool)), weights=weights, k=1)[0]
+        chosen.append(pool.pop(index))
+        weights.pop(index)
+    return chosen
+
+
+def _reference_uniform(database, node_type, count, seed, degrees):
+    pool = _reference_pool(database, node_type, degrees)
+    if len(pool) <= count:
+        return sorted(pool)
+    return random.Random(seed).sample(pool, count)
+
+
+def test_samplers_match_per_node_reference(degree_db, reference_degrees):
+    # Degrees are taken in one pass; the sampled lists must be the ones
+    # per-node degrees give, for every type, size and seed.
+    degrees = reference_degrees(degree_db)
+    for node_type in {degree_db.node_type(n) for n in degree_db.nodes()}:
+        for count in (1, 3, 10_000):
+            for seed in range(10):
+                args = (degree_db, node_type, count)
+                assert sample_queries_by_degree(
+                    *args, seed=seed
+                ) == _reference_by_degree(*args, seed, degrees)
+                assert uniform_queries(
+                    *args, seed=seed
+                ) == _reference_uniform(*args, seed, degrees)
 
 
 # ----------------------------------------------------------------------

@@ -67,8 +67,8 @@ def _apply_both(target, database, **delta):
 
     Views and engines never write their database, so a test keeps
     ``database`` as its reference by applying each delta to it too —
-    after the target, whose lazy view validates against the database's
-    live node table before detaching from it.
+    after the target, whose lazy view may still build a label from the
+    database's edges.
     """
     result = target.apply_delta(**delta)
     database.apply_delta(**delta)
@@ -167,6 +167,27 @@ def test_database_apply_delta_self_loop_on_new_node_reported_once(dblp):
         )
         assert added == [("loop:new", "w", "loop:new")]
         assert new_nodes == ["loop:new"]
+
+
+def test_lazy_view_apply_delta_on_a_node_its_database_gained_later(dblp):
+    # A node the database gains after the view was made is no node of
+    # the view: a delta naming it adds it to the view, as it would to
+    # a copy of the database taken when the view was made.
+    view = MatrixView(dblp)
+    reference = dblp.copy()
+    dblp.add_node("late")
+    grown = _content(dblp)
+    delta = dict(
+        edges_added=[("late", "w", dblp.nodes_of_type("paper")[0])],
+        nodes_added=[("late", "author")],
+    )
+    report = view.apply_delta(**delta)
+    assert (
+        report.added, report.removed, report.added_nodes
+    ) == reference.apply_delta(**delta)
+    assert _content(view) == _content(reference)
+    assert view.node_type("late") == reference.node_type("late") == "author"
+    assert _content(dblp) == grown and dblp.node_type("late") is None
 
 
 # ----------------------------------------------------------------------

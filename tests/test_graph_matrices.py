@@ -163,6 +163,9 @@ def test_views_keep_their_node_count_when_the_database_grows(tiny_db):
     assert list(detached.nodes()) == old_ids
     assert list(MatrixView(tiny_db).detach().nodes())[-2:] == [9, "late"]
     assert list(lazy.detach().nodes()) == old_ids
+    # Retyping a node in the database reaches no detached view.
+    tiny_db.add_node(1, "kind")
+    assert detached.node_type(1) is None and lazy.node_type(1) is None
     # A node-adding delta on the detached view appends a fresh position
     # and copies none of the database's later entries.
     detached.apply_delta(edges_added=[("fresh", "a", 1)])

@@ -1,5 +1,7 @@
 """Tests for graph statistics."""
 
+from collections import Counter
+
 import pytest
 
 from repro.graph import (
@@ -87,3 +89,37 @@ def test_summarize_untyped_database():
     assert "2 nodes, 1 edges" in text
     # no node-type section when everything is untyped
     assert "node types" not in text
+
+
+# ----------------------------------------------------------------------
+# Degrees come from one pass over the matrices; each value must equal
+# the per-node count taken edge by edge.
+# ----------------------------------------------------------------------
+def test_degree_statistics_match_per_node_reference(
+    degree_db, reference_degrees
+):
+    degrees = list(reference_degrees(degree_db).values())
+    stats = degree_statistics(degree_db)
+    assert stats == {
+        "min": min(degrees),
+        "mean": sum(degrees) / len(degrees),
+        "max": max(degrees),
+        "isolated": degrees.count(0),
+    }
+    assert all(type(stats[key]) is int for key in ("min", "max", "isolated"))
+
+
+def test_degree_distribution_matches_per_node_reference(
+    degree_db, reference_degrees
+):
+    buckets = (1, 2, 4, 8, 16, 32, 64)
+
+    def bucket(degree):
+        if degree == 0:
+            return 0
+        return max([b for b in buckets if b <= degree], default=buckets[0])
+
+    counts = Counter(map(bucket, reference_degrees(degree_db).values()))
+    assert degree_distribution(degree_db, buckets) == [
+        (bound, counts[bound]) for bound in (0,) + buckets
+    ]

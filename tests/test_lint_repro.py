@@ -334,7 +334,7 @@ def test_private_scipy_import_waived():
 
 @pytest.mark.parametrize(
     "attribute",
-    ["_out", "_in", "_nodes", "_ids", "_index", "_position_lists"],
+    ["_out", "_ids", "_types", "_index", "_position_lists"],
 )
 def test_private_graph_read_flagged(attribute):
     violations = lint(
@@ -352,7 +352,7 @@ def test_private_graph_read_flagged(attribute):
     "path", ["src/repro/graph/database.py", "src/repro/graph/matrices.py"]
 )
 def test_private_graph_read_allowed_in_owner_modules(path):
-    assert lint("nodes = database._nodes", path=path) == []
+    assert lint("types = database._types", path=path) == []
 
 
 def test_private_graph_own_attributes_allowed():
@@ -360,7 +360,7 @@ def test_private_graph_own_attributes_allowed():
         """
         class Table:
             def size(self):
-                return len(self._index) + len(self._nodes)
+                return len(self._index) + len(self._types)
         """
     ) == []
 

@@ -272,8 +272,9 @@ def _rename_first_label(manifest):
         lambda m: dict(
             m, schema=dict(m["schema"], constraints=["no arrow ("])
         ),
+        lambda m: dict(m, types=m["types"][:-1]),
     ],
-    ids=["unknown-label", "unparseable-constraint"],
+    ids=["unknown-label", "unparseable-constraint", "a-type-missing"],
 )
 def test_load_maps_a_corrupt_database_to_snapshot_error(
     tiny_dblp, tmp_path, corrupt

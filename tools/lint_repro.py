@@ -50,7 +50,7 @@ Rules
 ``private-graph``
     Only ``repro/graph/database.py`` and ``repro/graph/matrices.py``
     may read a database's storage on an object other than ``self``:
-    ``_out``, ``_in``, ``_nodes``, the position table ``_ids`` /
+    the edge index ``_out``, the node table ``_ids`` / ``_types`` /
     ``_index``, and ``_position_lists``, which returns the live
     position sets.  Positions and their sets are an internal encoding
     that every public method translates to ids; anything else that
@@ -119,7 +119,7 @@ _PRIVATE_SCIPY_OWNER = "repro/graph/matrices.py"
 #: The modules that own a graph database's storage, and its attributes.
 _GRAPH_OWNERS = ("repro/graph/database.py", "repro/graph/matrices.py")
 _GRAPH_STORAGE = {
-    "_out", "_in", "_nodes", "_ids", "_index", "_position_lists",
+    "_out", "_ids", "_types", "_index", "_position_lists",
 }
 
 #: Exception names public api/server modules may not raise bare.
