@@ -1,15 +1,21 @@
 """Static analysis for similarity patterns.
 
-Two consumers:
+:class:`PatternTypeChecker` checks a pattern against a schema alone:
+endpoint-type errors and redundant spellings, each a spanned
+:class:`Diagnostic`.  Two consumers:
 
-* the plan compiler and serving stack, which call
-  :meth:`PatternTypeChecker.assert_well_typed` to reject ill-typed
-  patterns *before* any matrix work (surfaced as
+* the plan compiler, which calls
+  :meth:`PatternTypeChecker.assert_well_typed` on every new pattern to
+  reject ill-typed ones *before* any matrix work (surfaced as
   :class:`repro.exceptions.PatternTypeError` carrying the diagnostic
-  list — the CLI ``repro check`` verb and the HTTP 400 body both render
-  it);
-* humans running ``repro check``, who also get the warning tier
-  (density estimates, redundant spellings).
+  list — the CLI and the HTTP 400 body both render it);
+* ``CommutingMatrixEngine.check`` and ``explain`` (hence ``repro
+  check`` and ``session.check()``), which report the warning tier too
+  and add the two density warnings from the planner's nnz estimate
+  over the engine's own view.
+
+Spans index into :func:`render_with_spans`, the AST printer behind
+``str()`` (defined in :mod:`repro.lang.ast`, re-exported here).
 
 The repo-invariant linter (dense-materialization, lock discipline,
 index width, exception taxonomy) is a separate stdlib-``ast`` tool at
@@ -23,12 +29,8 @@ from repro.analysis.diagnostics import (
     has_errors,
     sort_diagnostics,
 )
-from repro.analysis.typecheck import (
-    ANY,
-    Endpoints,
-    PatternTypeChecker,
-    render_with_spans,
-)
+from repro.analysis.typecheck import ANY, Endpoints, PatternTypeChecker
+from repro.lang.ast import render_with_spans
 
 __all__ = [
     "ANY",

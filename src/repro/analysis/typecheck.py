@@ -22,31 +22,32 @@ pattern AST and reports problems as spanned
 * ``statically-empty`` — a subterm whose endpoint set is provably empty
   (e.g. a conjunction of type-disjoint relationships).
 
-**Warnings** (well-typed but expensive or redundantly spelled):
+**Warnings** (well-typed but redundantly spelled):
 
-* ``star-blowup`` — a Kleene star whose operand's nnz estimate predicts
-  a near-dense closure;
-* ``density-budget`` — the whole pattern's estimated result density
-  exceeds a configurable budget;
 * ``redundant-reverse`` — a double reverse the canonicalizer collapses;
 * ``redundant-union`` — duplicate union branches the canonicalizer
   deduplicates.
 
+The two density warnings, ``star-blowup`` and ``density-budget``, read
+graph statistics and a plan, so they are not raised here:
+:meth:`CommutingMatrixEngine.check
+<repro.lang.matrix_semantics.CommutingMatrixEngine.check>` and
+``explain`` add them from the planner's estimate
+(:func:`repro.lang.plan.estimate_nnz`) over the engine's own view.
+
 The endpoint algebra treats untyped labels (schemas without
 ``node_types`` — the common case in tests and ad-hoc graphs) as the
 wildcard :data:`ANY`, which absorbs every operation, so an untyped
-schema only ever produces ``unknown-label`` errors and density
-warnings: the checker never invents a type constraint the schema did
-not state.
+schema only ever produces ``unknown-label`` errors: the checker never
+invents a type constraint the schema did not state.
 
 Spans index into the pattern's canonical rendering (``str(pattern)``),
-computed by a renderer that mirrors the AST pretty-printer exactly.
+as computed by :func:`repro.lang.ast.render_with_spans`, the printer
+behind ``str()``.
 
 This module imports only the AST, the diagnostics value objects, and
 the exception hierarchy — never the plan compiler or the engine — so
-both of those can depend on it without cycles.  Density estimates are
-therefore computed over the AST with the same uniform-sparsity
-surrogate the chain planner uses (``nnz_A * nnz_B / n`` per product).
+both of those can depend on it without cycles.
 """
 
 from repro.analysis.diagnostics import (
@@ -68,6 +69,7 @@ from repro.lang.ast import (
     Skip,
     Star,
     Union,
+    render_with_spans,
 )
 
 
@@ -198,83 +200,6 @@ def _closure(endpoints):
     return Endpoints(pairs, diag=True)
 
 
-# ----------------------------------------------------------------------
-# Span computation: mirror the AST pretty-printer, recording positions
-# ----------------------------------------------------------------------
-class _SpanRenderer:
-    """Render a pattern exactly like ``str()`` while recording, for each
-    subterm object, its ``(start, end)`` character span in the output.
-
-    The AST keeps no source positions (the parser discards token
-    offsets and the canonicalizer rewrites trees anyway), so spans are
-    computed against the canonical rendering — which is also what users
-    see echoed back in diagnostics, keeping the caret alignment honest.
-    Spans are keyed by ``id(node)``; when one object occurs twice (a
-    shared subterm), the last occurrence wins, which is fine for
-    locating a problem.
-    """
-
-    def __init__(self):
-        self.spans = {}
-        self._chunks = []
-        self._pos = 0
-
-    def text(self):
-        return "".join(self._chunks)
-
-    def _emit(self, chunk):
-        self._chunks.append(chunk)
-        self._pos += len(chunk)
-
-    def render(self, node):
-        start = self._pos
-        if isinstance(node, Epsilon):
-            self._emit("eps")
-        elif isinstance(node, Label):
-            self._emit(node.name)
-        elif isinstance(node, Reverse):
-            self._child(node, node.operand)
-            self._emit("-")
-        elif isinstance(node, Star):
-            self._child(node, node.operand)
-            self._emit("*")
-        elif isinstance(node, Nested):
-            self._emit("[")
-            self.render(node.operand)
-            self._emit("]")
-        elif isinstance(node, Skip):
-            self._emit("<<")
-            self.render(node.operand)
-            self._emit(">>")
-        elif isinstance(node, (Concat, Union, Conj)):
-            sep = {Concat: ".", Union: "+", Conj: "&"}[type(node)]
-            for index, part in enumerate(node.parts):
-                if index:
-                    self._emit(sep)
-                self._child(node, part)
-        else:
-            raise TypeError("not a pattern: {!r}".format(node))
-        self.spans[id(node)] = (start, self._pos)
-
-    def _child(self, parent, child):
-        if child.precedence < parent.precedence:
-            self._emit("(")
-            self.render(child)
-            self._emit(")")
-        else:
-            self.render(child)
-
-
-def render_with_spans(pattern):
-    """``(text, spans)`` where ``spans[id(subterm)] = (start, end)``.
-
-    ``text`` equals ``str(pattern)``.
-    """
-    renderer = _SpanRenderer()
-    renderer.render(pattern)
-    return renderer.text(), renderer.spans
-
-
 class PatternTypeChecker:
     """Static analysis of pattern ASTs against one schema.
 
@@ -284,22 +209,10 @@ class PatternTypeChecker:
         The :class:`repro.graph.schema.Schema` to check against.  Its
         ``node_types`` drive endpoint inference; labels without types
         are treated as unconstrained (:data:`ANY`).
-    stats:
-        Optional source of graph statistics for density warnings.  Duck
-        typed: needs ``num_nodes()`` and ``label_nnz(name)``.  Without
-        it only structural checks run (no ``star-blowup`` /
-        ``density-budget`` warnings) — which is what the compile-time
-        fail-fast hook wants anyway, since warnings never block.
-    density_budget:
-        Warn when a pattern's estimated result density (nnz over n^2)
-        exceeds this fraction.  Default 0.25: a quarter-dense
-        similarity matrix at serving scale is already an incident.
     """
 
-    def __init__(self, schema, stats=None, density_budget=0.25):
+    def __init__(self, schema):
         self.schema = schema
-        self.stats = stats
-        self.density_budget = float(density_budget)
 
     # ------------------------------------------------------------------
     # Public API
@@ -322,7 +235,6 @@ class PatternTypeChecker:
                     spans,
                 )
             )
-        self._check_density(pattern, text, spans, sink)
         self._check_redundancy(pattern, text, spans, sink)
         return sort_diagnostics(sink)
 
@@ -512,104 +424,6 @@ class PatternTypeChecker:
         return acc
 
     # ------------------------------------------------------------------
-    # Density estimation (warnings; needs stats)
-    # ------------------------------------------------------------------
-    def _check_density(self, pattern, text, spans, sink):
-        if self.stats is None:
-            return
-        n = float(self.stats.num_nodes())
-        if n <= 0:
-            return
-        budget_nnz = self.density_budget * n * n
-        for star_node in _walk(pattern):
-            if not isinstance(star_node, Star):
-                continue
-            estimate = self._estimate(star_node, n)
-            if estimate > budget_nnz:
-                sink.append(
-                    self._diag(
-                        WARNING,
-                        "star-blowup",
-                        "Kleene star closure estimated at ~{} nonzeros "
-                        "({:.0%} dense over {} nodes); expect a "
-                        "near-dense intermediate".format(
-                            _fmt_count(estimate),
-                            min(estimate / (n * n), 1.0),
-                            _fmt_count(n),
-                        ),
-                        star_node,
-                        text,
-                        spans,
-                    )
-                )
-        total = self._estimate(pattern, n)
-        if total > budget_nnz:
-            sink.append(
-                self._diag(
-                    WARNING,
-                    "density-budget",
-                    "estimated result density {:.0%} exceeds the "
-                    "configured budget of {:.0%} ({} estimated "
-                    "nonzeros over {} nodes)".format(
-                        min(total / (n * n), 1.0),
-                        self.density_budget,
-                        _fmt_count(total),
-                        _fmt_count(n),
-                    ),
-                    pattern,
-                    text,
-                    spans,
-                )
-            )
-
-    def _estimate(self, node, n):
-        """Estimated nnz of the subterm's matrix.
-
-        The same uniform-sparsity surrogate the chain planner uses:
-        a product of matrices with ``a`` and ``b`` nonzeros over ``n``
-        nodes has expected nnz ``min(n^2, a * b / n)``.
-        """
-        dense = n * n
-        if isinstance(node, Epsilon):
-            return n
-        if isinstance(node, Label):
-            if node.name not in self.schema.labels:
-                return 0.0
-            return float(self.stats.label_nnz(node.name))
-        if isinstance(node, Reverse):
-            return self._estimate(node.operand, n)
-        if isinstance(node, Skip):
-            return self._estimate(node.operand, n)
-        if isinstance(node, Nested):
-            return min(self._estimate(node.operand, n), n)
-        if isinstance(node, Star):
-            operand = self._estimate(node.operand, n)
-            degree = operand / n if n else 0.0
-            if degree >= 1.0:
-                # Average out-degree >= 1: the closure of the giant
-                # component is effectively dense.
-                return dense
-            # Geometric series: nnz(I + M + M^2 + ...) under the
-            # uniform surrogate with ratio `degree` < 1.
-            return min(dense, n + operand / (1.0 - degree))
-        if isinstance(node, Concat):
-            acc = None
-            for part in node.parts:
-                part_nnz = self._estimate(part, n)
-                if acc is None:
-                    acc = part_nnz
-                else:
-                    acc = min(dense, acc * part_nnz / n if n else 0.0)
-            return acc if acc is not None else 0.0
-        if isinstance(node, Union):
-            return min(
-                dense, sum(self._estimate(part, n) for part in node.parts)
-            )
-        if isinstance(node, Conj):
-            return min(self._estimate(part, n) for part in node.parts)
-        raise TypeError("not a pattern: {!r}".format(node))
-
-    # ------------------------------------------------------------------
     # Redundant spellings the canonicalizer collapses
     # ------------------------------------------------------------------
     def _check_redundancy(self, pattern, text, spans, sink):
@@ -667,14 +481,3 @@ def _describe_types(types):
     if types is ANY:
         return "any"
     return "{" + ", ".join(sorted(types)) + "}" if types else "{}"
-
-
-def _fmt_count(value):
-    value = int(value)
-    if value >= 10**9:
-        return "{:.1f}B".format(value / 10**9)
-    if value >= 10**6:
-        return "{:.1f}M".format(value / 10**6)
-    if value >= 10**4:
-        return "{:.0f}k".format(value / 10**3)
-    return str(value)

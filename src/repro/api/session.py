@@ -145,9 +145,10 @@ class SimilaritySession:
         """Static type-check of a pattern set against the schema.
 
         Returns ``[(pattern, [Diagnostic, ...]), ...]`` in input order,
-        errors and warnings both, without raising and without compiling
-        anything — the inspection companion to the enforcement built
-        into :meth:`prepare`/:meth:`explain` (which raise
+        errors and warnings both (the density warnings estimated over
+        this session's view), without raising and without touching the
+        engine's plans — the inspection companion to the enforcement
+        built into :meth:`prepare`/:meth:`explain` (which raise
         :class:`~repro.exceptions.PatternTypeError` on error-severity
         diagnostics).  Accepts pattern strings or ASTs; the ``repro
         check`` CLI verb is a thin wrapper over this.

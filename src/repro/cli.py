@@ -47,7 +47,6 @@ from repro.datasets import (
 from repro.eval import RobustnessExperiment, robustness_table
 from repro.exceptions import EvaluationError, ReproError
 from repro.graph.io import load_json, save_json
-from repro.graph.matrices import MatrixView
 from repro.graph.statistics import summarize
 from repro.lang import parse_pattern
 from repro.patterns import generate_patterns
@@ -282,12 +281,6 @@ def build_parser():
         action="store_true",
         dest="as_json",
         help="machine-readable diagnostics (one JSON object)",
-    )
-    check.add_argument(
-        "--density-budget",
-        type=float,
-        default=0.25,
-        help="warn when estimated result density exceeds this fraction",
     )
 
     transform = sub.add_parser("transform", help="apply a catalog mapping")
@@ -602,23 +595,18 @@ def _cmd_explain(args, out):
 def _cmd_check(args, out):
     """``repro check``: static pattern diagnostics, exit 1 on errors.
 
-    Runs the schema-aware type checker over the pattern set (after
-    Algorithm-1 expansion when ``--expand`` is given) and prints every
-    diagnostic with its source span — nothing is evaluated, so this is
-    safe to run in CI against production pattern corpora.
+    Runs ``session.check`` over the pattern set (after Algorithm-1
+    expansion when ``--expand`` is given) and prints every diagnostic
+    with its source span: type errors, redundant spellings and the
+    planner's density warnings.  Nothing is evaluated, so this is safe
+    to run in CI against production pattern corpora.
     """
     import json as json_module
 
-    from repro.analysis import PatternTypeChecker
-
     database = load_json(args.database)
     patterns = _pattern_set(args, database.schema)
-    checker = PatternTypeChecker(
-        database.schema,
-        stats=MatrixView(database),
-        density_budget=args.density_budget,
-    )
-    results = checker.check_many(patterns)
+    session = SimilaritySession(database)
+    results = session.check(patterns)
     errors = warnings = 0
     if args.as_json:
         report = []
@@ -649,7 +637,7 @@ def _cmd_check(args, out):
             errors += pattern_errors
             warnings += len(diagnostics) - pattern_errors
             if not diagnostics:
-                endpoints = checker.endpoints(pattern)
+                endpoints = session.engine.compiler.checker.endpoints(pattern)
                 print(
                     "[{}] {}: ok (endpoints {})".format(
                         position, pattern, endpoints.describe()

@@ -33,17 +33,16 @@ class Pattern:
         raise NotImplementedError
 
     def __str__(self):
-        raise NotImplementedError
+        printer = _Printer()
+        printer.node(self)
+        return "".join(printer.chunks)
 
     def __repr__(self):
         return "{}({!r})".format(type(self).__name__, str(self))
 
-    def _child_str(self, child):
-        """Render ``child``, parenthesizing when its precedence is lower."""
-        text = str(child)
-        if child.precedence < self.precedence:
-            return "({})".format(text)
-        return text
+    def _print(self, printer):
+        """Write this node's concrete syntax through ``printer``."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Structural queries shared by all nodes
@@ -87,8 +86,8 @@ class Epsilon(Pattern):
     def _key(self):
         return ()
 
-    def __str__(self):
-        return "eps"
+    def _print(self, printer):
+        printer.write("eps")
 
     def is_simple(self):
         return True
@@ -110,8 +109,8 @@ class Label(Pattern):
     def _key(self):
         return (self.name,)
 
-    def __str__(self):
-        return self.name
+    def _print(self, printer):
+        printer.write(self.name)
 
     def _collect_labels(self, found):
         found.add(self.name)
@@ -134,8 +133,9 @@ class Reverse(Pattern):
     def children(self):
         return (self.operand,)
 
-    def __str__(self):
-        return self._child_str(self.operand) + "-"
+    def _print(self, printer):
+        printer.child(self, self.operand)
+        printer.write("-")
 
     def is_simple(self):
         return isinstance(self.operand, Label)
@@ -158,27 +158,33 @@ class Star(Pattern):
     def children(self):
         return (self.operand,)
 
-    def __str__(self):
-        return self._child_str(self.operand) + "*"
+    def _print(self, printer):
+        printer.child(self, self.operand)
+        printer.write("*")
 
     def reverse(self):
         return Star(self.operand.reverse())
 
 
-class Concat(Pattern):
-    """Concatenation ``p1 . p2 . ... . pk`` (flattened, k >= 2)."""
+class _Variadic(Pattern):
+    """An n-ary operator: its operands flattened, printed ``_sep``-joined."""
 
-    precedence = 50
+    _sep = None
 
     def __init__(self, parts):
         flattened = []
         for part in parts:
-            if isinstance(part, Concat):
+            if isinstance(part, type(self)):
                 flattened.extend(part.parts)
             else:
                 flattened.append(part)
         if len(flattened) < 2:
-            raise ValueError("Concat needs at least two parts; use concat()")
+            name = type(self).__name__
+            raise ValueError(
+                "{} needs at least two parts; use {}()".format(
+                    name, name.lower()
+                )
+            )
         self.parts = tuple(flattened)
 
     def _key(self):
@@ -187,8 +193,18 @@ class Concat(Pattern):
     def children(self):
         return self.parts
 
-    def __str__(self):
-        return ".".join(self._child_str(part) for part in self.parts)
+    def _print(self, printer):
+        for index, part in enumerate(self.parts):
+            if index:
+                printer.write(self._sep)
+            printer.child(self, part)
+
+
+class Concat(_Variadic):
+    """Concatenation ``p1 . p2 . ... . pk`` (flattened, k >= 2)."""
+
+    precedence = 50
+    _sep = "."
 
     def is_simple(self):
         return all(part.is_simple() for part in self.parts)
@@ -197,30 +213,11 @@ class Concat(Pattern):
         return Concat([part.reverse() for part in reversed(self.parts)])
 
 
-class Union(Pattern):
+class Union(_Variadic):
     """Disjunction ``p1 + p2 + ... + pk`` (flattened, k >= 2)."""
 
     precedence = 10
-
-    def __init__(self, parts):
-        flattened = []
-        for part in parts:
-            if isinstance(part, Union):
-                flattened.extend(part.parts)
-            else:
-                flattened.append(part)
-        if len(flattened) < 2:
-            raise ValueError("Union needs at least two parts; use union()")
-        self.parts = tuple(flattened)
-
-    def _key(self):
-        return self.parts
-
-    def children(self):
-        return self.parts
-
-    def __str__(self):
-        return "+".join(self._child_str(part) for part in self.parts)
+    _sep = "+"
 
     def reverse(self):
         return Union([part.reverse() for part in self.parts])
@@ -246,8 +243,10 @@ class Nested(Pattern):
     def children(self):
         return (self.operand,)
 
-    def __str__(self):
-        return "[{}]".format(self.operand)
+    def _print(self, printer):
+        printer.write("[")
+        printer.node(self.operand)
+        printer.write("]")
 
     def reverse(self):
         # [p] relates u to itself, so its reverse is itself.
@@ -274,14 +273,16 @@ class Skip(Pattern):
     def children(self):
         return (self.operand,)
 
-    def __str__(self):
-        return "<<{}>>".format(self.operand)
+    def _print(self, printer):
+        printer.write("<<")
+        printer.node(self.operand)
+        printer.write(">>")
 
     def reverse(self):
         return Skip(self.operand.reverse())
 
 
-class Conj(Pattern):
+class Conj(_Variadic):
     """Conjunction ``p1 & p2 & ... & pk`` (flattened, k >= 2).
 
     The *conjunctive RRE* extension the paper sketches at the end of
@@ -292,29 +293,61 @@ class Conj(Pattern):
     """
 
     precedence = 5  # binds loosest of all binary operators
-
-    def __init__(self, parts):
-        flattened = []
-        for part in parts:
-            if isinstance(part, Conj):
-                flattened.extend(part.parts)
-            else:
-                flattened.append(part)
-        if len(flattened) < 2:
-            raise ValueError("Conj needs at least two parts; use conj()")
-        self.parts = tuple(flattened)
-
-    def _key(self):
-        return self.parts
-
-    def children(self):
-        return self.parts
-
-    def __str__(self):
-        return "&".join(self._child_str(part) for part in self.parts)
+    _sep = "&"
 
     def reverse(self):
         return Conj([part.reverse() for part in self.parts])
+
+
+# ----------------------------------------------------------------------
+# The printer behind str() and render_with_spans
+# ----------------------------------------------------------------------
+class _Printer:
+    """Writes concrete syntax, with minimal parentheses.
+
+    With a ``spans`` dict it also records, for every subterm object, the
+    ``(start, end)`` offsets of its text; a child's parentheses belong to
+    its parent.
+    """
+
+    def __init__(self, spans=None):
+        self.chunks = []
+        self.spans = spans
+        self._pos = 0
+
+    def write(self, text):
+        self.chunks.append(text)
+        self._pos += len(text)
+
+    def node(self, node):
+        start = self._pos
+        node._print(self)
+        if self.spans is not None:
+            self.spans[id(node)] = (start, self._pos)
+
+    def child(self, parent, child):
+        """Print ``child``, in parentheses when it binds looser."""
+        if child.precedence < parent.precedence:
+            self.write("(")
+            self.node(child)
+            self.write(")")
+        else:
+            self.node(child)
+
+
+def render_with_spans(pattern):
+    """``(text, spans)``: ``text == str(pattern)`` and
+    ``spans[id(subterm)] = (start, end)`` locates every subterm in it.
+
+    The AST keeps no source positions (the parser discards token offsets
+    and the canonicalizer rewrites trees anyway), so diagnostics point
+    into this canonical rendering, which is also what users see echoed
+    back.  When one object occurs twice (a shared subterm), the last
+    occurrence wins, which is fine for locating a problem.
+    """
+    printer = _Printer(spans={})
+    printer.node(pattern)
+    return "".join(printer.chunks), printer.spans
 
 
 # ----------------------------------------------------------------------

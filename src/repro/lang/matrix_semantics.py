@@ -40,7 +40,13 @@ from collections import Counter, OrderedDict, namedtuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.analysis import PatternTypeChecker, has_errors
+from repro.analysis import (
+    WARNING,
+    Diagnostic,
+    PatternTypeChecker,
+    has_errors,
+    sort_diagnostics,
+)
 from repro.exceptions import (
     ConfigurationError,
     EvaluationError,
@@ -54,11 +60,12 @@ from repro.graph.matrices import (
     csr_product,
     dense_rows,
 )
-from repro.lang.ast import Pattern, simple_pattern
+from repro.lang.ast import Pattern, Star, render_with_spans, simple_pattern
 from repro.lang.delta import propagate
 from repro.lang.parser import parse_pattern
 from repro.lang.plan import (
     PlanCompiler,
+    _chain_cost,
     estimate_bytes,
     estimate_nnz,
     order_chain,
@@ -172,6 +179,22 @@ _REDUCERS = {
 #: needs the diagonal, cosine the column norms, raw counts nothing.
 SCORING_VECTORS = {"pathsim": "diagonal", "count": None, "cosine": "norms"}
 
+#: The density warnings fire above this estimated fraction of the n^2
+#: possible nonzeros: a quarter-dense similarity matrix at serving
+#: scale is already an incident.
+_DENSITY_BUDGET = 0.25
+
+#: Message of each density warning: ``density-budget`` on a whole
+#: pattern, ``star-blowup`` on a Kleene star within it.
+_DENSITY_WARNINGS = {
+    "density-budget": "estimated result density {density:.0%} exceeds the "
+    "budget of {budget:.0%} (~{nnz:,.0f} estimated nonzeros over {n:,} "
+    "nodes)",
+    "star-blowup": "Kleene star closure estimated at ~{nnz:,.0f} nonzeros "
+    "({density:.0%} dense over {n:,} nodes); expect a near-dense "
+    "intermediate",
+}
+
 
 class CommutingMatrixEngine:
     """Computes and caches commuting matrices over one database snapshot.
@@ -245,15 +268,10 @@ class CommutingMatrixEngine:
         # database schema before it compiles: ill-typed patterns raise
         # PatternTypeError here instead of evaluating to an empty or
         # nonsensical ranking.  Untyped schemas (no node_types) only
-        # ever reject unknown labels.  That checker reads no graph
-        # statistics (its density warnings never block), so forks share
-        # the compiler without pinning this version's view; density
-        # warnings come from a checker over each engine's own view.
+        # ever reject unknown labels.  The checker reads only the
+        # schema, so forks share it with the compiler.
         self._compiler = PlanCompiler(
             checker=PatternTypeChecker(self._view.schema)
-        )
-        self._checker = PatternTypeChecker(
-            self._view.schema, stats=self._view
         )
         self._lock = threading.RLock()
         self._cache = OrderedDict()
@@ -317,15 +335,62 @@ class CommutingMatrixEngine:
         return self._compiler.compile(pattern)
 
     def check(self, patterns):
-        """Static diagnostics for a pattern set, without compiling it.
+        """Static diagnostics for a pattern set; this engine plans nothing.
 
         Returns ``[(pattern, [Diagnostic, ...]), ...]`` in input order —
         errors *and* warnings, nothing raised.  This is the inspection
-        entry (``repro check``, ``/check`` over HTTP); the enforcement
-        path is :meth:`compile`, which raises
-        :class:`~repro.exceptions.PatternTypeError` on errors.
+        entry (``repro check`` and ``SimilaritySession.check``); the
+        enforcement path is :meth:`compile`, which raises
+        :class:`~repro.exceptions.PatternTypeError` on errors.  A pattern
+        without errors also gets the density warnings, estimated on a
+        plan compiled apart from this engine's, so checking leaves the
+        planning state (interned nodes, sub-chain counts, chain orders)
+        as it was.
         """
-        return self._checker.check_many(patterns)
+        return [(pattern, self._diagnostics(pattern)) for pattern in patterns]
+
+    def _diagnostics(self, pattern, plan=None):
+        """Every diagnostic of ``pattern``, most severe first.
+
+        The checker's, plus — when the pattern has no errors and the
+        graph has nodes — the ``density-budget`` and ``star-blowup``
+        warnings, read from :func:`~repro.lang.plan.estimate_nnz` over
+        this engine's view.  The whole pattern is estimated on ``plan``,
+        its plan in this engine, or without one on a plan compiled
+        apart; each Kleene star is always compiled apart.
+        """
+        diagnostics = self._compiler.checker.check(pattern)
+        n = self._view.num_nodes()
+        if has_errors(diagnostics) or not n:
+            return diagnostics
+        scratch = PlanCompiler()
+        dense = [(pattern, plan or scratch.compile(pattern), "density-budget")]
+        stack = [pattern]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children())
+            if isinstance(node, Star):
+                dense.append((node, scratch.compile(node), "star-blowup"))
+        text, spans = render_with_spans(pattern)
+        for node, node_plan, code in dense:
+            estimate = estimate_nnz(node_plan, self._view.label_nnz, n)
+            if estimate > _DENSITY_BUDGET * n * n:
+                message = _DENSITY_WARNINGS[code].format(
+                    nnz=estimate,
+                    density=min(estimate / (n * n), 1.0),
+                    budget=_DENSITY_BUDGET,
+                    n=n,
+                )
+                diagnostics.append(
+                    Diagnostic(
+                        WARNING,
+                        code,
+                        message,
+                        span=spans[id(node)],
+                        pattern_text=text,
+                    )
+                )
+        return sort_diagnostics(diagnostics)
 
     def matrix(self, pattern):
         """The commuting matrix ``M_pattern`` (CSR, cached)."""
@@ -387,9 +452,6 @@ class CommutingMatrixEngine:
         clone._default_star_depth = self._default_star_depth
         clone._max_star_depth = self._max_star_depth
         clone._memory_budget = self._memory_budget
-        clone._checker = PatternTypeChecker(
-            clone._view.schema, stats=clone._view
-        )
         clone._compiler = self._compiler
         clone._lock = threading.RLock()
         with self._lock:
@@ -718,25 +780,20 @@ class CommutingMatrixEngine:
         # (``p-in.p-in`` composes a proc into a paper-source label) and
         # provably empty; "all meta-paths" sensibly means the
         # type-conforming ones, and compiling the rest would fail fast.
+        checker = self._compiler.checker
         patterns = [
             pattern
             for pattern in patterns
-            if not has_errors(self._checker.check(pattern))
+            if not has_errors(checker.check(pattern))
         ]
-        if self._memory_budget is not None:
-            n = self._view.num_nodes()
-            estimated = sum(
-                estimate_bytes(self.compile(pattern), self._view.label_nnz, n)
-                for pattern in patterns
-            )
-            if estimated > self._memory_budget:
-                raise EvaluationError(
-                    "materializing {} simple patterns (~{:.0f} estimated "
-                    "bytes) exceeds memory_budget={}; raise the budget "
-                    "or materialize fewer patterns".format(
-                        len(patterns), estimated, self._memory_budget
-                    )
+        if self.warm_exceeds_limits(patterns):
+            raise EvaluationError(
+                "materializing {} simple patterns exceeds memory_budget={} "
+                "by the planner's byte estimate; raise the budget or "
+                "materialize fewer patterns".format(
+                    len(patterns), self._memory_budget
                 )
+            )
         self.matrices_many(patterns)
         with self._lock:
             return len(self._cache)
@@ -888,6 +945,7 @@ class CommutingMatrixEngine:
         patterns = list(patterns)
         plans = [self.compile(pattern) for pattern in patterns]
         n = self._view.num_nodes()
+        leaf_nnz = self._view.label_nnz
         per_pattern = []
         usage = Counter()
         for plan in plans:
@@ -895,6 +953,8 @@ class CommutingMatrixEngine:
             self._plan_nodes(plan, nodes)
             per_pattern.append(nodes)
             usage.update(nodes)
+        # Read after ordering: interning sub-chains may prune the counts.
+        uses = self._compiler.subchain_uses
         all_nodes = set().union(*per_pattern) if per_pattern else set()
         shared = sorted(
             (node for node, count in usage.items() if count >= 2),
@@ -915,19 +975,16 @@ class CommutingMatrixEngine:
             lines.append("[{}] pattern:   {}".format(position, pattern))
             lines.append("    canonical: {}".format(plan))
             lines.append("    order:     {}".format(render_order(plan)))
-            estimate = estimate_nnz(plan, self._view.label_nnz, n)
-            cost = plan.est_cost if plan.kind == "chain" else None
-            lines.append(
-                "    est nnz ~ {:.0f}{}".format(
-                    estimate,
-                    ""
-                    if cost is None
-                    else ", est cost ~ {:.0f} flops (amortized)".format(cost),
-                )
+            line = "    est nnz ~ {:.0f}".format(
+                estimate_nnz(plan, leaf_nnz, n)
             )
+            if plan.kind == "chain":
+                cost = _chain_cost(plan, leaf_nnz, n, uses)
+                line += ", est cost ~ {:.0f} flops (amortized)".format(cost)
+            lines.append(line)
             # Static diagnostics (warning tier only: the compile above
             # already raised on errors).
-            for diagnostic in self._checker.check(pattern):
+            for diagnostic in self._diagnostics(pattern, plan):
                 lines.append("    diagnostics: {}".format(diagnostic.format()))
         if shared:
             lines.append("shared sub-plans (each evaluated once):")
@@ -936,7 +993,7 @@ class CommutingMatrixEngine:
                     "    {}   (in {} patterns, est nnz ~ {:.0f})".format(
                         node,
                         usage[node],
-                        estimate_nnz(node, self._view.label_nnz, n),
+                        estimate_nnz(node, leaf_nnz, n),
                     )
                 )
         return "\n".join(lines)

@@ -51,17 +51,17 @@ from repro.lang.ast import (
 )
 from repro.lang.simplify import canonicalize
 
-#: Pretty-printer precedence per node kind (mirrors the AST's).
+#: Pretty-printer precedence per node kind: its AST class's.
 _PRECEDENCE = {
-    "eps": 100,
-    "leaf": 100,
-    "transpose": 90,
-    "star": 80,
-    "chain": 50,
-    "add": 10,
-    "hadamard": 5,
-    "bool": 100,
-    "nested": 100,
+    "eps": Epsilon.precedence,
+    "leaf": Label.precedence,
+    "transpose": Reverse.precedence,
+    "star": Star.precedence,
+    "chain": Concat.precedence,
+    "add": Union.precedence,
+    "hadamard": Conj.precedence,
+    "bool": Skip.precedence,
+    "nested": Nested.precedence,
 }
 
 
@@ -91,8 +91,10 @@ class PlanNode:
 
     Chain nodes additionally carry the ordering decision once
     :func:`order_chain` has run: ``split_at`` (relative split index)
-    plus interned ``left``/``right`` sub-plans, and the estimated
-    product nnz / multiplication cost that justified the split.
+    plus interned ``left``/``right`` sub-plans.  No node stores an
+    estimate: forked engines share their plan nodes across versions of
+    the graph, so estimates are computed against the asking engine's
+    view (:func:`estimate_nnz`).
     """
 
     __slots__ = (
@@ -101,8 +103,6 @@ class PlanNode:
         "children",
         "uid",
         "_str",
-        "est_nnz",
-        "est_cost",
         "split_at",
         "left",
         "right",
@@ -116,8 +116,6 @@ class PlanNode:
         self.children = children
         self.uid = uid
         self._str = _render(kind, payload, children)
-        self.est_nnz = None
-        self.est_cost = None
         self.split_at = None
         self.left = None
         self.right = None
@@ -343,49 +341,58 @@ def _product_cost(nnz_a, nnz_b, n):
 
 
 def estimate_nnz(node, leaf_nnz, n):
-    """Estimated nnz of a plan node's matrix (memoized on the node).
+    """Estimated nnz of a plan node's matrix over ``n`` nodes.
 
     ``leaf_nnz`` maps a label to its adjacency's exact nnz; everything
-    above the leaves is the standard uniform-sparsity surrogate.  The
-    memo is per-node, hence per-compiler, hence per-engine — one
-    database snapshot, so leaf counts never go stale.
+    above the leaves is the standard uniform-sparsity surrogate.  An
+    ordered chain is estimated along its recorded split, an unordered
+    one left to right.  Nothing is memoized: plan nodes outlive the
+    graph version they were planned on (a forked engine shares them), so
+    the caller passes the statistics of the view it is asking about.
+    This is the only nnz estimate: the chain planner, the memory budget
+    and the density warnings all read it.
     """
-    if node.est_nnz is not None:
-        return node.est_nnz
     kind = node.kind
     if kind == "eps":
-        estimate = float(n)
-    elif kind == "leaf":
-        estimate = float(leaf_nnz(node.payload))
-    elif kind in ("transpose", "bool"):
-        estimate = estimate_nnz(node.children[0], leaf_nnz, n)
-    elif kind == "nested":
-        estimate = min(estimate_nnz(node.children[0], leaf_nnz, n), float(n))
-    elif kind == "star":
-        # I + M + M^2 + ...: at least the identity plus the base, and
-        # powers tend to fill in; a crude multiple of the base suffices
-        # for ordering (stars are rare inside chains).
+        return float(n)
+    if kind == "leaf":
+        return float(leaf_nnz(node.payload))
+    if kind in ("transpose", "bool"):
+        return estimate_nnz(node.children[0], leaf_nnz, n)
+    if kind == "nested":
+        return min(estimate_nnz(node.children[0], leaf_nnz, n), float(n))
+    if kind == "star":
+        # I + M + M^2 + ...: with average degree d = nnz/n >= 1 the
+        # closure of the giant component is effectively dense; below 1
+        # the geometric series nnz * (1 + d + d^2 + ...) converges.
         base = estimate_nnz(node.children[0], leaf_nnz, n)
-        estimate = min(float(n) * n, n + 4.0 * base)
-    elif kind == "add":
+        degree = base / max(float(n), 1.0)
+        if degree >= 1.0:
+            return float(n) * n
+        return min(float(n) * n, n + base / (1.0 - degree))
+    if kind == "add":
         total = sum(
             estimate_nnz(child, leaf_nnz, n) for child in node.children
         )
-        estimate = min(float(n) * n, total)
-    elif kind == "hadamard":
-        estimate = min(
+        return min(float(n) * n, total)
+    if kind == "hadamard":
+        return min(
             estimate_nnz(child, leaf_nnz, n) for child in node.children
         )
-    elif kind == "chain":
+    if kind == "chain":
+        if node.split_at is not None:
+            return product_nnz(
+                estimate_nnz(node.left, leaf_nnz, n),
+                estimate_nnz(node.right, leaf_nnz, n),
+                n,
+            )
         estimate = estimate_nnz(node.children[0], leaf_nnz, n)
         for child in node.children[1:]:
             estimate = product_nnz(
                 estimate, estimate_nnz(child, leaf_nnz, n), n
             )
-    else:
-        raise ValueError("unknown plan node kind {!r}".format(kind))
-    node.est_nnz = estimate
-    return estimate
+        return estimate
+    raise ValueError("unknown plan node kind {!r}".format(kind))
 
 
 def estimate_bytes(node, leaf_nnz, n):
@@ -400,6 +407,29 @@ def estimate_bytes(node, leaf_nnz, n):
     order of magnitude.
     """
     return 16.0 * estimate_nnz(node, leaf_nnz, n) + 8.0 * (float(n) + 1.0)
+
+
+def _chain_cost(node, leaf_nnz, n, uses):
+    """Amortized flops of an ordered plan along its recorded splits.
+
+    The quantity :func:`order_chain` minimizes, read back for the split
+    it chose: each product costs ``_product_cost`` of its operands'
+    estimates, and a sub-chain ``uses`` counts in >= 2 chains is
+    divided by that count.  Non-chain nodes cost nothing here.
+    """
+    if node.kind != "chain":
+        return 0.0
+    cost = (
+        _chain_cost(node.left, leaf_nnz, n, uses)
+        + _chain_cost(node.right, leaf_nnz, n, uses)
+        + _product_cost(
+            estimate_nnz(node.left, leaf_nnz, n),
+            estimate_nnz(node.right, leaf_nnz, n),
+            n,
+        )
+    )
+    count = uses.get(tuple(child.uid for child in node.children), 0)
+    return cost / count if count >= 2 else cost
 
 
 def order_chain(node, leaf_nnz, n, compiler):
@@ -466,8 +496,6 @@ def _order_chain_locked(node, leaf_nnz, n, compiler):
         sub = node if (i, j) == (0, k) else compiler.chain(factors[i:j])
         if sub.split_at is None:
             m = split[(i, j)]
-            sub.est_nnz = nnz[(i, j)]
-            sub.est_cost = cost[(i, j)]
             sub.left = attach(i, m)
             sub.right = attach(m, j)
             # Set last: _ensure_ordered tests split_at without the lock,

@@ -137,6 +137,16 @@ class ReproServer:
             raise ConfigurationError(
                 "threads must be >= 1, got {}".format(threads)
             )
+        if max_batch < 1:
+            raise ConfigurationError(
+                "max_batch must be >= 1, got {}".format(max_batch)
+            )
+        if coalesce_window < 0:
+            raise ConfigurationError(
+                "coalesce_window must be >= 0 seconds, got {}".format(
+                    coalesce_window
+                )
+            )
         self.service = service
         self.prepared = prepared
         self.host = host

@@ -7,6 +7,8 @@ accepts must evaluate without error on a schema-conforming graph (and
 any pattern it rejects must be refused by the engine).
 """
 
+import itertools
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -148,37 +150,72 @@ def test_errors_sort_before_warnings():
 # -- warning diagnostics -----------------------------------------------
 
 
-class FakeStats:
-    def __init__(self, n, nnz):
-        self._n = n
-        self._nnz = dict(nnz)
+def _engine_over(n, nnz):
+    """An engine over a typed DBLP graph: ``n`` nodes, ``nnz[label]`` edges."""
+    db = GraphDatabase(S.DBLP_SCHEMA)
+    types = ("author", "paper", "proc", "area")
+    for position in range(n):
+        node_type = types[position % len(types)]
+        db.add_node("{}:{}".format(node_type, position), node_type)
+    for name, count in nnz.items():
+        source_type, target_type = S.DBLP_SCHEMA.node_types[name]
+        pairs = itertools.product(
+            db.nodes_of_type(source_type), db.nodes_of_type(target_type)
+        )
+        db.add_edges(
+            (source, name, target)
+            for source, target in itertools.islice(pairs, count)
+        )
+    engine = CommutingMatrixEngine(db)
+    assert engine.view.num_nodes() == n
+    assert {name: engine.view.label_nnz(name) for name in nnz} == nnz
+    return engine
 
-    def num_nodes(self):
-        return self._n
 
-    def label_nnz(self, name):
-        return self._nnz[name]
+def engine_check(engine, text):
+    return engine.check([parse_pattern(text)])[0][1]
 
 
 def test_star_blowup_warning():
-    # Average out-degree 1.5 >= 1: the closure estimate is dense.
-    stats = FakeStats(100, {"w": 150, "p-in": 10, "r-a": 10})
-    diagnostics = check("(w.w-)*", stats=stats)
+    # Average out-degree 2.25 >= 1 under the star: the closure is dense.
+    engine = _engine_over(100, {"w": 150, "p-in": 10, "r-a": 10})
+    diagnostics = engine_check(engine, "(w.w-)*")
     assert "star-blowup" in codes(diagnostics)
     assert all(d.severity == "warning" for d in diagnostics)
 
 
-def test_density_budget_warning_and_knob():
-    stats = FakeStats(100, {"w": 150, "p-in": 10, "r-a": 10})
-    loose = check("(w.w-)*", stats=stats, density_budget=1.1)
-    assert "density-budget" not in codes(loose)
-    tight = check("(w.w-)*", stats=stats, density_budget=0.25)
-    assert "density-budget" in codes(tight)
+def test_density_budget_warning():
+    engine = _engine_over(100, {"w": 150, "p-in": 10, "r-a": 10})
+    diagnostics = engine_check(engine, "(w.w-)*")
+    assert "density-budget" in codes(diagnostics)
+    assert diagnostics[0].span == (0, 7)
 
 
 def test_sparse_pattern_has_no_density_warnings():
-    stats = FakeStats(1000, {"w": 50, "p-in": 50, "r-a": 50})
-    assert check("w.p-in", stats=stats) == []
+    engine = _engine_over(1000, {"w": 50, "p-in": 50, "r-a": 50})
+    assert engine_check(engine, "w.p-in") == []
+
+
+def test_density_warnings_skip_ill_typed_patterns_and_empty_graphs():
+    # A pattern with errors has no plan, hence no estimate.
+    engine = _engine_over(100, {"w": 150, "p-in": 10, "r-a": 10})
+    diagnostics = engine_check(engine, "(w.w-)*.zzz")
+    assert codes(diagnostics) == ["unknown-label"]
+    empty = CommutingMatrixEngine(GraphDatabase(S.DBLP_SCHEMA))
+    assert engine_check(empty, "(w.w-)*") == []
+
+
+def test_engine_check_leaves_the_planning_state_alone():
+    engine = _engine_over(100, {"w": 150, "p-in": 10, "r-a": 10})
+    engine.matrices_many([parse_pattern("w.p-in"), parse_pattern("w-.w")])
+    interned = len(engine.compiler)
+    uses = dict(engine.compiler.subchain_uses)
+    results = engine.check(
+        [parse_pattern(text) for text in ("(w.w-)*", "w.w-.w.p-in", "w.w")]
+    )
+    assert codes(results[0][1]) == ["density-budget", "star-blowup"]
+    assert len(engine.compiler) == interned
+    assert dict(engine.compiler.subchain_uses) == uses
 
 
 def test_redundant_reverse_warning():

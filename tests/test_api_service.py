@@ -15,7 +15,7 @@ from repro.exceptions import (
     NodeTypeConflictError,
     UnknownEdgeError,
 )
-from repro.graph import GraphDatabase, matrices
+from repro.graph import GraphDatabase, Schema, matrices
 from repro.lang import CommutingMatrixEngine, parse_pattern
 from repro.patterns.generator import generate_patterns
 from repro.server import load_service, save_snapshot
@@ -89,6 +89,36 @@ def test_applies_release_the_first_version(fig1):
     assert first() is None
     fig1.add_edge(*DELTA_EDGE)
     assert {q: prepared.run(q).items() for q in QUERIES} == _expected(fig1)
+
+
+def test_estimates_follow_the_served_view():
+    # Forks share plan nodes, so an estimate made on one version must
+    # not answer for the next: the served engine plans, budgets and
+    # explains against its own view, as a fresh session would.
+    database = GraphDatabase(Schema(["a"]))
+    nodes = ["n{}".format(position) for position in range(11)]
+    for node in nodes:
+        database.add_node(node)
+    pairs = [(u, v) for u in nodes for v in nodes if u != v]
+    database.add_edges((u, "a", v) for u, v in pairs[:10])
+    service = SimilarityService(database, memory_budget=1000)
+    pattern = parse_pattern("a.a-")
+
+    def estimates(session):
+        return [
+            line
+            for line in session.explain([pattern]).splitlines()
+            if "est nnz" in line
+        ]
+
+    assert "est nnz ~ 9, est cost ~ 9 flops" in estimates(service.session)[0]
+    service.apply(edges_added=[(u, "a", v) for u, v in pairs[10:]])
+    fresh = SimilaritySession(service.database, memory_budget=1000)
+    assert fresh.view.label_nnz("a") == 110
+    assert estimates(service.session) == estimates(fresh)
+    assert "est nnz ~ 121, est cost ~ 1100 flops" in estimates(fresh)[0]
+    assert service.session.engine.warm_exceeds_limits([pattern])
+    assert fresh.engine.warm_exceeds_limits([pattern])
 
 
 def test_apply_and_swap_never_copy_a_database(fig1, monkeypatch):

@@ -496,6 +496,26 @@ def test_serve_refuses_zero_threads(dblp_json, capsys):
     assert "error: threads must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--max-batch", "0", "max_batch must be >= 1"),
+        ("--window", "-5", "coalesce_window must be >= 0"),
+    ],
+)
+def test_serve_refuses_limits_before_writing_a_snapshot(
+    dblp_json, tmp_path, capsys, flag, value, message
+):
+    snapshot = os.path.join(tmp_path, "new.npz")
+    code, _ = run_cli(
+        ["serve", dblp_json, "--pattern", "r-a-.r-a", "--snapshot",
+         snapshot, flag, value, "--port", "0"]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(snapshot)
+
+
 def test_check_clean_pattern(dblp_json):
     code, output = run_cli(
         ["check", dblp_json, "--pattern", "r-a-.r-a"]
@@ -563,6 +583,25 @@ def test_check_expand(dblp_json):
     )
     assert code == 0
     assert "checked 8 patterns: 0 errors" in output
+
+
+def test_check_json_reports_density_warnings(dblp_json):
+    import json
+
+    code, output = run_cli(
+        ["check", dblp_json, "--pattern", "(r-a.r-a-)*", "--json"]
+    )
+    assert code == 0
+    payload = json.loads(output)
+    assert (payload["errors"], payload["warnings"]) == (0, 2)
+    entry = payload["patterns"][0]
+    assert entry["ok"] is True
+    assert [d["code"] for d in entry["diagnostics"]] == [
+        "density-budget",
+        "star-blowup",
+    ]
+    assert all(d["severity"] == "warning" for d in entry["diagnostics"])
+    assert entry["diagnostics"][0]["span"] == [0, 11]
 
 
 def test_check_bad_pattern_syntax(dblp_json, capsys):

@@ -1,10 +1,13 @@
 """Unit tests for repro.lang.ast."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.lang import (
     EPSILON,
     Concat,
+    Conj,
     Epsilon,
     Label,
     Nested,
@@ -19,6 +22,7 @@ from repro.lang import (
     strip_skips,
     union,
 )
+from repro.lang.ast import render_with_spans
 
 
 def test_structural_equality_and_hash():
@@ -157,3 +161,36 @@ def test_label_requires_name():
 def test_epsilon_singleton_semantics():
     assert Epsilon() == EPSILON
     assert str(EPSILON) == "eps"
+
+
+def _any_pattern():
+    leaves = st.one_of(
+        st.builds(Epsilon), st.sampled_from(["a", "b", "p-in"]).map(Label)
+    )
+
+    def extend(children):
+        parts = st.lists(children, min_size=2, max_size=3)
+        return st.one_of(
+            children.map(Reverse),
+            children.map(Star),
+            children.map(Nested),
+            children.map(Skip),
+            parts.map(Concat),
+            parts.map(Union),
+            parts.map(Conj),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@given(pattern=_any_pattern())
+@settings(max_examples=500, deadline=None)
+def test_render_with_spans_locates_every_subterm(pattern):
+    text, spans = render_with_spans(pattern)
+    assert text == str(pattern)
+    stack = [pattern]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children())
+        start, end = spans[id(node)]
+        assert text[start:end] == str(node)

@@ -36,6 +36,7 @@ from repro.lang.ast import (
     concat,
     union,
 )
+from repro.lang.plan import PlanCompiler, estimate_nnz, order_chain
 from repro.patterns.generator import generate_patterns
 
 
@@ -263,6 +264,26 @@ def test_chain_order_prefers_shared_prefix(tiny_db):
         engine._ensure_ordered(plan)
     assert plans[0].left is plans[1].left
     assert str(plans[0].left) == "a.b"
+
+
+def test_estimate_nnz_star_rule_and_chain_order():
+    compiler = PlanCompiler()
+    leaf_nnz = {"a": 5000, "b": 5000, "c": 10, "s": 50}.__getitem__
+    n = 100
+    # Average degree 0.5 < 1: the geometric series n + nnz / (1 - d);
+    # degree >= 1: dense.
+    sparse_star = compiler.compile(parse_pattern("s*"))
+    assert estimate_nnz(sparse_star, leaf_nnz, n) == 100 + 50 / 0.5
+    dense_star = compiler.compile(parse_pattern("a*"))
+    assert estimate_nnz(dense_star, leaf_nnz, n) == n * n
+    # An unordered chain folds left to right: a.b saturates at n^2
+    # before c thins it.  Ordered, it is read along the recorded split
+    # a.(b.c), whose product saturates instead.
+    chain = compiler.compile(parse_pattern("a.b.c"))
+    assert estimate_nnz(chain, leaf_nnz, n) == 1000
+    order_chain(chain, leaf_nnz, n, compiler)
+    assert (str(chain.left), str(chain.right)) == ("a", "b.c")
+    assert estimate_nnz(chain, leaf_nnz, n) == n * n
 
 
 def test_raw_distinct_union_duplicates_are_summed(tiny_db):

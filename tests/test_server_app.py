@@ -519,6 +519,8 @@ def test_subscriber_limit_sheds_with_retry_after(fig1):
         ("threads", -1),
         ("max_inflight", 0),
         ("max_subscribers", -1),
+        ("max_batch", 0),
+        ("coalesce_window", -0.005),
     ],
 )
 def test_constructor_refuses_out_of_range_limits(fig1, option, value):
