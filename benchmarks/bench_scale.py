@@ -14,8 +14,8 @@ two tables:
 Gates, not just curves: the budgeted run must hold ``cache_info()
 ["bytes"] <= budget`` with a budget provably smaller than the
 unbudgeted peak, and its rankings must be bitwise-identical to the
-unbudgeted run at every tier (spill/stream may change *where* work
-happens, never the answer).
+unbudgeted run at every tier (eviction and spill may change *where*
+work happens, never the answer).
 
 Tier selection — ``REPRO_BENCH_SCALE``: ``smoke`` runs 10^5 only (the
 CI scale-smoke job, which also sets an RSS ceiling via
@@ -110,7 +110,7 @@ def _run_tier(num_edges):
     # honored byte-for-byte, and never changes a single ranking bit.
     assert budget < peak
     assert info["bytes"] <= budget
-    assert info["spilled"] + info["streamed"] > 0
+    assert info["spilled"] > 0
     _assert_same_rankings(rankings, reference)
 
     row = {
@@ -122,7 +122,6 @@ def _run_tier(num_edges):
         "peak_bytes": peak,
         "budget_bytes": budget,
         "spilled": info["spilled"],
-        "streamed": info["streamed"],
         "rss_bytes": _rss_bytes(),
     }
     del plain, budgeted, reference, rankings, bundle, database
@@ -143,11 +142,11 @@ def test_scale_curves(benchmark, emit):
         "scale_latency",
         format_table(
             ["edges", "nodes", "build s", "s/query", "s/query (budget)",
-             "spilled", "streamed"],
+             "spilled"],
             [
                 [row["edges"], row["nodes"], row["build_seconds"],
                  row["plain_latency"], row["budgeted_latency"],
-                 row["spilled"], row["streamed"]]
+                 row["spilled"]]
                 for row in rows
             ],
             title="Scale - nodes vs per-query latency "

@@ -168,18 +168,17 @@ class SimilarityService:
 
     @property
     def last_error(self):
-        """The most recent *asynchronous* failure, or ``None``.
+        """The most recent checkpoint failure, or ``None``.
 
-        Background ``apply``/``swap`` threads (``wait=False``) and
-        checkpoint callbacks fail where no caller is waiting; besides
-        the per-thread ``thread.error`` record, the service keeps the
-        most recent such failure here so operators can see it —
+        A checkpoint runs after its ``apply``/``swap`` has published, so
+        its failure is recorded here instead of raised (a failing
+        ``apply`` or ``swap`` itself raises to its caller) —
         ``/healthz`` reports it and flips its status to ``degraded``.
-        A dict with ``operation`` (``"apply"`` / ``"swap"`` /
-        ``"checkpoint"``), ``error`` (the exception), ``message``,
-        ``time`` (unix), and ``version`` (the serving version when the
-        failure was recorded).  Sticky until the next failure
-        overwrites it or :meth:`clear_last_error` is called.
+        A dict with ``operation`` (``"checkpoint"``), ``error`` (the
+        exception), ``message``, ``time`` (unix), and ``version`` (the
+        serving version when the failure was recorded).  Sticky until
+        the next failure overwrites it or :meth:`clear_last_error` is
+        called.
         """
         with self._mutate_lock:
             record = self._last_error
@@ -190,26 +189,23 @@ class SimilarityService:
         with self._mutate_lock:
             self._last_error = None
 
-    def _record_error(self, operation, error):
-        with self._mutate_lock:
-            self._last_error = {
-                "operation": operation,
-                "error": error,
-                "message": "{}: {}".format(type(error).__name__, error),
-                "time": time.time(),
-                "version": self._snapshot.version,
-            }
-
     def _checkpoint_after(self, version):
         # The swap is already published; a checkpoint failure degrades
         # durability (a restart warm-starts from the previous snapshot)
         # but must not fail the apply, so it is recorded, not raised.
+        # Runs under the mutation lock, which last_error reads under.
         if self.checkpoint is None:
             return
         try:
             self.checkpoint(self, version)
         except Exception as error:
-            self._record_error("checkpoint", error)
+            self._last_error = {
+                "operation": "checkpoint",
+                "error": error,
+                "message": "{}: {}".format(type(error).__name__, error),
+                "time": time.time(),
+                "version": version,
+            }
 
     @property
     def delta_stats(self):
@@ -307,13 +303,7 @@ class SimilarityService:
     # ------------------------------------------------------------------
     # Live updates
     # ------------------------------------------------------------------
-    def apply(
-        self,
-        edges_added=(),
-        edges_removed=(),
-        nodes_added=(),
-        wait=True,
-    ):
+    def apply(self, edges_added=(), edges_removed=(), nodes_added=()):
         """Apply a delta and swap in the updated snapshot.
 
         ``edges_added`` / ``edges_removed`` are iterables of
@@ -344,22 +334,11 @@ class SimilarityService:
         in-flight queries finish on the old snapshot, and
         :attr:`version` increases monotonically.
 
-        Returns the new :attr:`version`.  With ``wait=False`` the
-        update runs on a background thread and the started
-        ``threading.Thread`` is returned instead; after ``join()``,
-        ``thread.version`` holds the new version and ``thread.error``
-        the exception that aborted the update (``None`` on success) —
-        a failed delta never swaps, so callers must check it.  Queries
-        are served from the old snapshot throughout either way.
+        Returns the new :attr:`version`; a failed delta raises and never
+        swaps.  Queries are served from the old snapshot throughout, so
+        a caller that must not block (``repro serve``) runs this on a
+        worker thread and waits there.
         """
-        edges_added = list(edges_added)
-        edges_removed = list(edges_removed)
-        nodes_added = list(nodes_added)
-        if not wait:
-            return self._in_background(
-                lambda: self.apply(edges_added, edges_removed, nodes_added),
-                operation="apply",
-            )
         with self._mutate_lock:
             # Fork the serving engine, patch the fork in place (old
             # snapshot untouched — matrices and the node table are
@@ -387,21 +366,15 @@ class SimilarityService:
             self._checkpoint_after(version)
             return version
 
-    def swap(self, database, wait=True):
+    def swap(self, database):
         """Replace the whole database and swap atomically.
 
         The service's only full rebuild — an arbitrary replacement
         database shares no delta with the serving snapshot to propagate,
         so every subscription re-ranks.  The new version is a detached
         view built from ``database``, so later changes to it change
-        nothing that is served.  Returns the new
-        :attr:`version` (or the background ``threading.Thread`` with
-        ``wait=False``).
+        nothing that is served.  Returns the new :attr:`version`.
         """
-        if not wait:
-            return self._in_background(
-                lambda: self.swap(database), operation="swap"
-            )
         with self._mutate_lock:
             session = SimilaritySession(
                 MatrixView(database).detach(), **self._session_options
@@ -411,29 +384,6 @@ class SimilarityService:
             self._delta_stats["last_path"] = "rebuild"
             self._checkpoint_after(version)
             return version
-
-    def _in_background(self, target, operation):
-        # The outcome is recorded on the thread object itself: a
-        # background failure must be observable to the caller, not
-        # swallowed into threading.excepthook while the service keeps
-        # serving stale data.
-        def runner():
-            try:
-                thread.version = target()
-            except BaseException as error:
-                # Recorded, not re-raised: thread.error is the caller's
-                # signal; re-raising would only spam threading.excepthook.
-                # Also kept on the service itself (last_error), because
-                # fire-and-forget callers drop the thread object — the
-                # record is how /healthz surfaces the failure.
-                thread.error = error
-                self._record_error(operation, error)
-
-        thread = threading.Thread(target=runner, daemon=True)
-        thread.version = None
-        thread.error = None
-        thread.start()
-        return thread
 
     def _publish_locked(self, session, reuse_expansion, report=None):
         # Phase 1 (slow, off the serving path): rebuild every live

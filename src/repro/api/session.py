@@ -77,9 +77,9 @@ class SimilaritySession:
         When set, a byte bound on the engine's cache (matrices plus
         derived vectors): the engine evicts by measured bytes, spills
         oversized products (computed, returned, not retained), and
-        streams oversized chain intermediates in row blocks — queries
-        complete with bitwise-identical rankings instead of OOMing.
-        Default: unbounded.
+        leaves a prepared pattern set cold when its estimate exceeds
+        the budget — queries complete with bitwise-identical rankings
+        instead of OOMing.  Default: unbounded.
 
     The session is a *snapshot*, like the engine: mutating the database
     afterwards makes cached matrices stale.  For workloads that must

@@ -347,8 +347,8 @@ def _add_memory_budget_flag(parser):
         "--memory-budget",
         default=None,
         metavar="BYTES[K|M|G]",
-        help="byte budget for the engine's matrix cache (evict/spill/"
-        "stream instead of growing unbounded), e.g. 256M",
+        help="byte budget for the engine's matrix cache (evict/spill "
+        "instead of growing unbounded), e.g. 256M",
     )
 
 

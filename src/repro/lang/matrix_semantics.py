@@ -69,7 +69,6 @@ from repro.lang.plan import (
     estimate_bytes,
     estimate_nnz,
     order_chain,
-    product_nnz,
     render_order,
 )
 
@@ -217,12 +216,10 @@ class CommutingMatrixEngine:
         every publish.  A single product larger than the whole budget
         is still *computed and returned* to its caller, just never
         retained (it "spills": the next use recomputes), so queries
-        complete with bitwise-identical results instead of dying.  The
-        budget also arms the streaming chain executor: an oversized
-        uncached chain intermediate is evaluated in row blocks under
-        the budget instead of materialized whole.  ``cache_info()``
-        reports ``memory_budget`` / ``budget_used`` / ``spilled`` /
-        ``streamed``.
+        complete with bitwise-identical results instead of dying, and
+        :meth:`warm` leaves a pattern set cold when its estimated bytes
+        exceed the budget.  ``cache_info()`` reports ``memory_budget`` /
+        ``budget_used`` / ``spilled``.
 
     The cache is keyed on canonical *plan nodes*, not raw ASTs: any two
     patterns with the same canonical form — ``(a.b)-`` and ``b-.a-``,
@@ -278,7 +275,6 @@ class CommutingMatrixEngine:
         self._hits = 0
         self._misses = 0
         self._spilled = 0
-        self._streamed = 0
         # Bumped by apply_delta: a computation started against the old
         # snapshot must not publish into the patched cache.
         self._generation = 0
@@ -459,7 +455,6 @@ class CommutingMatrixEngine:
             clone._hits = self._hits
             clone._misses = self._misses
             clone._spilled = self._spilled
-            clone._streamed = self._streamed
             clone._generation = self._generation
             clone._patched = self._patched
             clone._invalidated = self._invalidated
@@ -592,11 +587,9 @@ class CommutingMatrixEngine:
             result = self._plan_matrix(node.children[0]).T.tocsr()
         elif kind == "chain":
             self._ensure_ordered(node)
-            if not self._should_stream(node):
-                return csr_product(
-                    self._plan_matrix(node.left), self._plan_matrix(node.right)
-                )
-            result = self._streamed_chain(node)
+            return csr_product(
+                self._plan_matrix(node.left), self._plan_matrix(node.right)
+            )
         elif kind == "add":
             result = self._plan_matrix(node.children[0])
             for child in node.children[1:]:
@@ -632,79 +625,6 @@ class CommutingMatrixEngine:
             order_chain(
                 node, self._view.label_nnz, self._view.num_nodes(), self._compiler
             )
-
-    def _chunk_budget(self):
-        # At most a quarter of the budget for any one in-flight chain
-        # intermediate: leaves headroom for the factors, the assembled
-        # result, and whatever else the cache holds.  Floored at 1 MiB
-        # so a tiny budget still computes in sane block sizes.
-        return max(self._memory_budget // 4, 1 << 20)
-
-    def _should_stream(self, node):
-        """True when the planned order would materialize an oversized
-        *uncached* intermediate sub-product under a memory budget.
-
-        Walks the planned binary tree: a cached sub-chain costs nothing
-        (it is already resident), and the root product must be
-        materialized whole regardless, so only uncached interior chain
-        nodes count.  Streaming those (row-blocked left-to-right over
-        the flat factor list) trades their peak bytes for extra flops.
-        """
-        if self._memory_budget is None:
-            return False
-        threshold = self._chunk_budget()
-        n = self._view.num_nodes()
-        stack = [node.left, node.right]
-        while stack:
-            sub = stack.pop()
-            if sub.kind != "chain":
-                continue
-            with self._lock:
-                if sub in self._cache:
-                    continue
-            if estimate_bytes(sub, self._view.label_nnz, n) > threshold:
-                return True
-            self._ensure_ordered(sub)
-            stack.append(sub.left)
-            stack.append(sub.right)
-        return False
-
-    def _streamed_chain(self, node):
-        """Evaluate a chain in row blocks, never materializing interiors.
-
-        The flat factor list is multiplied left-to-right, one block of
-        rows of the first factor at a time, each block pushed through
-        every remaining factor before the next block starts — so the
-        peak in-flight intermediate is one row block, sized by the
-        uniform-sparsity estimate of the *widest* prefix product to fit
-        the chunk budget.  Matrix entries are instance counts (integers
-        exact in float64 far past anything a pattern produces), so the
-        re-association and the row partition are value-exact: after
-        canonicalization the result is bitwise-identical to the planned
-        whole-product path — see
-        tests/test_memory_budget.py::test_streamed_chain_parity.
-        """
-        factors = [self._plan_matrix(child) for child in node.children]
-        n = factors[0].shape[0]
-        widest = running = float(factors[0].nnz)
-        for factor in factors[1:]:
-            running = product_nnz(running, float(factor.nnz), n)
-            widest = max(widest, running)
-        per_row_bytes = 16.0 * widest / max(n, 1) + 8.0
-        rows_per_block = max(
-            1, min(n, int(self._chunk_budget() / per_row_bytes))
-        )
-        blocks = []
-        for start in range(0, n, rows_per_block):
-            block = factors[0][start : start + rows_per_block, :]
-            for factor in factors[1:]:
-                block = csr_product(block, factor)
-            blocks.append(block)
-        with self._lock:
-            self._streamed += 1
-        if len(blocks) == 1:
-            return blocks[0]
-        return sp.vstack(blocks, format="csr")
 
     def _evict(self):
         """Drop least-recently-used records until the budget holds.
@@ -815,10 +735,8 @@ class CommutingMatrixEngine:
         ``memory_budget`` (configured bytes or None) / ``budget_used``
         (same accounting as ``bytes``: what the budget currently holds)
         / ``spilled`` (matrices computed but evicted by the budget —
-        each spill is a future recompute), the ``streamed`` count of
-        chain products evaluated in row blocks, and the
-        delta-maintenance counters ``patched`` / ``invalidated`` /
-        ``delta_applies``.
+        each spill is a future recompute), and the delta-maintenance
+        counters ``patched`` / ``invalidated`` / ``delta_applies``.
 
         The accounting is live: patched matrices report their
         post-patch buffers (cancelled entries are eliminated, never
@@ -828,7 +746,7 @@ class CommutingMatrixEngine:
         with self._lock:
             entries = list(self._cache.values())
             hits, misses = self._hits, self._misses
-            spilled, streamed = self._spilled, self._streamed
+            spilled = self._spilled
             patched, invalidated = self._patched, self._invalidated
             delta_applies = self._delta_applies
         used = sum(entry.bytes for entry in entries)
@@ -843,7 +761,6 @@ class CommutingMatrixEngine:
             "memory_budget": self._memory_budget,
             "budget_used": used,
             "spilled": spilled,
-            "streamed": streamed,
             "patched": patched,
             "invalidated": invalidated,
             "delta_applies": delta_applies,
@@ -861,8 +778,9 @@ class CommutingMatrixEngine:
         re-compiles to the same interned plan on any compiler over the
         same pattern language, which is what lets a snapshot written by
         one process warm the cache of another — see :meth:`preload`
-        and :mod:`repro.server.snapshot`.  Records are immutable, so
-        exporting is cheap and safe under concurrency.
+        (which skips the one exception, a sum of canonically equal
+        disjuncts) and :mod:`repro.server.snapshot`.  Records are
+        immutable, so exporting is cheap and safe under concurrency.
         """
         with self._lock:
             return [(str(plan), entry) for plan, entry in self._cache.items()]
@@ -874,10 +792,15 @@ class CommutingMatrixEngine:
         lands under exactly the plan node a live query for the same
         pattern will look up, replacing any record already there.  A
         record that no longer fits — unparseable text (e.g. a label the
-        RRE tokenizer cannot spell), a matrix whose shape does not
-        match this engine's node count, or a vector of the wrong
-        length — is *skipped*, never installed: a warm start is an
-        optimization, and a skipped record merely recomputes lazily.
+        RRE tokenizer cannot spell), text whose plan does not print as
+        that text, a matrix whose shape does not match this engine's
+        node count, or a vector of the wrong length — is *skipped*,
+        never installed: a warm start is an optimization, and a skipped
+        record merely recomputes lazily.  The text check catches a sum
+        of disjuncts that differ as written but are canonically equal:
+        ``w--+w`` is ``2 M_w`` and prints as ``w+w``, which parses to
+        ``w``, so filing its record under that text's plan would
+        replace ``w``'s.
 
         Preloading counts toward neither hits nor misses.  Returns the
         installed ``matrices`` / ``column_norms`` / ``diagonals`` and
@@ -896,6 +819,7 @@ class CommutingMatrixEngine:
             vectors = (entry.norms, entry.diagonal)
             if (
                 plan is None
+                or str(plan) != text
                 or entry.matrix.shape != (n, n)
                 or any(v is not None and len(v) != n for v in vectors)
             ):

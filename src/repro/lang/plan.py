@@ -326,11 +326,7 @@ class PlanCompiler:
 # Cost model
 # ----------------------------------------------------------------------
 def product_nnz(nnz_a, nnz_b, n):
-    """Expected nnz of a sparse product under uniform sparsity.
-
-    Shared with the engine's streaming chain executor, which uses it to
-    size row blocks from the widest prefix-product estimate.
-    """
+    """Expected nnz of a sparse product under uniform sparsity."""
     n = max(float(n), 1.0)
     return min(n * n, nnz_a * nnz_b / n)
 
@@ -403,8 +399,8 @@ def estimate_bytes(node, leaf_nnz, n):
     counting the 64-bit worst case) plus the ``indptr`` spine.  Built
     on :func:`estimate_nnz`, so it is exact at the leaves and the
     standard uniform-sparsity estimate above them — good enough to
-    decide "will this intermediate fit", which only needs the right
-    order of magnitude.
+    decide "will this pattern set fit" before warming it, which only
+    needs the right order of magnitude.
     """
     return 16.0 * estimate_nnz(node, leaf_nnz, n) + 8.0 * (float(n) + 1.0)
 

@@ -227,31 +227,6 @@ def test_swap_whole_database(fig1):
         assert prepared.run(query).items() == items
 
 
-def test_apply_background_thread(fig1):
-    service = SimilarityService(fig1)
-    thread = service.apply(edges_added=[DELTA_EDGE], wait=False)
-    assert isinstance(thread, threading.Thread)
-    thread.join(timeout=30)
-    assert not thread.is_alive()
-    assert service.version == 2
-    assert service.database.has_edge(*DELTA_EDGE)
-
-
-def test_apply_background_failure_is_observable(fig1):
-    service = SimilarityService(fig1)
-    thread = service.apply(
-        edges_removed=[("ghost", "r-a", "nowhere")], wait=False
-    )
-    thread.join(timeout=30)
-    assert isinstance(thread.error, UnknownEdgeError)
-    assert thread.version is None
-    assert service.version == 1  # a failed delta never swaps
-    ok = service.apply(edges_added=[DELTA_EDGE], wait=False)
-    ok.join(timeout=30)
-    assert ok.error is None
-    assert ok.version == 2
-
-
 def test_transient_handles_are_pruned_on_prepare(fig1):
     service = SimilarityService(fig1)
     for _ in range(10):
@@ -748,19 +723,25 @@ def test_checkpoint_failure_is_recorded_not_raised(fig1):
     assert service.last_error is None
 
 
-def test_background_failure_sets_sticky_last_error(fig1):
-    service = SimilarityService(fig1)
+def test_checkpoint_failure_is_sticky_until_cleared(fig1):
+    failures = [OSError("disk full")]
+
+    def checkpoint(service_, version):
+        if failures:
+            raise failures.pop()
+
+    service = SimilarityService(fig1, checkpoint=checkpoint)
     assert service.last_error is None
-    thread = service.apply(
-        edges_removed=[("ghost", "r-a", "nowhere")], wait=False
-    )
-    thread.join(timeout=30)
+    assert service.apply(edges_added=[DELTA_EDGE]) == 2
+    # A failing delta raises to its caller and records nothing.
+    with pytest.raises(UnknownEdgeError):
+        service.apply(edges_removed=[("ghost", "r-a", "nowhere")])
+    # Sticky: a later success, its checkpoint included, does not
+    # silently erase the evidence.
+    assert service.swap(figure1_dblp()) == 3
     record = service.last_error
-    assert record["operation"] == "apply"
-    assert "ghost" in record["message"]
-    assert isinstance(record["error"], UnknownEdgeError)
-    # Sticky: a later success does not silently erase the evidence.
-    service.apply(edges_added=[DELTA_EDGE])
-    assert service.last_error["operation"] == "apply"
+    assert record["operation"] == "checkpoint"
+    assert record["version"] == 2
+    assert "disk full" in record["message"]
     service.clear_last_error()
     assert service.last_error is None

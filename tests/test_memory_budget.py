@@ -1,4 +1,4 @@
-"""Byte-budget tests: eviction, spill, streaming, and result parity.
+"""Byte-budget tests: eviction, spill, warm refusal, and result parity.
 
 The memory budget must change *where* matrices live (cache vs
 recompute) without ever changing *what* a query returns — every test
@@ -12,7 +12,6 @@ import pytest
 
 from repro.api import SimilarityService, SimilaritySession
 from repro.exceptions import ConfigurationError, EvaluationError
-from repro.graph.matrices import canonical
 from repro.lang import CommutingMatrixEngine, parse_pattern
 from repro.lang.plan import estimate_bytes
 
@@ -67,7 +66,6 @@ def test_cache_info_reports_budget_fields(fig1):
     assert info["memory_budget"] == 1 << 20
     assert info["budget_used"] == info["bytes"]
     assert info["spilled"] == 0
-    assert info["streamed"] == 0
     unbudgeted = CommutingMatrixEngine(fig1).cache_info()
     assert unbudgeted["memory_budget"] is None
 
@@ -252,48 +250,9 @@ def test_tight_budget_rankings_bitwise_identical(fig1, name):
     assert_same_rankings(actual, expected)
 
 
-# ----------------------------------------------------------------------
-# Streamed chain execution parity
-# ----------------------------------------------------------------------
-def test_streamed_chain_parity(dblp_small, monkeypatch):
-    """Row-blocked chain products are bitwise-identical to whole ones.
-
-    Forces tiny row blocks (a few KiB) so every chain splits into many
-    blocks; counts are integers exact in float64, so the re-association
-    must not change a single bit.
-    """
-    database = dblp_small.database
-    reference = CommutingMatrixEngine(database)
-    engine = CommutingMatrixEngine(database, memory_budget=1 << 30)
-    monkeypatch.setattr(engine, "_chunk_budget", lambda: 4096)
-    for text in CHAIN_PATTERNS:
-        plan = engine.compile(parse_pattern(text))
-        if plan.kind != "chain":
-            continue
-        streamed = canonical(engine._streamed_chain(plan))
-        assert_same_matrix(streamed, reference.matrix(parse_pattern(text)))
-    assert engine.cache_info()["streamed"] > 0
-
-
-def test_streaming_engages_under_budget_end_to_end(dblp_small, monkeypatch):
-    database = dblp_small.database
-    pattern = parse_pattern("w-.w.w-.w")
-    expected = CommutingMatrixEngine(database).matrix(pattern)
-    engine = CommutingMatrixEngine(database, memory_budget=1 << 30)
-    # Small databases never trip the 1 MiB chunk floor; drop it so the
-    # full _should_stream -> _streamed_chain path runs in-tree.
-    monkeypatch.setattr(engine, "_chunk_budget", lambda: 2048)
-    assert_same_matrix(engine.matrix(pattern), expected)
-    assert engine.cache_info()["streamed"] > 0
-
-
-def test_budget_parity_with_split_products(
-    dblp_small, fig1, monkeypatch, split_products
-):
-    # The parity tests above with every product, the streamed chain's
-    # row-block products included, run as threaded blocks.
-    test_streamed_chain_parity(dblp_small, monkeypatch)
-    test_streaming_engages_under_budget_end_to_end(dblp_small, monkeypatch)
+def test_budget_parity_with_split_products(dblp_small, fig1, split_products):
+    # The parity tests above with every product run as threaded blocks.
+    test_budget_invariant_holds_after_every_query(dblp_small)
     for name in sorted(ALGORITHM_OPTIONS):
         test_tight_budget_rankings_bitwise_identical(fig1, name)
 
@@ -302,5 +261,4 @@ def test_no_streaming_without_budget(dblp_small):
     engine = CommutingMatrixEngine(dblp_small.database)
     engine.matrix(parse_pattern("w-.w.w-.w"))
     info = engine.cache_info()
-    assert info["streamed"] == 0
     assert info["spilled"] == 0

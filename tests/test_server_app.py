@@ -250,15 +250,20 @@ def test_healthz_ok_then_degraded_then_cleared(serving):
     assert health["version"] == service.version
     assert health["uptime"] >= 0
 
-    thread = service.apply(
-        edges_removed=[("ghost", "r-a", "nowhere")], wait=False
+    def checkpoint(service_, version):
+        raise OSError("disk full")
+
+    service.checkpoint = checkpoint
+    status, _, _ = _call(
+        address, "POST", "/apply", {"edges_added": [DELTA_EDGE]}
     )
-    thread.join(timeout=30)
+    assert status == 200  # the write published; only durability failed
     status, health, _ = _call(address, "GET", "/healthz")
     assert status == 200  # degraded is a report, not an HTTP failure
     assert health["status"] == "degraded"
-    assert health["last_error"]["operation"] == "apply"
-    assert "ghost" in health["last_error"]["message"]
+    assert health["last_error"]["operation"] == "checkpoint"
+    assert health["last_error"]["version"] == service.version
+    assert "disk full" in health["last_error"]["message"]
 
     service.clear_last_error()
     _, health, _ = _call(address, "GET", "/healthz")

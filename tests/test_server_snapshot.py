@@ -15,12 +15,25 @@ import os
 import stat
 import zipfile
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.api import SimilarityService, SimilaritySession, available_algorithms
 from repro.datasets import generate_dblp
 from repro.exceptions import ConfigurationError, SnapshotError
+from repro.lang import CommutingMatrixEngine, parse_pattern
+from repro.lang.ast import (
+    Concat,
+    Conj,
+    Epsilon,
+    Label,
+    Nested,
+    Reverse,
+    Skip,
+    Union,
+)
 from repro.server import (
     SNAPSHOT_FORMAT,
     load_service,
@@ -162,6 +175,78 @@ def test_round_trip_through_incrementally_patched_cache(tiny_dblp, tmp_path):
         reference, _prepare_all(fresh)
     )
     assert warm.cache_info()["misses"] == 0
+
+
+def _assert_same_bits(left, right):
+    assert left.shape == right.shape
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(left, field), getattr(right, field))
+
+
+def test_preload_skips_a_record_its_text_would_misfile(dblp_small, tmp_path):
+    # ``w--+w`` sums two canonically equal disjuncts (2 M_w) and prints
+    # as ``w+w``, which parses to ``w``: preloading that text would
+    # file the doubled matrix under ``w``'s plan, over ``w``'s record.
+    database = dblp_small.database
+    path = str(tmp_path / "misfile.npz")
+    session = SimilaritySession(database)
+    session.engine.matrix(parse_pattern("w--+w"))
+    save_snapshot(path, session)
+
+    warm, info = load_session(path)
+    assert info["skipped"] == 1
+    fresh = SimilaritySession(database)
+    _assert_same_bits(
+        warm.engine.matrix(parse_pattern("w")),
+        fresh.engine.matrix(parse_pattern("w")),
+    )
+    authors = sorted(database.nodes_of_type("author"))[:5]
+    options = {"algorithm": "relsim", "pattern": "w.w-", "scoring": "count"}
+    warm_rankings = warm.rank_many(authors, **options)
+    fresh_rankings = fresh.rank_many(authors, **options)
+    for author in authors:
+        assert (
+            warm_rankings[author].items() == fresh_rankings[author].items()
+        )
+
+
+def _round_trip_patterns():
+    leaves = st.one_of(
+        st.builds(Epsilon), st.sampled_from(["a", "b", "c"]).map(Label)
+    )
+
+    def extend(children):
+        parts = st.lists(children, min_size=2, max_size=3)
+        return st.one_of(
+            children.map(Reverse),
+            children.map(Nested),
+            children.map(Skip),
+            parts.map(Concat),
+            parts.map(Union),
+            parts.map(Conj),
+        )
+
+    # No Kleene star: the 2-cycle on ``c`` diverges under it.
+    pattern = st.recursive(leaves, extend, max_leaves=6)
+    return st.lists(pattern, min_size=1, max_size=4)
+
+
+@given(patterns=_round_trip_patterns())
+# The smallest misfiling record: ``eps+eps-`` is 2I and prints as
+# ``eps+eps``, which parses to ``eps``.
+@example(patterns=[Union([Epsilon(), Reverse(Epsilon())])])
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_export_preload_round_trip_is_bitwise(tiny_db, patterns):
+    source = CommutingMatrixEngine(tiny_db)
+    source.matrices_many(patterns)
+    warm = CommutingMatrixEngine(source.view)
+    warm.preload(source.export_cache())
+    for pattern in patterns + [Label(name) for name in "abc"]:
+        _assert_same_bits(warm.matrix(pattern), source.matrix(pattern))
 
 
 def test_save_is_atomic_overwrite(tiny_dblp, tmp_path):
