@@ -1,33 +1,33 @@
-"""`SimilarityService` — live-updatable serving over session snapshots.
+"""`SimilarityService` — live-updatable serving over versions.
 
-Sessions (and the matrix views / engines under them) are frozen
-snapshots by design: mutate the database and every cached matrix goes
-stale.  That is the right invariant for correctness but the wrong API
-for serving — a production system must absorb edge churn without
-pausing queries.  The service closes the gap with **atomic snapshot
-swap**:
+A version never changes once it is made: a session answers for the
+graph its view holds, and a write makes the next version instead of
+changing the current one.  The service serves the *current* version
+and absorbs writes without pausing queries, by **atomic publication**:
 
-* the service owns the *current* :class:`~repro.api.session.SimilaritySession`,
+* the service owns the current :class:`~repro.api.session.SimilaritySession`,
   whose detached :class:`~repro.graph.matrices.MatrixView` — schema,
   node table and per-label CSR — is the version's whole graph: no
-  database is held or copied, and callers can keep mutating their own
+  database is held or copied, and callers can keep writing their own
   database without touching what is served;
-* :meth:`SimilarityService.apply` (edge/node deltas) builds the next
-  snapshot off the serving path by forking the serving engine and
-  patching its view and cached matrices through sparse delta
-  propagation (bitwise identical to a rebuild at any batch size);
-  :meth:`SimilarityService.swap` (a whole replacement database) is the
-  only full session rebuild.  The old snapshot keeps answering queries
-  the entire time either way;
+* :meth:`SimilarityService.apply` (edge/node deltas) makes the next
+  version off the serving path with one call,
+  :meth:`CommutingMatrixEngine.apply_delta
+  <repro.lang.matrix_semantics.CommutingMatrixEngine.apply_delta>`,
+  which returns a new engine whose view and cached matrices are
+  patched by sparse delta propagation (bitwise identical to a rebuild
+  at any batch size); :meth:`SimilarityService.swap` (a whole
+  replacement database) is the only full session rebuild.  The
+  current version keeps answering queries the entire time either way;
 * every outstanding :class:`~repro.api.prepared.PreparedQuery` handed
-  out by :meth:`prepare` is re-bound against the new snapshot (engine
+  out by :meth:`prepare` is re-bound against the new version (engine
   cache re-warmed; after a swap, pattern expansion re-run and matrices
   re-materialized too) *before* anything is published;
 * publication is a handful of reference assignments: in-flight queries
-  finish on the snapshot they started on, new requests see the new one,
+  finish on the version they started on, new requests see the new one,
   and :attr:`version` increases monotonically.
 
-Mutations are serialized by an internal lock; queries never take it.
+Writes are serialized by an internal lock; queries never take it.
 :attr:`SimilarityService.database` exports the current version as a new
 ``GraphDatabase`` in O(|V| + |E|), for work off the serving path.
 """
@@ -52,6 +52,17 @@ class _Snapshot:
     def __init__(self, session, version):
         self.session = session
         self.version = version
+
+
+def _types_a_held_node(view, nodes_added):
+    """Whether ``nodes_added`` types a node ``view`` holds untyped."""
+    return any(
+        isinstance(entry, tuple)
+        and entry[1] is not None
+        and view.has_node(entry[0])
+        and view.node_type(entry[0]) is None
+        for entry in nodes_added
+    )
 
 
 class SimilarityService:
@@ -81,9 +92,9 @@ class SimilarityService:
     **session_options:
         Forwarded to every :class:`SimilaritySession` the service
         builds, now and after each swap (``max_star_depth``,
-        ``memory_budget``).  ``apply`` forks the current engine instead
-        of rebuilding, and a fork inherits the same budget, so it holds
-        across live updates too.
+        ``memory_budget``).  ``apply`` makes the next engine from the
+        current one instead of rebuilding, and it inherits the same
+        budget, so the budget holds across live updates too.
 
     Usage::
 
@@ -313,13 +324,13 @@ class SimilarityService:
         :class:`~repro.exceptions.UnknownEdgeError` — and the serving
         snapshot is untouched until the whole update succeeds.
 
-        The serving engine is forked (its detached view shares every
-        buffer until the delta replaces one; no database is copied) and
-        the view and every cached commuting matrix, diagonal and norm
-        are *patched*
-        via sparse delta propagation
-        (:meth:`CommutingMatrixEngine.apply_delta`) instead of being
-        recomputed, and live prepared handles re-warm from the patched
+        The serving engine's :meth:`CommutingMatrixEngine.apply_delta
+        <repro.lang.matrix_semantics.CommutingMatrixEngine.apply_delta>`
+        returns the next engine: its detached view shares every buffer
+        the delta leaves alone (no database is copied), and the view
+        and every cached commuting matrix, diagonal and norm are
+        *patched* via sparse delta propagation instead of being
+        recomputed.  Live prepared handles re-warm from the patched
         records, recomputing only what changed (their Algorithm-1
         expansion is reused, not re-run).  Patching is exact integer
         arithmetic, so the resulting rankings are bitwise identical to a
@@ -339,13 +350,10 @@ class SimilarityService:
         a caller that must not block (``repro serve``) runs this on a
         worker thread and waits there.
         """
+        nodes_added = list(nodes_added)
         with self._mutate_lock:
-            # Fork the serving engine, patch the fork in place (old
-            # snapshot untouched — matrices and the node table are
-            # shared but only ever *replaced* in the fork), then publish
-            # through the same atomic protocol as a swap.
-            engine = self._snapshot.session.engine.fork()
-            stats = engine.apply_delta(
+            session = self._snapshot.session
+            engine, stats = session.engine.apply_delta(
                 edges_added=edges_added,
                 edges_removed=edges_removed,
                 nodes_added=nodes_added,
@@ -354,6 +362,10 @@ class SimilarityService:
                 labels=frozenset(stats["labels"]),
                 grew=stats["nodes_added"] > 0,
             )
+            if _types_a_held_node(session.view, nodes_added):
+                # A node joined a type's candidates without an edge or
+                # a node count changing: no footprint tells it apart.
+                report = DeltaReport.unknown()
             version = self._publish_locked(
                 SimilaritySession(engine.view, engine=engine),
                 reuse_expansion=True,

@@ -81,15 +81,20 @@ class SimilaritySession:
         the budget — queries complete with bitwise-identical rankings
         instead of OOMing.  Default: unbounded.
 
-    The session is a *snapshot*, like the engine: mutating the database
-    afterwards makes cached matrices stale.  For workloads that must
-    absorb mutations while serving, use
+    The session answers for one version of the graph, like its engine
+    and view.  Once the database is written, a session over a lazy
+    view raises :class:`~repro.exceptions.EvaluationError` wherever it
+    would have to read the database again, instead of scoring a mix of
+    two versions: make a new session after writing, or make this one
+    over a detached view (``MatrixView(db).detach()``).  For workloads
+    that must absorb writes while serving, use
     :class:`~repro.api.service.SimilarityService` — it serves sessions
-    over detached views (no database), builds the next one off the
+    over detached views (no database), makes the next version off the
     serving path on ``apply``/``swap``, re-binds outstanding prepared
-    queries, and swaps snapshots atomically.  The session itself is thread-safe for
-    *reads*: the engine, plan compiler, and matrix view are all
-    lock-guarded, so N threads can query one session concurrently.
+    queries, and publishes versions atomically.  The session itself is
+    thread-safe for *reads*: the engine, plan compiler, and matrix view
+    are all lock-guarded, so N threads can query one session
+    concurrently.
     """
 
     def __init__(

@@ -15,7 +15,10 @@ Design notes
   insertion order, and ``_index`` maps each id to its position.  The
   table is append-only (no API removes a node), so its first ``n`` ids
   never change: a lazy :class:`~repro.graph.matrices.MatrixView` shares
-  the table, bounded at its node count, instead of building its own.
+  the id table, bounded at its node count, instead of building its own.
+* One write counter.  ``_writes`` grows with every write that changes
+  the database, so a lazy view can tell whether the database still
+  holds the version the view was made at.
 * One edge index.  Edges are stored as positions: per label, ``_out``
   maps a source position to the set of its target positions, and a
   view builds a label's CSR from the stored sets with no id lookup.
@@ -57,6 +60,8 @@ class GraphDatabase:
         # label -> {source position -> set(target positions)}.
         self._out = defaultdict(lambda: defaultdict(set))
         self._edge_count = 0
+        # Bumped by every write that changes the database.
+        self._writes = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -93,10 +98,12 @@ class GraphDatabase:
         position = self._index.get(node)
         if position is None:
             self._intern(node, node_type)
+            self._writes += 1
         elif node_type is not None:
             existing = self._types[position]
             if existing is None:
                 self._types[position] = node_type
+                self._writes += 1
             elif existing != node_type:
                 raise NodeTypeConflictError(node, existing, node_type)
         return node
@@ -107,9 +114,10 @@ class GraphDatabase:
             raise UnknownLabelError(label, self._schema.labels)
         u, v = self._position(source), self._position(target)
         targets = self._out[label][u]
-        if v not in targets:
+        if v not in targets:  # a new endpoint always makes a new edge
             targets.add(v)
             self._edge_count += 1
+            self._writes += 1
 
     def add_edges(self, edges):
         """Add an iterable of ``(source, label, target)`` triples."""
@@ -145,6 +153,7 @@ class GraphDatabase:
                 targets.add(v)
                 added += 1
         self._edge_count += added
+        self._writes += bool(added)  # new endpoints come only with new edges
         return added
 
     def remove_edge(self, source, label, target):
@@ -162,6 +171,7 @@ class GraphDatabase:
         if not targets:
             del self._out[label][u]
         self._edge_count -= 1
+        self._writes += 1
 
     def apply_delta(self, edges_added=(), edges_removed=(), nodes_added=()):
         """Validate and apply one batch delta; returns what actually changed.

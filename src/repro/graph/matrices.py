@@ -5,9 +5,9 @@ adjacency matrices ``A_l`` and node types only.  This module provides a
 :class:`NodeIndexer` (stable node-id <-> row index mapping, possibly a
 bounded share of a database's own position table), the
 :class:`MatrixView` — schema, a node table (the indexer plus one type
-per row) and one CSR matrix per label, which is the whole graph of a
-served version (built lazily over a :class:`GraphDatabase`, or
-detached from it and patched in place on writes) — and
+per row) and one CSR matrix per label, which is the whole graph of one
+version (built lazily over a :class:`GraphDatabase`, or detached from
+it; a write returns the next version's view and changes none) — and
 :func:`csr_product`, the engine's multi-core sparse product.
 
 Matrices use float64: instance counts can exceed int32 on long patterns
@@ -17,7 +17,6 @@ pattern produces.
 """
 
 import contextlib
-import copy
 import os
 import threading
 from collections import namedtuple
@@ -28,7 +27,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from repro.exceptions import UnknownLabelError, UnknownNodeError
+from repro.exceptions import (
+    EvaluationError,
+    UnknownLabelError,
+    UnknownNodeError,
+)
 from repro.graph.database import GraphDatabase, plan_delta
 
 #: Products of at least this many multiply-adds run as one row block
@@ -162,8 +165,8 @@ def canonical(matrix):
     ``pathsim_rows`` read the buffers directly, and delta maintenance
     relies on a patched matrix being structurally identical to a fresh
     rebuild.  Canonicalizing before publishing also means no later
-    caller sorts a cached matrix in place, so buffers shared across
-    forked engines stay frozen.  Sorts in place when ``matrix`` is
+    caller sorts a cached matrix in place, so buffers that versions of
+    an engine share stay frozen.  Sorts in place when ``matrix`` is
     already CSR, so pass a matrix nobody else holds.
     """
     matrix = matrix.tocsr()
@@ -379,19 +382,20 @@ class MatrixView:
     :meth:`has_edge`, :meth:`num_edges`, :meth:`used_labels`), and
     :meth:`to_database` exports it.
 
-    A view over a caller's database is *lazy*: its node table shares
-    the database's own ids and types, bounded at the database's node
-    count when the view is made, and each label's matrix is built from
-    the stored position sets on first use, so a session costs nothing
-    until it scores.  The view is a snapshot — mutate the database
-    afterwards and it goes stale: a node added later lies past the
-    bound, so it is no node of the view, stays out of every matrix and
-    raises :class:`~repro.exceptions.UnknownNodeError` when scored.
-    :meth:`detach`, :meth:`fork` and :meth:`apply_delta` make
-    a view *detached*: every used label built, a types list of its own,
-    and no database.  A detached view is the whole graph of a version —
-    :class:`~repro.api.service.SimilarityService` serves detached views,
-    patches them on writes and never copies or writes a database.
+    A view answers for the version it was made at, or it raises; it
+    never answers for a mix of two versions.  A view over a caller's
+    database is *lazy*: it copies the node types, shares the database's
+    id table bounded at its node count, records the database's write
+    count, and builds each label's matrix from the stored position sets
+    on first use, so a session costs little until it scores.  Once the
+    database has been written, every read that would reach it — a label
+    not built yet, :meth:`used_labels`, :meth:`candidate_index` —
+    raises :class:`~repro.exceptions.EvaluationError`: make a new view,
+    or :meth:`detach` this one before writing.  A detached view has
+    every used label built and no database.  It is the whole graph of a
+    version — :class:`~repro.api.service.SimilarityService` serves
+    detached views — and :meth:`apply_delta` returns the next version's
+    view without changing this one.
 
     The view is thread-safe: the adjacency and candidate-index caches are
     lock-guarded with double-checked access (matrices are built outside
@@ -400,11 +404,10 @@ class MatrixView:
     """
 
     def __init__(self, database, indexer=None):
-        # Until detach() copies it, the types list is the database's
-        # live one, read only up to the indexer's bound.
         ids, types, remap = database._ids, database._types, None
         if indexer is None:  # the database's own table, as it is now
             indexer = NodeIndexer.bounded(ids, database._index, len(ids))
+            types = list(types)
         else:
             # Database position -> the caller's row, -1 where it lacks
             # the node: one remap per view instead of a lookup per edge.
@@ -446,17 +449,30 @@ class MatrixView:
 
     def _init(self, database, schema, indexer, types, cache, remap=None):
         self._database = database
+        # The database's write count when the view was made.
+        self._writes = None if database is None else database._writes
         self._schema = schema
         # The node table: the indexer's ids and their types by row.
         self._indexer = indexer
         self._types = types
-        # The database positions the matrices cover: the nodes it held
-        # when the view was made.
-        self._extent = len(indexer) if remap is None else len(remap)
         self._remap = remap
         self._lock = threading.RLock()
         self._cache = cache
         self._candidates = {}
+
+    def _live_database(self):
+        """The database a lazy view reads, or None once detached.
+
+        Raises :class:`~repro.exceptions.EvaluationError` when the
+        database has been written since the view was made.
+        """
+        database = self._database
+        if database is not None and database._writes != self._writes:
+            raise EvaluationError(
+                "the database was written after this view was made; make "
+                "a new view of it, or detach() the view before writing"
+            )
+        return database
 
     @property
     def indexer(self):
@@ -506,7 +522,7 @@ class MatrixView:
 
     def used_labels(self):
         """Labels that occur on at least one edge."""
-        database = self._database
+        database = self._live_database()
         if database is not None:
             return database.used_labels()
         with self._lock:
@@ -555,7 +571,7 @@ class MatrixView:
         return matrix
 
     def _build(self, label):
-        database = self._database
+        database = self._live_database()
         if database is None:
             # Detached: every used label was built before the database
             # was dropped, so an unbuilt label has no edges.
@@ -579,9 +595,6 @@ class MatrixView:
             count=int(degrees.sum()),
         )
         rows = np.repeat(sources, degrees)
-        # Nodes added to the database after the view lie past its extent.
-        keep = np.maximum(rows, cols) < self._extent
-        rows, cols = rows[keep], cols[keep]
         if self._remap is not None:  # a caller's indexer
             rows, cols = self._remap[rows], self._remap[cols]
             keep = np.minimum(rows, cols) >= 0
@@ -595,120 +608,95 @@ class MatrixView:
         return matrix
 
     # ------------------------------------------------------------------
-    # Writes
+    # Versions
     # ------------------------------------------------------------------
     def detach(self):
-        """Make this view the whole graph it serves; returns ``self``.
+        """Build every used label and drop the database; returns ``self``.
 
-        Builds every used label, copies the types of the nodes the view
-        covers and drops the database: later writes to that database no
-        longer reach the view, and the view never writes to it.
-        Idempotent.
+        The view then reads no database, so later writes to that
+        database no longer concern it, and it never writes to it.
+        Raises like any read of a database written since the view was
+        made.  Idempotent.
         """
         with self._lock:
-            database = self._database
-            if database is not None:
-                for label in database.used_labels():
+            if self._database is not None:
+                for label in self.used_labels():
                     self.adjacency(label)
-                self._types = self._types[: len(self._indexer)]
                 self._database = self._remap = None
         return self
 
-    def fork(self):
-        """A detached copy of this view that shares its buffers.
-
-        The incremental-update idiom: fork the serving view, then
-        :meth:`apply_delta` *on the fork* — the original view (and every
-        matrix object it handed out) keeps serving the old version
-        untouched, because cached matrices, the node table and the
-        indexer are never mutated, only replaced.
-        """
-        clone = copy.copy(self)
-        clone._lock = threading.RLock()
-        clone._cache = dict(self._cache)
-        clone._candidates = dict(self._candidates)
-        return clone.detach()
-
     def apply_delta(self, edges_added=(), edges_removed=(), nodes_added=()):
-        """Apply an edge/node delta to this view, in place.
+        """The next version: this view with an edge/node delta applied.
 
-        The batch is validated by
+        Returns ``(view, delta)``.  The batch is validated by
         :func:`~repro.graph.database.plan_delta`, the routine
         :meth:`GraphDatabase.apply_delta
-        <repro.graph.database.GraphDatabase.apply_delta>` uses (a
-        failing delta raises with the view untouched).  The view then
-        detaches (:meth:`detach`) and patches itself; no database is
+        <repro.graph.database.GraphDatabase.apply_delta>` uses, so a
+        failing delta raises and makes no view.  The new view is
+        detached and shares every buffer of this one that the delta
+        leaves alone; this view, its node table, matrices and candidate
+        lists stay as they were for their readers, and no database is
         written:
 
-        * the types list and, when nodes were added, the indexer are
-          *replaced* by extended copies (the old objects stay frozen
-          for old readers and for forks that share them);
-        * cached adjacencies get a sparse ``+1/-1`` patch per touched
-          label (a new CSR object replaces the cache entry — anyone
-          holding the old matrix keeps a consistent old snapshot), and
-          every cached matrix is resized to the new node count;
-        * candidate indexes are invalidated **scoped to affected
-          types**: only the types of genuinely new nodes (plus the
-          untyped "all nodes" list) are dropped; edge-only deltas leave
-          every candidate list untouched.
+        * the new types list and, when nodes were added, the new indexer
+          are extended copies;
+        * each touched label's matrix gets a sparse ``+1/-1`` patch, and
+          every matrix is resized to the new node count;
+        * candidate lists are dropped only for affected types: the types
+          of new nodes and every type the batch declares (which may
+          retype an untyped node without adding one), plus the "all
+          nodes" list when nodes were added.
 
-        Returns a :class:`ViewDelta` with the per-label patches at the
-        new shape — the input the engine's ``apply_delta`` propagates
-        through cached commuting matrices.
+        ``delta`` is a :class:`ViewDelta` with the per-label patches at
+        the new shape — the input the engine's ``apply_delta``
+        propagates through cached commuting matrices.
         """
         added, removed, new_nodes, types = plan_delta(
             self, edges_added, edges_removed, nodes_added
         )
-        with self._lock:
-            self.detach()
-            old_n = len(self._indexer)
-            if new_nodes:
-                self._indexer = self._indexer.extended(new_nodes)
-            if new_nodes or types:  # replaced, never mutated: forks share it
-                by_row = self._types + [None] * len(new_nodes)
-                for node, node_type in types.items():
-                    by_row[self._indexer.index_of(node)] = node_type
-                self._types = by_row
-            n = len(self._indexer)
-            entries = {}
-            for edges, sign in ((removed, -1.0), (added, 1.0)):
-                for source, label, target in edges:
-                    rows, cols, vals = entries.setdefault(label, ([], [], []))
-                    rows.append(self._indexer.index_of(source))
-                    cols.append(self._indexer.index_of(target))
-                    vals.append(sign)
-            patches = {}
-            for label, (rows, cols, vals) in entries.items():
-                patch = sp.csr_matrix(
-                    (np.array(vals), (rows, cols)),
-                    shape=(n, n),
-                    dtype=np.float64,
-                )
-                patch.sum_duplicates()
-                patch.eliminate_zeros()
-                if patch.nnz:
-                    patches[label] = patch
-                    self.adjacency(label)  # a label's first edge patches zeros
-            for label, matrix in list(self._cache.items()):
-                patched = resized(matrix, n)
-                patch = patches.get(label)
-                if patch is not None:
-                    patched = add_patch(patched, patch)
-                if patched is not matrix:
-                    self._cache[label] = patched
-            # Scoped candidate invalidation: types of genuinely new
-            # nodes, plus every type explicitly declared in the batch —
-            # nodes_added may *retype* an existing untyped node, which
-            # joins that type's candidate list without changing the
-            # node count.  The "all nodes" list only changes when
-            # membership does.
-            affected = set(self._types[old_n:])
-            affected.update(types.values())
-            for node_type in affected:
-                self._candidates.pop(("type", node_type), None)
-            if new_nodes:
-                self._candidates.pop(("all",), None)
-            return ViewDelta(patches, old_n, n, added, removed, new_nodes)
+        for label in self.used_labels():  # the next version holds them all
+            self.adjacency(label)
+        old_n = len(self._indexer)
+        indexer = self._indexer
+        if new_nodes:
+            indexer = indexer.extended(new_nodes)
+        by_row = self._types
+        if new_nodes or types:  # a new list: this view keeps its own
+            by_row = by_row + [None] * len(new_nodes)
+            for node, node_type in types.items():
+                by_row[indexer.index_of(node)] = node_type
+        n = len(indexer)
+        entries = {}
+        for edges, sign in ((removed, -1.0), (added, 1.0)):
+            for source, label, target in edges:
+                rows, cols, vals = entries.setdefault(label, ([], [], []))
+                rows.append(indexer.index_of(source))
+                cols.append(indexer.index_of(target))
+                vals.append(sign)
+        patches = {}
+        for label, (rows, cols, vals) in entries.items():
+            patch = sp.csr_matrix(
+                (np.array(vals), (rows, cols)), shape=(n, n), dtype=np.float64
+            )
+            patch.sum_duplicates()
+            patch.eliminate_zeros()
+            if patch.nnz:
+                patches[label] = patch
+                self.adjacency(label)  # a label's first edge patches zeros
+        cache = {}
+        for label, matrix in dict(self._cache).items():
+            cache[label] = resized(matrix, n)
+            if label in patches:
+                cache[label] = add_patch(cache[label], patches[label])
+        candidates = dict(self._candidates)
+        for node_type in set(by_row[old_n:]) | set(types.values()):
+            candidates.pop(("type", node_type), None)
+        if new_nodes:
+            candidates.pop(("all",), None)
+        view = MatrixView.__new__(MatrixView)
+        view._init(None, self._schema, indexer, by_row, cache)
+        view._candidates = candidates
+        return view, ViewDelta(patches, old_n, n, added, removed, new_nodes)
 
     def candidate_index(self, node_type=None):
         """Cached ``(nodes, columns)`` answer-candidate arrays for a type.
@@ -721,24 +709,14 @@ class MatrixView:
         ``node_type`` is the resolved answer type of a query — ``None``
         means every node (untyped queries).
 
-        A node of the requested type that the view does not cover
-        raises :class:`~repro.exceptions.UnknownNodeError`: scoring a
-        candidate the snapshot does not cover is an error, not a zero
-        score.  Every call on a lazy view checks the database's nodes
-        past the view's bound, so a node of the type added to the
-        database after the view was built raises that error whether or
-        not the index was already warm (no silently stale candidate
-        list).  Other mutations of that database — edge changes,
-        retyping an existing node — follow the view's general snapshot
-        rule: build a fresh view after mutating.
+        Once a lazy view's database has been written, every call raises
+        :class:`~repro.exceptions.EvaluationError`, whether or not the
+        index was already warm: the database may hold a candidate the
+        view does not, so no algorithm ranks over a stale list.
         """
+        self._live_database()
+        key = ("type", node_type) if node_type is not None else ("all",)
         with self._lock:
-            database = self._database
-            if database is not None:  # nodes it gained after the view
-                for position in range(self._extent, len(database._types)):
-                    if node_type in (None, database._types[position]):
-                        raise UnknownNodeError(database._ids[position])
-            key = ("type", node_type) if node_type is not None else ("all",)
             cached = self._candidates.get(key)
             if cached is None:
                 if node_type is None:

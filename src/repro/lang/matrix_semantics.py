@@ -79,8 +79,8 @@ class PlanEntry(namedtuple("PlanEntry", "matrix norms diagonal bytes")):
     ``norms`` (cosine column norms) and ``diagonal`` (PathSim
     denominators) are ``None`` until first asked for; ``bytes`` counts
     every buffer the record holds.  Records are replaced, never
-    mutated, because a forked engine shares them with the snapshot
-    that is still serving.  The same record is what
+    mutated, because each version of an engine shares them with the
+    older versions that are still serving.  The same record is what
     :meth:`CommutingMatrixEngine.export_cache` hands out, what
     :meth:`~CommutingMatrixEngine.preload` installs and what a serving
     snapshot stores (:mod:`repro.server.snapshot`).
@@ -227,8 +227,8 @@ class CommutingMatrixEngine:
     entry, and intermediate chain products live in the same LRU, so a
     sub-chain shared across patterns is computed once.  Each entry is
     one immutable :class:`PlanEntry` holding the matrix together with
-    its derived vectors, so eviction, forks, delta patches and
-    snapshots always move a vector with its matrix.  (Plan nodes and
+    its derived vectors, so eviction, delta patches and snapshots
+    always move a vector with its matrix.  (Plan nodes and
     the pattern->plan memo are retained for the engine's lifetime; they
     are a few hundred bytes each, negligible next to one matrix.)
 
@@ -266,7 +266,8 @@ class CommutingMatrixEngine:
         # PatternTypeError here instead of evaluating to an empty or
         # nonsensical ranking.  Untyped schemas (no node_types) only
         # ever reject unknown labels.  The checker reads only the
-        # schema, so forks share it with the compiler.
+        # schema, so every version of the engine shares it with the
+        # compiler.
         self._compiler = PlanCompiler(
             checker=PatternTypeChecker(self._view.schema)
         )
@@ -275,9 +276,6 @@ class CommutingMatrixEngine:
         self._hits = 0
         self._misses = 0
         self._spilled = 0
-        # Bumped by apply_delta: a computation started against the old
-        # snapshot must not publish into the patched cache.
-        self._generation = 0
         self._patched = 0
         self._invalidated = 0
         self._delta_applies = 0
@@ -427,24 +425,19 @@ class CommutingMatrixEngine:
     # Incremental delta maintenance
     # ------------------------------------------------------------------
     def fork(self):
-        """A new engine over a fork of this view, inheriting the caches.
+        """A copy of this engine over the same view, sharing its records.
 
-        The incremental-serving idiom: fork the serving engine,
-        :meth:`apply_delta` on the fork, and publish the fork as the new
-        snapshot — the original engine (and every matrix it handed out)
-        keeps serving the old snapshot untouched, because cached
-        matrices are shared but never mutated, only replaced in the
-        fork's own cache.  The fork's view is detached
-        (:meth:`MatrixView.fork <repro.graph.matrices.MatrixView.fork>`):
-        it holds the whole graph, and no database is copied.
-
-        The plan compiler is shared (canonical plan nodes keep keying
-        both engines' caches — that sharing is what lets the fork patch
-        the parent's materialized products), as are the byte budget,
-        star bound, and hit/miss counters.
+        The copy step of :meth:`apply_delta`, which then gives the copy
+        the next version's view and records.  The copy holds its own
+        cache dict, so whatever either engine caches later stays its
+        own, while the records themselves — immutable — are shared.
+        The plan compiler is shared too (canonical plan nodes keep
+        keying both engines' caches — that sharing is what lets the
+        next version patch this one's materialized products), as are
+        the byte budget, star bound, and hit/miss counters.
         """
         clone = CommutingMatrixEngine.__new__(CommutingMatrixEngine)
-        clone._view = self._view.fork()
+        clone._view = self._view
         clone._default_star_depth = self._default_star_depth
         clone._max_star_depth = self._max_star_depth
         clone._memory_budget = self._memory_budget
@@ -455,20 +448,21 @@ class CommutingMatrixEngine:
             clone._hits = self._hits
             clone._misses = self._misses
             clone._spilled = self._spilled
-            clone._generation = self._generation
             clone._patched = self._patched
             clone._invalidated = self._invalidated
             clone._delta_applies = self._delta_applies
         return clone
 
     def apply_delta(self, edges_added=(), edges_removed=(), nodes_added=()):
-        """Apply an edge/node delta and maintain every cached matrix, in place.
+        """The next version: this engine with an edge/node delta applied.
 
-        The delta is validated and applied to the matrix view
-        (:meth:`MatrixView.apply_delta`, which detaches a view still
-        over a database and never writes to it — a failing delta raises
-        with everything untouched), then the per-label adjacency
-        patches ``ΔA`` are propagated through the cached records by
+        Returns ``(engine, stats)`` and leaves this engine, its view and
+        its records serving the version they served.  The new engine is
+        a :meth:`fork` whose view is :meth:`MatrixView.apply_delta
+        <repro.graph.matrices.MatrixView.apply_delta>`'s next version
+        (validated first: a failing delta raises and makes no engine;
+        no database is written).  The per-label adjacency patches
+        ``ΔA`` are then propagated through the copied records by
         :func:`repro.lang.delta.propagate`: a chain's change is
         ``ΔL·R_new + L_old·ΔR``, each shared sub-plan is resolved once,
         and records whose labels the delta does not touch are kept as
@@ -476,55 +470,40 @@ class CommutingMatrixEngine:
         delta denser than
         :data:`~repro.lang.delta.DELTA_REBUILD_THRESHOLD` x the input's
         nnz, an evicted input, a changed Kleene-star base) is
-        **invalidated**: dropped from the cache and lazily recomputed on
-        next use, never served stale.  Commuting matrices hold integer
-        counts, exact in float64, so a patched matrix — and the
+        **invalidated**: left out of the new cache and lazily recomputed
+        on next use, never served stale.  Commuting matrices hold
+        integer counts, exact in float64, so a patched matrix — and the
         rankings computed from it — is bitwise identical to a full
         rebuild.
 
-        Readers racing an in-place ``apply_delta`` are generation-fenced
-        (a compute begun on the old snapshot never publishes into the
-        patched cache); for strict snapshot isolation, run this on a
-        :meth:`fork` and swap, as :class:`~repro.api.service.SimilarityService`
-        does.
-
-        Returns a stats dict: ``patched`` / ``kept`` / ``invalidated``
-        cache-entry counts, ``entries`` (cache size after), ``labels``
-        (touched labels) and ``nodes_added``.
+        ``stats`` holds ``patched`` / ``kept`` / ``invalidated``
+        cache-entry counts, ``entries`` (the new cache's size),
+        ``labels`` (touched labels) and ``nodes_added``.
         """
-        with self._lock:
-            # The view is patched *inside* the engine lock and the
-            # generation bumped in the same critical section: cache
-            # lookups are blocked until the patched cache is published,
-            # and any compute that began against the old snapshot (or
-            # read mid-patch adjacencies) fails the generation fence at
-            # publish time and retries — a stale or mixed matrix can
-            # never enter the patched cache, and propagation can never
-            # mistake a post-delta publish for a pre-delta entry.
-            self._generation += 1
-            delta = self._view.apply_delta(
-                edges_added=edges_added,
-                edges_removed=edges_removed,
-                nodes_added=nodes_added,
-            )
-            self._delta_applies += 1
-            if self._default_star_depth:
-                self._max_star_depth = max(delta.num_nodes, 1)
-            self._cache, counts = propagate(
-                self._cache, delta, self._view, self._compiler
-            )
-            self._patched += counts["patched"]
-            self._invalidated += counts["invalidated"]
-            # Patched entries can be larger than what they replaced (a
-            # delta that densifies a product); re-assert the budget so
-            # it holds across live updates too.
-            self._evict()
-            return dict(
-                counts,
-                entries=len(self._cache),
-                labels=sorted(delta.patches),
-                nodes_added=len(delta.added_nodes),
-            )
+        engine = self.fork()
+        engine._view, delta = self._view.apply_delta(
+            edges_added=edges_added,
+            edges_removed=edges_removed,
+            nodes_added=nodes_added,
+        )
+        engine._delta_applies += 1
+        if engine._default_star_depth:
+            engine._max_star_depth = max(delta.num_nodes, 1)
+        engine._cache, counts = propagate(
+            engine._cache, delta, engine._view, engine._compiler
+        )
+        engine._patched += counts["patched"]
+        engine._invalidated += counts["invalidated"]
+        # Patched entries can be larger than what they replaced (a
+        # delta that densifies a product); re-assert the budget so it
+        # holds across live updates too.
+        engine._evict()
+        return engine, dict(
+            counts,
+            entries=len(engine._cache),
+            labels=sorted(delta.patches),
+            nodes_added=len(delta.added_nodes),
+        )
 
     def _plan_matrix(self, node):
         return self._plan_entry(node).matrix
@@ -541,10 +520,9 @@ class CommutingMatrixEngine:
         retries and adopts the winner's record, so callers share one
         matrix object per plan node, and a vector is only ever
         published into the record of the matrix it was reduced from.  A
-        generation bump (apply_delta landed mid-compute) discards the
-        stale result.  A record the budget cannot hold, or one evicted
-        while its vector was reduced, is returned without being
-        retained: it spills, and the next use recomputes it.
+        record the budget cannot hold, or one evicted while its vector
+        was reduced, is returned without being retained: it spills, and
+        the next use recomputes it.
         """
         while True:
             with self._lock:
@@ -554,7 +532,6 @@ class CommutingMatrixEngine:
                     self._cache.move_to_end(node)
                     if field is None or getattr(cached, field) is not None:
                         return cached
-                generation = self._generation
             entry = (
                 cached if cached is not None
                 else PlanEntry.of(self._execute(node))
@@ -564,8 +541,6 @@ class CommutingMatrixEngine:
                     field, _REDUCERS[field](entry.matrix)
                 )
             with self._lock:
-                if self._generation != generation:
-                    continue
                 current = self._cache.get(node)
                 if current is cached:
                     if cached is None:

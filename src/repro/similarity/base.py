@@ -33,11 +33,15 @@ APIs (``scores``/``scores_many``) become thin adapters over
 dict-based ranking path is kept as :meth:`rank_many_via_scores` for
 equivalence testing and benchmarking.
 
-Candidates absent from the algorithm's snapshot indexer raise
-:class:`~repro.exceptions.UnknownNodeError` uniformly — scoring a node
-the snapshot does not cover is an error, not a zero score.  (Open a new
-session/view after mutating the database, or serve through
-:class:`~repro.api.service.SimilarityService`, which swaps snapshots.)
+A query absent from the algorithm's view raises
+:class:`~repro.exceptions.UnknownNodeError` — scoring a node the view
+does not hold is an error, not a zero score — and a view whose database
+was written after it was made raises
+:class:`~repro.exceptions.EvaluationError` uniformly rather than rank a
+stale candidate list.  (Open a new session/view after writing the
+database, or serve through
+:class:`~repro.api.service.SimilarityService`, which publishes
+versions.)
 
 Prepared scoring state
 ----------------------
@@ -50,8 +54,8 @@ nodes: warming fills the engine's cache (``engine.warm``), and every
 or column norms — back from that cache.  Nothing is held outside the
 cache, so the engine's ``memory_budget`` accounts for every byte, and
 the records stay *delta-maintained*: ``SimilarityService``'s live
-updates patch them in the forked engine, so a re-bound query serves the
-patched records without recomputing what did not change.  The engine
+updates patch them into the next version's engine, so a re-bound query
+serves the patched records without recomputing what did not change.  The engine
 lock guards every read, which is what makes a prepared hot path safe to
 share across serving threads.
 """
@@ -205,13 +209,12 @@ class SimilarityAlgorithm:
     def candidates(self, query):
         """Nodes eligible as answers for ``query`` (never the query).
 
-        Candidates are read from the *live* database; scoring them goes
-        through the algorithm's snapshot indexer, and a candidate the
-        snapshot does not cover raises
-        :class:`~repro.exceptions.UnknownNodeError` — uniformly across
-        all algorithms (no algorithm silently skips it).  Mutating the
-        database after constructing an algorithm is the only way to get
-        into that state; open a fresh session/view instead.
+        Candidates are read from the graph the algorithm was built on —
+        in a session, the view of one version.  Once a lazy view's
+        database has been written, ranking raises
+        :class:`~repro.exceptions.EvaluationError` for every built-in
+        algorithm instead of ranking a stale candidate list; open a
+        fresh session/view instead.
         """
         if self._answer_type is not None:
             nodes = self._database.nodes_of_type(self._answer_type)

@@ -54,8 +54,8 @@ def _conclusion_edges(constraint, binding):
     return edges
 
 
-def chase(database, constraints, max_rounds=None, in_place=False):
-    """Chase ``database`` with full tgds until all are satisfied.
+def chase(database, constraints, max_rounds=None):
+    """Chase a copy of ``database`` with full tgds until all are satisfied.
 
     Parameters
     ----------
@@ -65,11 +65,11 @@ def chase(database, constraints, max_rounds=None, in_place=False):
         Safety bound on fixpoint rounds; defaults to
         ``len(labels) * num_nodes**2 + 1`` (the trivial edge-count bound,
         never reached in practice).
-    in_place:
-        Mutate ``database`` instead of chasing a copy.
 
+    Each round matches every premise on one view of the round's
+    database, collects the conclusion edges it lacks, then writes them.
     Returns the chased database (new edges only; the chase of full tgds
-    never adds nodes).
+    never adds nodes); ``database`` itself is not written.
     """
     constraints = list(constraints)
     for constraint in constraints:
@@ -77,23 +77,24 @@ def chase(database, constraints, max_rounds=None, in_place=False):
             raise ConstraintError(
                 "chase supports full tgds only: {}".format(constraint)
             )
-    result = database if in_place else database.copy()
+    result = database.copy()
     if max_rounds is None:
         max_rounds = (
             len(result.schema.labels) * max(result.num_nodes(), 1) ** 2 + 1
         )
 
     for _ in range(max_rounds):
-        added = 0
-        view = MatrixView(result)  # fresh snapshot per round
-        for constraint in constraints:
-            for binding in match_conjunctive(view, constraint.premise):
-                for edge in _conclusion_edges(constraint, binding):
-                    if not result.has_edge(*edge):
-                        result.add_edge(*edge)
-                        added += 1
-        if added == 0:
+        view = MatrixView(result)
+        missing = dict.fromkeys(  # an insertion-ordered set
+            edge
+            for constraint in constraints
+            for binding in match_conjunctive(view, constraint.premise)
+            for edge in _conclusion_edges(constraint, binding)
+            if not result.has_edge(*edge)
+        )
+        if not missing:
             return result
+        result.add_edges(missing)
     raise ConstraintError(
         "chase did not converge within {} rounds".format(max_rounds)
     )

@@ -2,10 +2,12 @@
 
 The parity fuzz suite (``test_delta_parity.py``) checks end-to-end
 rankings; these tests pin down the layer contracts it rests on —
-batch-delta validation atomicity, in-place view patching with scoped
-candidate invalidation, exact engine propagation with shared sub-plans
-resolved once, threshold-based invalidation, and live ``cache_info``
-accounting after patches and invalidations.
+batch-delta validation atomicity, views and engines whose
+``apply_delta`` returns the next version and leaves the receiver
+serving its own, scoped candidate invalidation, exact engine
+propagation with shared sub-plans resolved once, threshold-based
+invalidation, and live ``cache_info`` accounting after patches and
+invalidations.
 """
 
 import gc
@@ -16,6 +18,7 @@ import pytest
 
 from repro.datasets import generate_dblp
 from repro.exceptions import (
+    EvaluationError,
     NodeTypeConflictError,
     UnknownEdgeError,
     UnknownLabelError,
@@ -65,10 +68,11 @@ def _structurally_equal(a, b):
 def _apply_both(target, database, **delta):
     """``target.apply_delta(**delta)``, then the same on ``database``.
 
-    Views and engines never write their database, so a test keeps
-    ``database`` as its reference by applying each delta to it too —
-    after the target, whose lazy view may still build a label from the
-    database's edges.
+    Returns the target's ``(next version, report)``.  Views and engines
+    never write their database, so a test keeps ``database`` as its
+    reference by applying each delta to it too — after the target,
+    whose lazy view refuses to read a database written since it was
+    made.
     """
     result = target.apply_delta(**delta)
     database.apply_delta(**delta)
@@ -81,11 +85,15 @@ def _graphs(database):
 
 
 def _apply(graph, **delta):
-    """``graph.apply_delta`` as ``(added, removed, new_nodes)``."""
-    report = graph.apply_delta(**delta)
+    """``graph.apply_delta`` as ``(graph, (added, removed, new_nodes))``.
+
+    A database is written and returned; a view returns its next
+    version.
+    """
     if isinstance(graph, MatrixView):
-        return report.added, report.removed, report.added_nodes
-    return report
+        graph, report = graph.apply_delta(**delta)
+        return graph, (report.added, report.removed, report.added_nodes)
+    return graph, graph.apply_delta(**delta)
 
 
 def _content(graph):
@@ -137,7 +145,7 @@ def test_database_apply_delta_reports_effective_changes(dblp):
     present = sorted(dblp.edges("p-in"))[0]
     missing = _some_missing_edge(dblp, "p-in", papers, procs)
     for graph in _graphs(dblp):
-        added, removed, new_nodes = _apply(
+        graph, (added, removed, new_nodes) = _apply(
             graph,
             # A present edge is a set-semantics no-op and not reported;
             # an edge with fresh endpoints reports them as new nodes.
@@ -153,7 +161,7 @@ def test_database_apply_delta_reports_effective_changes(dblp):
         assert graph.has_edge(*missing)
         assert graph.node_type("typed") == "proc"
         # Removing and re-adding in one batch nets out.
-        added, removed, _ = _apply(
+        graph, (added, removed, _) = _apply(
             graph, edges_added=[missing], edges_removed=[missing]
         )
         assert added == [missing] and removed == [missing]
@@ -162,7 +170,7 @@ def test_database_apply_delta_reports_effective_changes(dblp):
 
 def test_database_apply_delta_self_loop_on_new_node_reported_once(dblp):
     for graph in _graphs(dblp):
-        added, _, new_nodes = _apply(
+        _, (added, _, new_nodes) = _apply(
             graph, edges_added=[("loop:new", "w", "loop:new")]
         )
         assert added == [("loop:new", "w", "loop:new")]
@@ -170,10 +178,13 @@ def test_database_apply_delta_self_loop_on_new_node_reported_once(dblp):
 
 
 def test_lazy_view_apply_delta_on_a_node_its_database_gained_later(dblp):
-    # A node the database gains after the view was made is no node of
-    # the view: a delta naming it adds it to the view, as it would to
-    # a copy of the database taken when the view was made.
-    view = MatrixView(dblp)
+    # A node the database gains after a view was detached is no node of
+    # the view: a delta naming it adds it to the view's next version,
+    # as it would to a copy of the database taken when the view was
+    # made.  A lazy view would have to read the written database to
+    # build its labels, so it raises instead.
+    lazy = MatrixView(dblp)
+    view = MatrixView(dblp).detach()
     reference = dblp.copy()
     dblp.add_node("late")
     grown = _content(dblp)
@@ -181,7 +192,9 @@ def test_lazy_view_apply_delta_on_a_node_its_database_gained_later(dblp):
         edges_added=[("late", "w", dblp.nodes_of_type("paper")[0])],
         nodes_added=[("late", "author")],
     )
-    report = view.apply_delta(**delta)
+    with pytest.raises(EvaluationError, match="detach"):
+        lazy.apply_delta(**delta)
+    view, report = view.apply_delta(**delta)
     assert (
         report.added, report.removed, report.added_nodes
     ) == reference.apply_delta(**delta)
@@ -196,7 +209,7 @@ def test_lazy_view_apply_delta_on_a_node_its_database_gained_later(dblp):
 def test_view_apply_delta_self_loop_on_new_node(dblp):
     view = MatrixView(dblp)
     view.adjacency("w")
-    delta = _apply_both(
+    view, delta = _apply_both(
         view, dblp, edges_added=[("loop:new", "w", "loop:new")]
     )
     assert delta.added_nodes == ["loop:new"]
@@ -213,7 +226,7 @@ def test_view_apply_delta_matches_fresh_adjacency(dblp):
     missing = _some_missing_edge(
         dblp, "r-a", dblp.nodes_of_type("paper"), dblp.nodes_of_type("area")
     )
-    delta = _apply_both(
+    view, delta = _apply_both(
         view,
         dblp,
         edges_added=[missing, ("new:paper", "p-in", present[2])],
@@ -236,7 +249,7 @@ def test_detached_view_patches_the_first_edge_of_an_unused_label():
     database = GraphDatabase(Schema(["a", "b"]))
     database.add_edges([(1, "a", 2), (2, "a", 3)])
     view = MatrixView(database).detach()
-    delta = _apply_both(view, database, edges_added=[(3, "b", 4)])
+    view, delta = _apply_both(view, database, edges_added=[(3, "b", 4)])
     assert sorted(delta.patches) == ["b"] and delta.added_nodes == [4]
     assert view.used_labels() == {"a", "b"} and view.has_edge(3, "b", 4)
     fresh = MatrixView(database)
@@ -253,12 +266,12 @@ def test_view_candidate_invalidation_scoped_to_affected_types(dblp):
     all_index = view.candidate_index(None)
     # Edge-only delta: every candidate list untouched (same objects).
     edge = sorted(dblp.edges("p-in"))[0]
-    view.apply_delta(edges_removed=[edge])
+    view, _ = view.apply_delta(edges_removed=[edge])
     assert view.candidate_index("paper") is paper_index
     assert view.candidate_index("proc") is proc_index
     assert view.candidate_index(None) is all_index
     # Adding a proc node: proc and all-nodes lists drop, paper survives.
-    view.apply_delta(nodes_added=[("proc:new", "proc")])
+    view, _ = view.apply_delta(nodes_added=[("proc:new", "proc")])
     assert view.candidate_index("paper") is paper_index
     assert view.candidate_index("proc") is not proc_index
     assert view.candidate_index(None) is not all_index
@@ -273,23 +286,32 @@ def test_view_retyping_untyped_node_invalidates_new_types_candidates(dblp):
     assert "untyped:0" not in proc_index[0]
     # Upgrading the untyped node to "proc" changes no node count, but
     # it joins the proc candidate list — the list must be rebuilt.
-    _apply_both(view, dblp, nodes_added=[("untyped:0", "proc")])
+    view, _ = _apply_both(view, dblp, nodes_added=[("untyped:0", "proc")])
     assert "untyped:0" in view.candidate_index("proc")[0]
     assert view.candidate_index("paper") is paper_index  # still scoped
     fresh = MatrixView(dblp)
     assert view.candidate_index("proc")[0] == fresh.candidate_index("proc")[0]
 
 
-def test_view_fork_isolates_the_original(dblp):
+def test_view_apply_delta_isolates_the_original(dblp):
+    # The receiver keeps serving the old version: the same matrix
+    # objects, node table and candidate lists.
     view = MatrixView(dblp)
     original = view.adjacency("p-in")
-    fork = view.fork()
+    procs = view.candidate_index("proc")
     edge = sorted(dblp.edges("p-in"))[0]
-    fork.apply_delta(edges_removed=[edge])
+    nxt, _ = view.apply_delta(
+        edges_removed=[edge], nodes_added=[("proc:new", "proc")]
+    )
     assert view.adjacency("p-in") is original  # untouched, same object
     assert dblp.has_edge(*edge) and view.has_edge(*edge)
-    assert not fork.has_edge(*edge)
-    assert fork.adjacency("p-in").nnz == original.nnz - 1
+    assert view.candidate_index("proc") is procs
+    assert not view.has_node("proc:new")
+    assert view.num_nodes() == original.shape[0]
+    assert not nxt.has_edge(*edge)
+    assert nxt.adjacency("p-in").nnz == original.nnz - 1
+    assert nxt.node_type("proc:new") == "proc"
+    assert "proc:new" in nxt.candidate_index("proc")[0]
 
 
 # ----------------------------------------------------------------------
@@ -312,7 +334,7 @@ def test_engine_apply_delta_matches_fresh_engine(dblp):
         dblp, "r-a", dblp.nodes_of_type("paper"), dblp.nodes_of_type("area")
     )
     entries = engine.cache_size()
-    stats = _apply_both(
+    engine, stats = _apply_both(
         engine,
         dblp,
         edges_added=[missing, ("new:paper", "p-in", present[2])],
@@ -337,7 +359,8 @@ def test_engine_apply_delta_matches_fresh_engine(dblp):
 def _mixed_delta(engine, database):
     """Apply a delta that removes and adds edges and adds a node.
 
-    Applied to ``engine`` and to its reference ``database``.
+    Applied to ``engine`` and to its reference ``database``; returns
+    the engine's ``(next version, stats)``.
     """
     present = sorted(database.edges("p-in"))[0]
     missing = _some_missing_edge(
@@ -371,7 +394,7 @@ def test_engine_delta_after_preload_matches_fresh_engine(dblp):
     database = dblp.copy()
     target = CommutingMatrixEngine(database)
     target.preload(engine.export_cache())
-    stats = _mixed_delta(target, database)
+    target, stats = _mixed_delta(target, database)
     assert stats["patched"] > 0
     _assert_matches_fresh_engine(target, database, patterns)
 
@@ -397,7 +420,7 @@ def test_engine_delta_with_evicted_subplans_matches_fresh_engine(dblp):
         for plan in list(engine._cache):
             if plan not in kept and plan.kind != "chain":
                 del engine._cache[plan]
-    stats = _mixed_delta(engine, dblp)
+    engine, stats = _mixed_delta(engine, dblp)
     assert stats["patched"] > 0 and stats["invalidated"] > 0
     _assert_matches_fresh_engine(engine, dblp, patterns)
 
@@ -406,10 +429,11 @@ def test_engine_delta_resolves_shared_subchains_once(dblp):
     engine, _ = _loaded_engine(dblp)
     entries = engine.cache_size()
     edge = sorted(dblp.edges("p-in"))[0]
-    stats = engine.apply_delta(edges_removed=[edge])
+    engine, stats = engine.apply_delta(edges_removed=[edge])
     # Every cache entry is accounted exactly once per delta pass.
     assert stats["patched"] + stats["kept"] + stats["invalidated"] == entries
     assert stats["entries"] == entries - stats["invalidated"]
+    assert engine.cache_size() == stats["entries"]
 
 
 def test_engine_zero_threshold_invalidates_then_recomputes_exactly(
@@ -418,7 +442,7 @@ def test_engine_zero_threshold_invalidates_then_recomputes_exactly(
     monkeypatch.setattr("repro.lang.delta.DELTA_REBUILD_THRESHOLD", 0.0)
     engine, patterns = _loaded_engine(dblp)
     edge = sorted(dblp.edges("p-in"))[0]
-    stats = _apply_both(engine, dblp, edges_removed=[edge])
+    engine, stats = _apply_both(engine, dblp, edges_removed=[edge])
     assert stats["invalidated"] > 0  # every touched product is dropped
     fresh = CommutingMatrixEngine(dblp)
     for pattern in patterns:  # lazily recomputed entries are exact
@@ -428,9 +452,10 @@ def test_engine_zero_threshold_invalidates_then_recomputes_exactly(
 
 
 def test_engine_delta_frees_pre_delta_matrices_without_gc(dblp):
-    # The delta pass must leave no reference cycle behind: the
-    # pre-delta matrix of a patched plan is freed by reference
-    # counting alone, not at the next full collection.
+    # The delta pass must leave no reference cycle behind: once the
+    # old version is dropped, the pre-delta matrix of a patched plan is
+    # freed by reference counting alone, not at the next full
+    # collection.
     engine = CommutingMatrixEngine(dblp)
     pattern = parse_pattern("p-in.p-in-")
     engine.diagonal(pattern)
@@ -438,7 +463,7 @@ def test_engine_delta_frees_pre_delta_matrices_without_gc(dblp):
     edge = sorted(dblp.edges("p-in"))[0]
     gc.disable()
     try:
-        stats = engine.apply_delta(edges_removed=[edge])
+        engine, stats = engine.apply_delta(edges_removed=[edge])
         assert stats["patched"] > 0
         assert before() is None
     finally:
@@ -452,7 +477,7 @@ def test_engine_star_with_changed_base_is_invalidated_not_stale(dblp):
     authors = dblp.nodes_of_type("author")
     papers = dblp.nodes_of_type("paper")
     missing = _some_missing_edge(dblp, "w", authors, papers)
-    stats = _apply_both(engine, dblp, edges_added=[missing])
+    engine, stats = _apply_both(engine, dblp, edges_added=[missing])
     assert stats["invalidated"] >= 1
     assert _structurally_equal(
         engine.matrix(star), CommutingMatrixEngine(dblp).matrix(star)
@@ -460,20 +485,26 @@ def test_engine_star_with_changed_base_is_invalidated_not_stale(dblp):
 
 
 def test_engine_fork_leaves_parent_serving_old_snapshot(dblp):
+    # apply_delta forks its receiver and patches only the fork: the
+    # receiver keeps its view and the same record objects.
     engine, patterns = _loaded_engine(dblp)
     reference = {
         p: (engine.matrix(p), engine.diagonal(p), engine.column_norms(p))
         for p in patterns
     }
-    fork = engine.fork()
+    view = engine.view
     edge = sorted(dblp.edges("p-in"))[0]
-    fork.apply_delta(edges_removed=[edge])
+    fork, _ = engine.apply_delta(edges_removed=[edge])
+    assert engine.view is view and fork.view is not view
     for pattern in patterns:
         matrix, diagonal, norms = reference[pattern]
         assert engine.matrix(pattern) is matrix
         assert engine.diagonal(pattern) is diagonal
         assert engine.column_norms(pattern) is norms
-    assert dblp.has_edge(*edge)
+    assert dblp.has_edge(*edge) and view.has_edge(*edge)
+    assert not fork.view.has_edge(*edge)
+    assert engine.cache_info()["delta_applies"] == 0
+    assert fork.cache_info()["delta_applies"] == 1
     changed = parse_pattern("p-in.p-in-")
     assert not _structurally_equal(
         fork.matrix(changed), engine.matrix(changed)
@@ -506,7 +537,7 @@ def test_cache_info_accurate_after_patches_and_invalidations(
 ):
     engine, patterns = _loaded_engine(dblp)
     present = sorted(dblp.edges("p-in"))[0]
-    _apply_both(engine, dblp, edges_removed=[present])
+    engine, _ = _apply_both(engine, dblp, edges_removed=[present])
     info = engine.cache_info()
     nnz, size = _expected_accounting(engine)
     assert info["nnz"] == nnz
@@ -527,7 +558,7 @@ def test_cache_info_accurate_after_patches_and_invalidations(
     monkeypatch.setattr("repro.lang.delta.DELTA_REBUILD_THRESHOLD", 0.0)
     strict = _loaded_engine(dblp)[0]
     before = strict.cache_info()
-    stats = strict.apply_delta(edges_added=[present])
+    strict, stats = strict.apply_delta(edges_added=[present])
     after = strict.cache_info()
     assert stats["invalidated"] > 0
     assert after["matrices"] == before["matrices"] - stats["invalidated"]

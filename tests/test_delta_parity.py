@@ -145,6 +145,35 @@ def _random_delta(rng, database, step):
     }
 
 
+def _retype_delta(database, step, proc):
+    """Deltas that give an untyped node with edges the type "proc".
+
+    The node is an untyped ``p-in`` target.  Where the graph has none,
+    a first delta wires a new untyped one in, from a paper of ``proc``.
+    A retype adds no node and touches no edge, yet the node joins the
+    proc candidates.
+    """
+    untyped = sorted(
+        (
+            target
+            for _, _, target in database.edges("p-in")
+            if database.node_type(target) is None
+        ),
+        key=str,
+    )
+    deltas = []
+    if untyped:
+        node = untyped[0]
+    else:
+        node = "fuzz:untyped:{}".format(step)
+        papers = sorted(database.predecessors(proc, "p-in")) or sorted(
+            database.nodes_of_type("paper")
+        )
+        deltas.append({"edges_added": [(papers[0], "p-in", node)]})
+    deltas.append({"nodes_added": [(node, "proc")]})
+    return deltas
+
+
 def _swap_with(service, delta):
     """``swap`` in the serving graph's export with ``delta`` applied."""
     replacement = service.database
@@ -253,6 +282,25 @@ def test_delta_fuzz_parity_with_split_products(split_products, budgeted):
     test_delta_fuzz_incremental_parity_all_algorithms(SEED, budgeted)
 
 
+#: The step after which a node wired in untyped is given a type.  An
+#: even step: the subscription fuzz sends it through ``apply``, as a
+#: ``swap`` re-ranks every subscription anyway.
+RETYPE_STEP = 2
+
+
+def _delta_steps(rng, database, steps, proc):
+    """``(step, delta)`` pairs, each drawn after the last was applied.
+
+    :data:`RETYPE_STEP` is followed by :func:`_retype_delta`'s deltas
+    around ``proc``.
+    """
+    for step in range(steps):
+        yield step, _random_delta(rng, database, step)
+        if step == RETYPE_STEP:
+            for delta in _retype_delta(database, step, proc):
+                yield step, delta
+
+
 def test_delta_fuzz_subscriptions_track_fresh_rankings():
     """Standing queries stay bitwise-exact under random deltas.
 
@@ -260,7 +308,8 @@ def test_delta_fuzz_subscriptions_track_fresh_rankings():
     pruned or re-ranked by a fallback run; after every random delta
     (alternating ``apply`` with a ``swap`` of a copy carrying the same
     delta) each maintained top-k must equal a fresh session's
-    ``prepared.run`` — item for item, score bit for score bit.
+    ``prepared.run`` — item for item, score bit for score bit.  One
+    step also gives an untyped node with edges a type.
     """
     rng = random.Random(SEED + 29)
     database = _tiny_dblp(SEED + 29)
@@ -269,13 +318,14 @@ def test_delta_fuzz_subscriptions_track_fresh_rankings():
     node = sorted(database.nodes_of_type("proc"))[0]
     subscriptions = [service.subscribe(handle, node) for handle in prepared]
 
-    for step in range(STEPS):
-        delta = _random_delta(rng, database, step)
+    applied = 0
+    for step, delta in _delta_steps(rng, database, STEPS, node):
         if step % 2 == 0:
             service.apply(**delta)
         else:
             _swap_with(service, delta)
         database.apply_delta(**delta)
+        applied += 1
         assert service.database.same_content(database)
         _assert_cache_canonical(service, step)
         fresh = SimilaritySession(database)
@@ -292,7 +342,7 @@ def test_delta_fuzz_subscriptions_track_fresh_rankings():
     stats = service.subscription_stats
     assert stats["active"] == len(SPECS)
     maintained = stats["pruned"] + stats["fallbacks"]
-    assert maintained == len(SPECS) * STEPS
+    assert maintained == len(SPECS) * applied
 
 
 def test_delta_fuzz_mixed_incremental_and_rebuild_paths():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from test_index64 import _upcast
 
 from repro.datasets import generate_dblp_scale
-from repro.exceptions import UnknownNodeError
+from repro.exceptions import EvaluationError, UnknownNodeError
 from repro.graph import (
     GraphDatabase,
     MatrixView,
@@ -143,49 +143,64 @@ def test_shared_indexer_ignores_extra_nodes(tiny_db):
 
 def test_views_keep_their_node_count_when_the_database_grows(tiny_db):
     lazy = MatrixView(tiny_db)
+    lazy.adjacency("a")  # built before the writes
     detached = MatrixView(tiny_db).detach()
     old_ids = list(tiny_db.nodes())
     tiny_db.add_edges([(9, "a", 1), (1, "a", 9), (3, "a", 4), (4, "c", 4)])
     tiny_db.add_node("late", "kind")
     for grown in (lazy, detached):
         assert grown.num_nodes() == len(old_ids)
+        assert list(grown.nodes()) == old_ids
         for node in (9, "late"):
             assert node not in grown.indexer
             with pytest.raises(UnknownNodeError):
                 grown.indexer.index_of(node)
         assert not grown.has_edge(9, "a", 1)
         assert not grown.has_edge(1, "a", 9)
-    # The lazy view builds its labels only now: it takes the new edges
-    # among its own nodes, and none of a later node.
-    for label in sorted(tiny_db.schema.labels):
-        _assert_matches_reference(lazy, tiny_db, label)
-    assert lazy.has_edge(3, "a", 4) and not detached.has_edge(3, "a", 4)
-    assert list(detached.nodes()) == old_ids
+        # A label built before the writes keeps the old version's edges.
+        assert not grown.has_edge(3, "a", 4)
+    # The lazy view never builds a label from the written database: it
+    # raises instead of mixing two versions, detaching included.
+    for read in (
+        lambda: lazy.adjacency("c"),
+        lazy.used_labels,
+        lazy.candidate_index,
+        lazy.detach,
+    ):
+        with pytest.raises(EvaluationError, match="detach"):
+            read()
     assert list(MatrixView(tiny_db).detach().nodes())[-2:] == [9, "late"]
-    assert list(lazy.detach().nodes()) == old_ids
-    # Retyping a node in the database reaches no detached view.
+    # Retyping a node in the database reaches no view made before it.
     tiny_db.add_node(1, "kind")
     assert detached.node_type(1) is None and lazy.node_type(1) is None
     # A node-adding delta on the detached view appends a fresh position
-    # and copies none of the database's later entries.
-    detached.apply_delta(edges_added=[("fresh", "a", 1)])
-    assert detached.indexer.ids == old_ids + ["fresh"]
-    assert detached.indexer._index == {
+    # to its next version and copies none of the database's later
+    # entries; the receiver keeps its own.
+    grown, _ = detached.apply_delta(edges_added=[("fresh", "a", 1)])
+    assert grown.indexer.ids == old_ids + ["fresh"]
+    assert grown.indexer._index == {
         node: i for i, node in enumerate(old_ids + ["fresh"])
     }
-    assert detached.has_edge("fresh", "a", 1)
+    assert grown.has_edge("fresh", "a", 1)
+    assert detached.indexer.ids == old_ids
+    assert not detached.has_node("fresh")
     assert not tiny_db.has_node("fresh")
 
 
 def test_view_leaves_out_nodes_the_database_gains_later(tiny_db):
     # Even an id the caller's indexer holds stays out of the matrices
-    # when the database gains it only after the view was made.
+    # when the database gains it only after the view was made: a view
+    # detached before the write leaves it out, and a lazy one raises.
     indexer = NodeIndexer(list(tiny_db.nodes()) + ["late"])
     view = MatrixView(tiny_db, indexer=indexer)
+    detached = MatrixView(tiny_db, indexer=indexer).detach()
     tiny_db.add_edge("late", "a", 1)
-    assert view.num_nodes() == len(indexer)
-    assert not view.has_edge("late", "a", 1)
-    assert view.adjacency("a").sum() == len(list(tiny_db.edges("a"))) - 1
+    for stale in (view, detached):
+        assert stale.num_nodes() == len(indexer)
+    with pytest.raises(EvaluationError):
+        view.has_edge("late", "a", 1)
+    assert not detached.has_edge("late", "a", 1)
+    assert detached.adjacency("a").sum() == len(list(tiny_db.edges("a"))) - 1
 
 
 def test_boolean_thresholds_counts():
@@ -273,9 +288,8 @@ def _views(draw):
     """``(database, view)``: a small mixed-id database (self-loops
     allowed, schema label "c" never used) and a view over it, optionally
     through a shared indexer over a drawn subset of the ids in a drawn
-    order, plus ids the database lacks.  The database may gain edges
-    after the view is made, among its nodes and to a node no indexer
-    holds."""
+    order, plus ids the database lacks.  The database may also hold
+    edges to a node no indexer holds."""
 
     def edges(ids):
         return st.lists(
@@ -289,6 +303,7 @@ def _views(draw):
 
     database = GraphDatabase(Schema(["a", "b", "c"]))
     database.add_edges(draw(edges(_NODE_IDS)))
+    database.add_edges(draw(edges(list(database.nodes()) + ["late"])))
     indexer = None
     if draw(st.booleans()):
         indexer = NodeIndexer(
@@ -298,9 +313,7 @@ def _views(draw):
                 )
             )
         )
-    view = MatrixView(database, indexer=indexer)
-    database.add_edges(draw(edges(list(database.nodes()) + ["late"])))
-    return database, view
+    return database, MatrixView(database, indexer=indexer)
 
 
 @given(_views())

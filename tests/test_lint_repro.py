@@ -334,7 +334,7 @@ def test_private_scipy_import_waived():
 
 @pytest.mark.parametrize(
     "attribute",
-    ["_out", "_ids", "_types", "_index", "_position_lists"],
+    ["_out", "_ids", "_types", "_index", "_position_lists", "_writes"],
 )
 def test_private_graph_read_flagged(attribute):
     violations = lint(

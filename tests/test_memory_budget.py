@@ -152,7 +152,10 @@ def test_budget_holds_after_apply_delta(dblp_small):
         engine.matrix(parse_pattern(text))
     authors = database.nodes_of_type("author")
     papers = database.nodes_of_type("paper")
-    engine.apply_delta(edges_added=[(authors[0], "w", papers[-1])])
+    engine, stats = engine.apply_delta(
+        edges_added=[(authors[0], "w", papers[-1])]
+    )
+    assert stats["patched"] > 0
     assert engine.cache_info()["bytes"] <= budget
 
 

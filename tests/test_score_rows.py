@@ -4,15 +4,16 @@ The contract under test: for every registered algorithm, the
 array-native ranking path (``score_rows`` + ``np.argpartition``
 selection) is *exactly* equivalent to the per-candidate dict path
 (``rank_many_via_scores``), including deterministic tie-breaking at the
-``top_k`` boundary — and candidates outside the algorithm's snapshot
-indexer raise :class:`UnknownNodeError` uniformly.
+``top_k`` boundary — and a session whose database was written after
+it was made raises :class:`EvaluationError` uniformly, instead of
+ranking a candidate list its view does not hold.
 """
 
 import numpy as np
 import pytest
 
 from repro.api import SimilaritySession
-from repro.exceptions import UnknownNodeError
+from repro.exceptions import EvaluationError
 from repro.graph import GraphDatabase, Schema
 from repro.graph.matrices import MatrixView
 from repro.similarity import Ranking
@@ -229,15 +230,15 @@ def test_from_arrays_coerces_numpy_scalars_to_float():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ("relsim", "rwr", "simrank", "hetesim"))
 def test_unindexed_candidate_raises_uniformly(fig1, name):
-    # RWR, SimRank and HeteSim used to skip candidates missing from the
-    # indexer silently while the engine-backed algorithms errored; the
-    # documented behavior is now UnknownNodeError for every algorithm.
+    # A candidate the database gains after the session was made is one
+    # the session's view does not hold: every algorithm raises the
+    # same stale-view error rather than skipping it silently.
     session = SimilaritySession(fig1)
     algorithm = session.algorithm(name, **_constructor_options(name))
     fig1.add_node("LateArrival", fig1.node_type("DataMining"))
-    with pytest.raises(UnknownNodeError):
+    with pytest.raises(EvaluationError):
         algorithm.rank("DataMining")
-    with pytest.raises(UnknownNodeError):
+    with pytest.raises(EvaluationError):
         algorithm.scores("DataMining")
 
 
@@ -245,7 +246,7 @@ def test_unindexed_candidate_raises_on_dict_path_too(fig1):
     session = SimilaritySession(fig1)
     algorithm = session.algorithm("relsim", pattern=PATTERN)
     fig1.add_node("LateArrival", fig1.node_type("DataMining"))
-    with pytest.raises(UnknownNodeError):
+    with pytest.raises(EvaluationError):
         algorithm.rank_many_via_scores(["DataMining"])
 
 
@@ -271,17 +272,18 @@ def test_candidate_index_none_means_all_nodes(fig1):
 def test_candidate_index_unindexed_node_raises(fig1):
     view = MatrixView(fig1)
     fig1.add_node("LateArrival", "area")
-    with pytest.raises(UnknownNodeError):
+    with pytest.raises(EvaluationError):
         view.candidate_index("area")
 
 
 def test_candidate_index_warm_cache_still_detects_late_node(fig1):
-    # The cache revalidates on the node count: the error must not
-    # depend on whether the index was warmed before the mutation.
+    # The view checks the database's write count on every call: the
+    # error must not depend on whether the index was warmed before the
+    # write.
     view = MatrixView(fig1)
     view.candidate_index("area")  # warm the cache
     fig1.add_node("LateArrival", "area")
-    with pytest.raises(UnknownNodeError):
+    with pytest.raises(EvaluationError):
         view.candidate_index("area")
 
 
@@ -290,5 +292,5 @@ def test_warm_algorithm_still_detects_late_node(fig1):
     algorithm = session.algorithm("relsim", pattern=PATTERN)
     algorithm.rank("DataMining", top_k=5)  # warm the candidate index
     fig1.add_node("LateArrival", fig1.node_type("DataMining"))
-    with pytest.raises(UnknownNodeError):
+    with pytest.raises(EvaluationError):
         algorithm.rank("DataMining", top_k=5)

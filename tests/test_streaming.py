@@ -281,6 +281,24 @@ def test_full_rebuild_swap_falls_back(watched, reference):
     assert subscription.items() == _fresh_items(service, reference)
 
 
+def test_a_delta_that_only_types_a_node_re_ranks():
+    # A node wired in untyped, then typed: the typing delta touches no
+    # edge and adds no node, yet the node joins the answer type's
+    # candidates, so no subscription may be pruned past it.
+    service = SimilarityService(generate_dblp(4, 10, 60, 30).database)
+    prepared = service.prepare(
+        algorithm="pathsim", pattern="p-in-.p-in", top_k=10
+    )
+    subscription = service.subscribe(prepared, "proc:0")
+    paper = sorted(service.database.predecessors("proc:0", "p-in"))[0]
+    service.apply(edges_added=[(paper, "p-in", "X")])
+    service.apply(nodes_added=[("X", "proc")])
+    service.subscriptions.flush()
+    assert "X" in dict(prepared.run("proc:0").items())
+    assert subscription.items() == prepared.run("proc:0").items()
+    assert service.subscription_stats["pruned"] == 0
+
+
 def test_poll_applies_one_maintenance_step(watched):
     service, prepared, subscription, events = watched
     subscription.poll(DeltaReport(labels=frozenset({"w"}), grew=False))

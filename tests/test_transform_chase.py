@@ -51,14 +51,6 @@ def test_chase_copy_by_default(schema):
     assert chased.has_edge(1, "b", 2)
 
 
-def test_chase_in_place(schema):
-    tgd = parse_tgd("(x, a, y) -> (x, b, y)")
-    db = make_db(schema, [(1, "a", 2)])
-    result = chase(db, [tgd], in_place=True)
-    assert result is db
-    assert db.has_edge(1, "b", 2)
-
-
 def test_chase_reversed_conclusion(schema):
     tgd = parse_tgd("(x, a, y) -> (y, b-, x)")
     db = make_db(schema, [(1, "a", 2)])

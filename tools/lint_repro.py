@@ -51,10 +51,13 @@ Rules
     Only ``repro/graph/database.py`` and ``repro/graph/matrices.py``
     may read a database's storage on an object other than ``self``:
     the edge index ``_out``, the node table ``_ids`` / ``_types`` /
-    ``_index``, and ``_position_lists``, which returns the live
-    position sets.  Positions and their sets are an internal encoding
-    that every public method translates to ids; anything else that
-    reads them must be changed whenever that encoding is.
+    ``_index``, ``_position_lists``, which returns the live position
+    sets, and the write counter ``_writes``, by which a lazy view
+    tells whether its database still holds the view's version.
+    Positions and their sets are an internal encoding that every
+    public method translates to ids, and the counter means something
+    only to the view that recorded it; anything else that reads them
+    must be changed whenever they are.
 
 Suppressions
 ------------
@@ -119,7 +122,7 @@ _PRIVATE_SCIPY_OWNER = "repro/graph/matrices.py"
 #: The modules that own a graph database's storage, and its attributes.
 _GRAPH_OWNERS = ("repro/graph/database.py", "repro/graph/matrices.py")
 _GRAPH_STORAGE = {
-    "_out", "_ids", "_types", "_index", "_position_lists",
+    "_out", "_ids", "_types", "_index", "_position_lists", "_writes",
 }
 
 #: Exception names public api/server modules may not raise bare.
