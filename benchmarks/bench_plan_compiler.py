@@ -12,11 +12,17 @@ skip/nested cores evaluated once) plus cost-ordered chain
 multiplication, not adjacency extraction.
 
 Set ``REPRO_BENCH_SCALE=smoke`` (the CI smoke job does) to run on the
-reduced DBLP workload; the gate threshold is the same.
+reduced DBLP workload; the gate threshold is the same.  Beside the
+ratio it prints the planned side's multiply-adds, counted on a fresh
+engine as ``tests/test_planner_work.py`` counts them: an exact measure
+of planner work that no host noise moves.
 """
 
 import time
 
+import numpy as np
+
+import repro.lang.matrix_semantics as matrix_semantics
 from repro.core import RelSim
 from repro.datasets import sample_queries_by_degree
 from repro.graph.matrices import MatrixView
@@ -40,6 +46,24 @@ def _expanded_patterns(database):
     return patterns
 
 
+def _multiply_adds(view, patterns):
+    """Multiply-adds of ``matrices_many(patterns)`` on a fresh engine."""
+    product = matrix_semantics.csr_product
+    total = 0
+
+    def counting(left, right):
+        nonlocal total
+        total += int(np.diff(right.indptr)[left.indices].sum())
+        return product(left, right)
+
+    matrix_semantics.csr_product = counting
+    try:
+        CommutingMatrixEngine(view).matrices_many(patterns)
+    finally:
+        matrix_semantics.csr_product = product
+    return total
+
+
 def test_plan_vs_naive_speedup(emit, dblp_large_bundle):
     database = dblp_large_bundle.database
     patterns = _expanded_patterns(database)
@@ -59,6 +83,7 @@ def test_plan_vs_naive_speedup(emit, dblp_large_bundle):
 
     speedup = naive_seconds / max(plan_seconds, 1e-9)
     info = engine.cache_info()
+    multiply_adds = _multiply_adds(view, patterns)
     emit(
         "plan_compiler",
         "\n".join(
@@ -74,6 +99,7 @@ def test_plan_vs_naive_speedup(emit, dblp_large_bundle):
                 "  speedup: {:.1f}x (gate: >= {:.1f}x)".format(
                     speedup, SPEEDUP_GATE
                 ),
+                "  planned multiply-adds: {:,d}".format(multiply_adds),
                 "  plan cache: {} matrices, {} nnz, {} hits / {} "
                 "misses".format(
                     info["matrices"],

@@ -33,7 +33,7 @@ graph statistics and a plan, so they are not raised here:
 :meth:`CommutingMatrixEngine.check
 <repro.lang.matrix_semantics.CommutingMatrixEngine.check>` and
 ``explain`` add them from the planner's estimate
-(:func:`repro.lang.plan.estimate_nnz`) over the engine's own view.
+(:func:`repro.lang.plan.estimate`) over the engine's own view.
 
 The endpoint algebra treats untyped labels (schemas without
 ``node_types`` — the common case in tests and ad-hoc graphs) as the

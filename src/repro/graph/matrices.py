@@ -459,6 +459,7 @@ class MatrixView:
         self._lock = threading.RLock()
         self._cache = cache
         self._candidates = {}
+        self._stats = {}
 
     def _live_database(self):
         """The database a lazy view reads, or None once detached.
@@ -529,9 +530,28 @@ class MatrixView:
             return {label for label, m in self._cache.items() if m.nnz}
 
     def label_nnz(self, label):
-        """The number of ``label`` edges: the planner's and the type
-        checker's statistic for a leaf."""
+        """The number of ``label`` edges."""
         return self.adjacency(label).nnz
+
+    def label_stats(self, label):
+        """``(nnz, rows, cols)`` of ``label``'s adjacency: its edges and
+        the rows and columns that hold at least one — the planner's
+        statistics for a leaf (:func:`repro.lang.plan.estimate`).
+
+        Counted the first time they are asked for and kept by this view
+        only: the next version starts without them.
+        """
+        stats = self._stats.get(label)
+        if stats is None:
+            matrix = self.adjacency(label)
+            stats = (
+                matrix.nnz,
+                int(np.count_nonzero(np.diff(matrix.indptr))),
+                int(np.count_nonzero(np.bincount(matrix.indices))),
+            )
+            with self._lock:
+                stats = self._stats.setdefault(label, stats)
+        return stats
 
     def num_edges(self):
         return sum(map(self.label_nnz, self.used_labels()))

@@ -27,7 +27,20 @@ class Pattern:
         return type(self) is type(other) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((type(self).__name__, self._key()))
+        # Nodes are never written after construction, so each one hashes
+        # its subtree once; the plan compiler's memo hashes every pattern
+        # it is asked for.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((type(self).__name__, self._key()))
+            return self._hash
+
+    def __getstate__(self):
+        # String hashes differ between processes: a copy hashes afresh.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def _key(self):
         raise NotImplementedError

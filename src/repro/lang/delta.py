@@ -129,7 +129,7 @@ class _Resolver:
             if node.split_at is None:
                 order_chain(
                     node,
-                    self._view.label_nnz,
+                    self._view.label_stats,
                     self._n,
                     self._compiler,
                 )

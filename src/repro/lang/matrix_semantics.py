@@ -66,8 +66,8 @@ from repro.lang.parser import parse_pattern
 from repro.lang.plan import (
     PlanCompiler,
     _chain_cost,
+    estimate,
     estimate_bytes,
-    estimate_nnz,
     order_chain,
     render_order,
 )
@@ -312,7 +312,7 @@ class CommutingMatrixEngine:
             return False
         n = self._view.num_nodes()
         estimated = sum(
-            estimate_bytes(plan, self._view.label_nnz, n)
+            estimate_bytes(plan, self._view.label_stats, n)
             for plan in dict.fromkeys(plans)
         )
         return estimated > self._memory_budget
@@ -348,7 +348,7 @@ class CommutingMatrixEngine:
 
         The checker's, plus — when the pattern has no errors and the
         graph has nodes — the ``density-budget`` and ``star-blowup``
-        warnings, read from :func:`~repro.lang.plan.estimate_nnz` over
+        warnings, read from :func:`~repro.lang.plan.estimate` over
         this engine's view.  The whole pattern is estimated on ``plan``,
         its plan in this engine, or without one on a plan compiled
         apart; each Kleene star is always compiled apart.
@@ -367,11 +367,11 @@ class CommutingMatrixEngine:
                 dense.append((node, scratch.compile(node), "star-blowup"))
         text, spans = render_with_spans(pattern)
         for node, node_plan, code in dense:
-            estimate = estimate_nnz(node_plan, self._view.label_nnz, n)
-            if estimate > _DENSITY_BUDGET * n * n:
+            nnz = estimate(node_plan, self._view.label_stats, n).nnz
+            if nnz > _DENSITY_BUDGET * n * n:
                 message = _DENSITY_WARNINGS[code].format(
-                    nnz=estimate,
-                    density=min(estimate / (n * n), 1.0),
+                    nnz=nnz,
+                    density=min(nnz / (n * n), 1.0),
                     budget=_DENSITY_BUDGET,
                     n=n,
                 )
@@ -597,8 +597,9 @@ class CommutingMatrixEngine:
 
     def _ensure_ordered(self, node):
         if node.split_at is None:
+            view = self._view
             order_chain(
-                node, self._view.label_nnz, self._view.num_nodes(), self._compiler
+                node, view.label_stats, view.num_nodes(), self._compiler
             )
 
     def _evict(self):
@@ -844,7 +845,7 @@ class CommutingMatrixEngine:
         patterns = list(patterns)
         plans = [self.compile(pattern) for pattern in patterns]
         n = self._view.num_nodes()
-        leaf_nnz = self._view.label_nnz
+        leaf_stats = self._view.label_stats
         per_pattern = []
         usage = Counter()
         for plan in plans:
@@ -875,10 +876,10 @@ class CommutingMatrixEngine:
             lines.append("    canonical: {}".format(plan))
             lines.append("    order:     {}".format(render_order(plan)))
             line = "    est nnz ~ {:.0f}".format(
-                estimate_nnz(plan, leaf_nnz, n)
+                estimate(plan, leaf_stats, n).nnz
             )
             if plan.kind == "chain":
-                cost = _chain_cost(plan, leaf_nnz, n, uses)
+                cost = _chain_cost(plan, leaf_stats, n, uses)
                 line += ", est cost ~ {:.0f} flops (amortized)".format(cost)
             lines.append(line)
             # Static diagnostics (warning tier only: the compile above
@@ -892,7 +893,7 @@ class CommutingMatrixEngine:
                     "    {}   (in {} patterns, est nnz ~ {:.0f})".format(
                         node,
                         usage[node],
-                        estimate_nnz(node, leaf_nnz, n),
+                        estimate(node, leaf_stats, n).nnz,
                     )
                 )
         return "\n".join(lines)

@@ -22,11 +22,14 @@ between the pattern language and the matrix engine and turns a pattern
   used ``k`` times costs ``cost/k`` per use once cached).
 
 * **Cost-ordered sparse chain multiplication**: classic matrix-chain
-  ordering over CSR, driven by nnz/density estimates.  For factor
-  matrices with ``nnz_A`` and ``nnz_B`` nonzeros over ``n`` nodes the
-  expected product cost is ``nnz_A * nnz_B / n`` flops and the expected
-  product size ``min(n^2, nnz_A * nnz_B / n)`` — the standard uniform
-  sparsity surrogate, good enough to order chains by.
+  ordering over CSR, driven by one estimate per plan node: its nonzeros
+  and its *active* rows and columns (those holding an entry), exact at
+  the leaves.  A product ``A·B`` passes through ``k = max(cols_A,
+  rows_B)`` inner nodes, so it costs ``nnz_A * nnz_B / k`` multiply-adds
+  and holds ``min(rows_A * cols_B, nnz_A * nnz_B / k)`` nonzeros —
+  uniform sparsity over the nodes the product actually passes through,
+  not over all ``n``.  A venue x paper product through 15 areas is thus
+  costed through 15 nodes, not through every node of the graph.
 
 Plan nodes are *identity-hashed* (interned), so the engine's LRU keys
 directly on them; a node's :func:`str` is its canonical concrete
@@ -35,7 +38,7 @@ engine (:mod:`repro.lang.matrix_semantics`) executes plans.
 """
 
 import threading
-from collections import Counter
+from collections import Counter, namedtuple
 
 from repro.lang.ast import (
     Concat,
@@ -94,7 +97,7 @@ class PlanNode:
     plus interned ``left``/``right`` sub-plans.  No node stores an
     estimate: forked engines share their plan nodes across versions of
     the graph, so estimates are computed against the asking engine's
-    view (:func:`estimate_nnz`).
+    view (:func:`estimate`).
     """
 
     __slots__ = (
@@ -325,119 +328,145 @@ class PlanCompiler:
 # ----------------------------------------------------------------------
 # Cost model
 # ----------------------------------------------------------------------
-def product_nnz(nnz_a, nnz_b, n):
-    """Expected nnz of a sparse product under uniform sparsity."""
-    n = max(float(n), 1.0)
-    return min(n * n, nnz_a * nnz_b / n)
+class Estimate(namedtuple("Estimate", "nnz rows cols")):
+    """A plan node's estimated nonzeros, active rows and active columns.
+
+    A row or column is *active* when it holds at least one entry.
+    """
+
+    __slots__ = ()
 
 
-def _product_cost(nnz_a, nnz_b, n):
-    """Expected flops of a sparse product under uniform sparsity."""
-    return nnz_a * nnz_b / max(float(n), 1.0)
+def _product(left, right):
+    """``(multiply-adds, Estimate)`` of the product ``left · right``.
+
+    The product passes through ``k = max(left.cols, right.rows)`` inner
+    nodes.  With ``right``'s entries spread evenly over them, each of
+    ``left``'s ``nnz`` entries meets ``right.nnz / k`` of them: that is
+    the cost, and also the product's nonzeros, capped at its active
+    block ``left.rows x right.cols``.  The one per-product rule: the
+    estimate, :func:`order_chain` and :func:`_chain_cost` all read it.
+    """
+    flops = left.nnz * right.nnz / max(left.cols, right.rows, 1.0)
+    return flops, Estimate(
+        min(left.rows * right.cols, flops), left.rows, right.cols
+    )
 
 
-def estimate_nnz(node, leaf_nnz, n):
-    """Estimated nnz of a plan node's matrix over ``n`` nodes.
+def estimate(node, leaf_stats, n):
+    """The :class:`Estimate` of a plan node's matrix over ``n`` nodes.
 
-    ``leaf_nnz`` maps a label to its adjacency's exact nnz; everything
-    above the leaves is the standard uniform-sparsity surrogate.  An
-    ordered chain is estimated along its recorded split, an unordered
-    one left to right.  Nothing is memoized: plan nodes outlive the
-    graph version they were planned on (a forked engine shares them), so
-    the caller passes the statistics of the view it is asking about.
-    This is the only nnz estimate: the chain planner, the memory budget
-    and the density warnings all read it.
+    ``leaf_stats`` maps a label to its adjacency's exact ``(nnz, rows,
+    cols)`` (:meth:`~repro.graph.matrices.MatrixView.label_stats`).
+    Above the leaves: a transpose swaps rows and columns, a skip keeps
+    them; a nested node is a diagonal over its child's rows; a sum adds
+    all three (rows and columns capped at ``n``, nonzeros at rows x
+    columns) and a Hadamard product takes the least of each; a product
+    follows :func:`_product`; ``eps`` and a star's closure are active
+    everywhere.  With every row and column active this is the uniform
+    sparsity surrogate over ``n``.  An ordered chain is estimated along
+    its recorded split, an unordered one left to right.
+
+    Nothing is memoized: plan nodes outlive the graph version they were
+    planned on (a forked engine shares them), so the caller passes the
+    statistics of the view it is asking about.  This is the only
+    estimate: the chain planner, the memory budget and the density
+    warnings all read it.
     """
     kind = node.kind
     if kind == "eps":
-        return float(n)
+        return Estimate(float(n), float(n), float(n))
     if kind == "leaf":
-        return float(leaf_nnz(node.payload))
-    if kind in ("transpose", "bool"):
-        return estimate_nnz(node.children[0], leaf_nnz, n)
+        return Estimate(*map(float, leaf_stats(node.payload)))
+    if kind == "bool":
+        return estimate(node.children[0], leaf_stats, n)
+    if kind == "transpose":
+        nnz, rows, cols = estimate(node.children[0], leaf_stats, n)
+        return Estimate(nnz, cols, rows)
     if kind == "nested":
-        return min(estimate_nnz(node.children[0], leaf_nnz, n), float(n))
+        nnz, rows, _ = estimate(node.children[0], leaf_stats, n)
+        return Estimate(min(nnz, rows), rows, rows)
     if kind == "star":
         # I + M + M^2 + ...: with average degree d = nnz/n >= 1 the
         # closure of the giant component is effectively dense; below 1
         # the geometric series nnz * (1 + d + d^2 + ...) converges.
-        base = estimate_nnz(node.children[0], leaf_nnz, n)
-        degree = base / max(float(n), 1.0)
-        if degree >= 1.0:
-            return float(n) * n
-        return min(float(n) * n, n + base / (1.0 - degree))
+        # Either way it holds at most the identity plus M's active block.
+        base = estimate(node.children[0], leaf_stats, n)
+        n = float(n)
+        degree = base.nnz / max(n, 1.0)
+        closure = n * n if degree >= 1.0 else n + base.nnz / (1.0 - degree)
+        return Estimate(
+            min(n * n, n + base.rows * base.cols, closure), n, n
+        )
     if kind == "add":
-        total = sum(
-            estimate_nnz(child, leaf_nnz, n) for child in node.children
-        )
-        return min(float(n) * n, total)
+        parts = [estimate(child, leaf_stats, n) for child in node.children]
+        rows = min(float(n), sum(part.rows for part in parts))
+        cols = min(float(n), sum(part.cols for part in parts))
+        nnz = sum(part.nnz for part in parts)
+        return Estimate(min(rows * cols, nnz), rows, cols)
     if kind == "hadamard":
-        return min(
-            estimate_nnz(child, leaf_nnz, n) for child in node.children
-        )
+        parts = [estimate(child, leaf_stats, n) for child in node.children]
+        return Estimate(*map(min, zip(*parts)))
     if kind == "chain":
         if node.split_at is not None:
-            return product_nnz(
-                estimate_nnz(node.left, leaf_nnz, n),
-                estimate_nnz(node.right, leaf_nnz, n),
-                n,
-            )
-        estimate = estimate_nnz(node.children[0], leaf_nnz, n)
+            return _product(
+                estimate(node.left, leaf_stats, n),
+                estimate(node.right, leaf_stats, n),
+            )[1]
+        result = estimate(node.children[0], leaf_stats, n)
         for child in node.children[1:]:
-            estimate = product_nnz(
-                estimate, estimate_nnz(child, leaf_nnz, n), n
-            )
-        return estimate
+            result = _product(result, estimate(child, leaf_stats, n))[1]
+        return result
     raise ValueError("unknown plan node kind {!r}".format(kind))
 
 
-def estimate_bytes(node, leaf_nnz, n):
+def estimate_bytes(node, leaf_stats, n):
     """Estimated resident CSR bytes of a plan node's matrix.
 
     The byte surrogate the memory budget plans against: ``nnz`` scaled
     by data + index width (16 bytes — float64 data plus an index slot,
     counting the 64-bit worst case) plus the ``indptr`` spine.  Built
-    on :func:`estimate_nnz`, so it is exact at the leaves and the
-    standard uniform-sparsity estimate above them — good enough to
-    decide "will this pattern set fit" before warming it, which only
-    needs the right order of magnitude.
+    on :func:`estimate`, so it is exact at the leaves and an estimate
+    above them — good enough to decide "will this pattern set fit"
+    before warming it, which only needs the right order of magnitude.
     """
-    return 16.0 * estimate_nnz(node, leaf_nnz, n) + 8.0 * (float(n) + 1.0)
+    nnz = estimate(node, leaf_stats, n).nnz
+    return 16.0 * nnz + 8.0 * (float(n) + 1.0)
 
 
-def _chain_cost(node, leaf_nnz, n, uses):
-    """Amortized flops of an ordered plan along its recorded splits.
+def _chain_cost(node, leaf_stats, n, uses):
+    """Amortized multiply-adds of an ordered plan along its splits.
 
     The quantity :func:`order_chain` minimizes, read back for the split
-    it chose: each product costs ``_product_cost`` of its operands'
-    estimates, and a sub-chain ``uses`` counts in >= 2 chains is
-    divided by that count.  Non-chain nodes cost nothing here.
+    it chose: each product costs :func:`_product`'s multiply-adds over
+    its operands' estimates, and a sub-chain ``uses`` counts in >= 2
+    chains is divided by that count.  Non-chain nodes cost nothing here.
     """
     if node.kind != "chain":
         return 0.0
     cost = (
-        _chain_cost(node.left, leaf_nnz, n, uses)
-        + _chain_cost(node.right, leaf_nnz, n, uses)
-        + _product_cost(
-            estimate_nnz(node.left, leaf_nnz, n),
-            estimate_nnz(node.right, leaf_nnz, n),
-            n,
-        )
+        _chain_cost(node.left, leaf_stats, n, uses)
+        + _chain_cost(node.right, leaf_stats, n, uses)
+        + _product(
+            estimate(node.left, leaf_stats, n),
+            estimate(node.right, leaf_stats, n),
+        )[0]
     )
     count = uses.get(tuple(child.uid for child in node.children), 0)
     return cost / count if count >= 2 else cost
 
 
-def order_chain(node, leaf_nnz, n, compiler):
+def order_chain(node, leaf_stats, n, compiler):
     """Choose (and record) the multiplication order for a chain node.
 
-    Classic O(k^3) matrix-chain DP over the factor nnz estimates, with
-    one twist: a contiguous segment that ``compiler.subchain_uses``
-    says appears in >= 2 distinct chains has its cost divided by that
-    count — once cached it is free for every later use, so its
-    *amortized* cost is what the parent split should see.  This is what
-    steers an Algorithm-1 pattern set toward evaluating each shared
-    prefix/sub-chain exactly once.
+    Classic O(k^3) matrix-chain DP over the factors' estimates, each
+    product costed by :func:`_product`, with one twist: a contiguous
+    segment that ``compiler.subchain_uses`` says appears in >= 2
+    distinct chains has its cost divided by that count — once cached
+    it is free for every later use, so its *amortized* cost is what the
+    parent split should see.  This is what steers an Algorithm-1
+    pattern set toward evaluating each shared prefix/sub-chain exactly
+    once.
 
     The chosen split is recorded on the chain node (``split_at``,
     ``left``, ``right``) and recursively on every interned sub-chain;
@@ -447,40 +476,33 @@ def order_chain(node, leaf_nnz, n, compiler):
     concurrent serving threads never observe a half-recorded split.
     """
     with compiler.lock:
-        _order_chain_locked(node, leaf_nnz, n, compiler)
+        _order_chain_locked(node, leaf_stats, n, compiler)
 
 
-def _order_chain_locked(node, leaf_nnz, n, compiler):
+def _order_chain_locked(node, leaf_stats, n, compiler):
     if node.split_at is not None:
         return
     factors = node.children
     k = len(factors)
     uids = tuple(factor.uid for factor in factors)
     shared = compiler.subchain_uses
-    estimates = [estimate_nnz(factor, leaf_nnz, n) for factor in factors]
 
-    nnz = {}
+    estimates = {}
     cost = {}
     split = {}
-    for i in range(k):
-        nnz[(i, i + 1)] = estimates[i]
+    for i, factor in enumerate(factors):
+        estimates[(i, i + 1)] = estimate(factor, leaf_stats, n)
         cost[(i, i + 1)] = 0.0
     for span in range(2, k + 1):
         for i in range(0, k - span + 1):
             j = i + span
             best = best_m = None
             for m in range(i + 1, j):
-                candidate = (
-                    cost[(i, m)]
-                    + cost[(m, j)]
-                    + _product_cost(nnz[(i, m)], nnz[(m, j)], n)
-                )
+                flops, product = _product(estimates[(i, m)], estimates[(m, j)])
+                candidate = cost[(i, m)] + cost[(m, j)] + flops
                 if best is None or candidate < best:
-                    best, best_m = candidate, m
+                    best, best_m, estimates[(i, j)] = candidate, m, product
             split[(i, j)] = best_m
-            nnz[(i, j)] = product_nnz(
-                nnz[(i, best_m)], nnz[(best_m, j)], n
-            )
             uses = shared.get(uids[i:j], 0)
             # Amortize: a segment used by `uses` chains is computed
             # once and hit `uses - 1` times.

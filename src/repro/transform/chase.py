@@ -112,13 +112,14 @@ def chase_delta(database, constraints):
 
 def repair_report(database, constraints):
     """Human-readable summary of how constraint-clean a database is."""
+    constraints = list(constraints)
     delta = chase_delta(database, constraints)
     by_label = {}
     for _, label, _ in delta:
         by_label[label] = by_label.get(label, 0) + 1
     lines = [
         "chase delta: {} missing edges over {} constraints".format(
-            len(delta), len(list(constraints))
+            len(delta), len(constraints)
         )
     ]
     for label in sorted(by_label):

@@ -11,6 +11,7 @@ import itertools
 
 import hypothesis.strategies as st
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 
 from repro.analysis import (
@@ -150,10 +151,13 @@ def test_errors_sort_before_warnings():
 # -- warning diagnostics -----------------------------------------------
 
 
-def _engine_over(n, nnz):
-    """An engine over a typed DBLP graph: ``n`` nodes, ``nnz[label]`` edges."""
+def _engine_over(n, nnz, types=("author", "paper", "proc", "area")):
+    """An engine over a typed DBLP graph: ``n`` nodes, ``nnz[label]`` edges.
+
+    Node types cycle through ``types``; each label links the first
+    sources of its type to every target of its type, in order.
+    """
     db = GraphDatabase(S.DBLP_SCHEMA)
-    types = ("author", "paper", "proc", "area")
     for position in range(n):
         node_type = types[position % len(types)]
         db.add_node("{}:{}".format(node_type, position), node_type)
@@ -172,23 +176,57 @@ def _engine_over(n, nnz):
     return engine
 
 
+def _dense_engine():
+    """75 authors who each wrote all 25 papers: ``(w.w-)*`` links every
+    pair of authors, over half of the 100^2 possible entries."""
+    engine = _engine_over(
+        100, {"w": 75 * 25}, types=("author", "author", "author", "paper")
+    )
+    assert _closure_nnz(engine.view) == 100 + 75 * 75 - 75
+    return engine
+
+
+def _closure_nnz(view):
+    """Nonzeros of ``(w.w-)*``: the identity plus every author pair
+    that shared papers link, however many hops apart.
+
+    The engine's sum itself diverges (an author reaches itself in every
+    power), so the count is of the closure's support.
+    """
+    w = view.adjacency("w")
+    step = (w @ w.T > 0).astype(float)
+    reach = sp.identity(view.num_nodes(), format="csr")
+    while True:
+        grown = (reach + reach @ step > 0).astype(float)
+        if grown.nnz == reach.nnz:
+            return grown.nnz
+        reach = grown
+
+
 def engine_check(engine, text):
     return engine.check([parse_pattern(text)])[0][1]
 
 
 def test_star_blowup_warning():
-    # Average out-degree 2.25 >= 1 under the star: the closure is dense.
-    engine = _engine_over(100, {"w": 150, "p-in": 10, "r-a": 10})
-    diagnostics = engine_check(engine, "(w.w-)*")
+    # Average out-degree 56 >= 1 under the star: the closure is dense.
+    diagnostics = engine_check(_dense_engine(), "(w.w-)*")
     assert "star-blowup" in codes(diagnostics)
     assert all(d.severity == "warning" for d in diagnostics)
 
 
 def test_density_budget_warning():
-    engine = _engine_over(100, {"w": 150, "p-in": 10, "r-a": 10})
-    diagnostics = engine_check(engine, "(w.w-)*")
+    diagnostics = engine_check(_dense_engine(), "(w.w-)*")
     assert "density-budget" in codes(diagnostics)
     assert diagnostics[0].span == (0, 7)
+
+
+def test_a_closure_confined_to_a_small_block_is_not_dense():
+    # 6 of 25 authors wrote all 150 w edges: the closure is the identity
+    # plus a 6 x 6 block, 130 of 10,000 entries, however dense the
+    # uniform surrogate over all 100 nodes reads.
+    engine = _engine_over(100, {"w": 150, "p-in": 10, "r-a": 10})
+    assert _closure_nnz(engine.view) == 130
+    assert engine_check(engine, "(w.w-)*") == []
 
 
 def test_sparse_pattern_has_no_density_warnings():
@@ -198,15 +236,14 @@ def test_sparse_pattern_has_no_density_warnings():
 
 def test_density_warnings_skip_ill_typed_patterns_and_empty_graphs():
     # A pattern with errors has no plan, hence no estimate.
-    engine = _engine_over(100, {"w": 150, "p-in": 10, "r-a": 10})
-    diagnostics = engine_check(engine, "(w.w-)*.zzz")
+    diagnostics = engine_check(_dense_engine(), "(w.w-)*.zzz")
     assert codes(diagnostics) == ["unknown-label"]
     empty = CommutingMatrixEngine(GraphDatabase(S.DBLP_SCHEMA))
     assert engine_check(empty, "(w.w-)*") == []
 
 
 def test_engine_check_leaves_the_planning_state_alone():
-    engine = _engine_over(100, {"w": 150, "p-in": 10, "r-a": 10})
+    engine = _dense_engine()
     engine.matrices_many([parse_pattern("w.p-in"), parse_pattern("w-.w")])
     interned = len(engine.compiler)
     uses = dict(engine.compiler.subchain_uses)

@@ -111,7 +111,7 @@ def test_estimates_follow_the_served_view():
             if "est nnz" in line
         ]
 
-    assert "est nnz ~ 9, est cost ~ 9 flops" in estimates(service.session)[0]
+    assert "est nnz ~ 1, est cost ~ 10 flops" in estimates(service.session)[0]
     service.apply(edges_added=[(u, "a", v) for u, v in pairs[10:]])
     fresh = SimilaritySession(service.database, memory_budget=1000)
     assert fresh.view.label_nnz("a") == 110

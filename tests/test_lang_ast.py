@@ -1,5 +1,7 @@
 """Unit tests for repro.lang.ast."""
 
+import pickle
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from repro.lang import (
     Union,
     concat,
     label,
+    parse_pattern,
     simple_pattern,
     simple_steps,
     strip_skips,
@@ -194,3 +197,18 @@ def test_render_with_spans_locates_every_subterm(pattern):
         stack.extend(node.children())
         start, end = spans[id(node)]
         assert text[start:end] == str(node)
+
+
+@given(pattern=_any_pattern())
+@settings(max_examples=300, deadline=None)
+def test_hash_is_cached_and_structural(pattern):
+    first = hash(pattern)
+    assert hash(pattern) == first
+    # A copy is made of new nodes that carry no cached hash.
+    copy = pickle.loads(pickle.dumps(pattern))
+    assert copy == pattern and hash(copy) == first
+    # The parser drops some spellings (a+a, eps.a); what it keeps is an
+    # equal pattern and hashes equal.
+    parsed = parse_pattern(str(pattern))
+    if parsed == pattern:
+        assert hash(parsed) == first

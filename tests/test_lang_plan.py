@@ -36,7 +36,7 @@ from repro.lang.ast import (
     concat,
     union,
 )
-from repro.lang.plan import PlanCompiler, estimate_nnz, order_chain
+from repro.lang.plan import PlanCompiler, _chain_cost, estimate, order_chain
 from repro.patterns.generator import generate_patterns
 
 
@@ -268,22 +268,113 @@ def test_chain_order_prefers_shared_prefix(tiny_db):
 
 def test_estimate_nnz_star_rule_and_chain_order():
     compiler = PlanCompiler()
-    leaf_nnz = {"a": 5000, "b": 5000, "c": 10, "s": 50}.__getitem__
     n = 100
+    # Every row and column active: the uniform sparsity surrogate over n.
+    leaf_stats = {
+        name: (nnz, n, n)
+        for name, nnz in {"a": 5000, "b": 5000, "c": 10, "s": 50}.items()
+    }.__getitem__
     # Average degree 0.5 < 1: the geometric series n + nnz / (1 - d);
     # degree >= 1: dense.
     sparse_star = compiler.compile(parse_pattern("s*"))
-    assert estimate_nnz(sparse_star, leaf_nnz, n) == 100 + 50 / 0.5
+    assert estimate(sparse_star, leaf_stats, n) == (100 + 50 / 0.5, n, n)
     dense_star = compiler.compile(parse_pattern("a*"))
-    assert estimate_nnz(dense_star, leaf_nnz, n) == n * n
+    assert estimate(dense_star, leaf_stats, n).nnz == n * n
     # An unordered chain folds left to right: a.b saturates at n^2
     # before c thins it.  Ordered, it is read along the recorded split
     # a.(b.c), whose product saturates instead.
     chain = compiler.compile(parse_pattern("a.b.c"))
-    assert estimate_nnz(chain, leaf_nnz, n) == 1000
-    order_chain(chain, leaf_nnz, n, compiler)
+    assert estimate(chain, leaf_stats, n).nnz == 1000
+    order_chain(chain, leaf_stats, n, compiler)
     assert (str(chain.left), str(chain.right)) == ("a", "b.c")
-    assert estimate_nnz(chain, leaf_nnz, n) == n * n
+    assert estimate(chain, leaf_stats, n).nnz == n * n
+    # The other rules keep the scalar estimate too.
+    for text, nnz in (
+        ("eps", n),
+        ("c-", 10),
+        ("<<s>>", 50),
+        ("[a]", n),
+        ("[c]", 10),
+        ("c+s", 60),
+        ("a+b", n * n),
+        ("c&s", 10),
+    ):
+        plan = compiler.compile(parse_pattern(text))
+        assert estimate(plan, leaf_stats, n) == (nnz, n, n), text
+
+
+def _layered_engine():
+    """10 sources each linked by ``a`` to the same 20 middles, and each
+    middle by ``b`` to the same 5 targets, among 1,000 nodes."""
+    database = GraphDatabase(Schema(["a", "b"]))
+    for node in range(1000):
+        database.add_node(node)
+    database.add_edges(
+        (source, "a", middle)
+        for source in range(10)
+        for middle in range(10, 30)
+    )
+    database.add_edges(
+        (middle, "b", target)
+        for middle in range(10, 30)
+        for target in range(30, 35)
+    )
+    return CommutingMatrixEngine(database)
+
+
+def test_estimate_passes_through_the_active_inner_dimension():
+    engine = _layered_engine()
+    view = engine.view
+    assert view.label_stats("a") == (200, 10, 20)
+    assert view.label_stats("b") == (100, 20, 5)
+    # a.b meets only the 20 middles, not all 1,000 nodes: 200 * 100 /
+    # 20 multiply-adds, capped at the 10 x 5 block a.b can fill.  Both
+    # are exact on this uniform graph.
+    pattern = parse_pattern("a.b")
+    assert engine.matrix(pattern).nnz == 50
+    plan = engine.compile(pattern)
+    assert estimate(plan, view.label_stats, 1000) == (50, 10, 5)
+    assert _chain_cost(plan, view.label_stats, 1000, {}) == 1000
+    # A transpose swaps the active rows and columns; a nested node is a
+    # diagonal over its child's active rows.
+    reverse = engine.compile(parse_pattern("b-.a-"))
+    assert estimate(reverse, view.label_stats, 1000) == (50, 5, 10)
+    nested = engine.compile(parse_pattern("[a.b]"))
+    assert estimate(nested, view.label_stats, 1000) == (10, 10, 10)
+
+
+def test_estimate_caps_a_sum_and_a_closure_at_their_active_blocks():
+    engine = _layered_engine()
+    stats = engine.view.label_stats
+    # A sum adds the active rows and columns of its summands ...
+    union = engine.compile(parse_pattern("a+<<a>>"))
+    assert estimate(union, stats, 1000) == (400, 20, 40)
+    # ... capped at n, and holds at most the block they span: two
+    # 90-entry 10 x 10 blocks among 12 nodes fill at most 12 x 12.
+    compiler = PlanCompiler()
+    blocks = {"d": (90, 10, 10), "e": (90, 10, 10)}.__getitem__
+    assert estimate(compiler.compile(parse_pattern("d+e")), blocks, 12) == (
+        144,
+        12,
+        12,
+    )
+    # (a.a-)*: the identity plus the 10 x 10 block of sources, not the
+    # geometric series' 1000 + 100 / 0.9.
+    star = engine.compile(parse_pattern("(a.a-)*"))
+    assert estimate(star, stats, 1000) == (1100, 1000, 1000)
+
+
+def test_view_statistics_are_counted_on_first_estimate_and_per_version():
+    engine = _layered_engine()
+    view = engine.view
+    view.adjacency("a")
+    assert view._stats == {}
+    engine.explain([parse_pattern("a.b")])
+    assert set(view._stats) == {"a", "b"}
+    following, _ = view.apply_delta(edges_added=[(0, "a", 30)])
+    assert following._stats == {}
+    assert following.label_stats("a") == (201, 10, 21)
+    assert view.label_stats("a") == (200, 10, 20)
 
 
 def test_raw_distinct_union_duplicates_are_summed(tiny_db):

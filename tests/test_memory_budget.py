@@ -174,11 +174,7 @@ def test_warm_exceeds_limits_by_bytes(dblp_small):
     n = probe.view.num_nodes()
     budget = math.ceil(
         sum(
-            estimate_bytes(
-                probe.compile(pattern),
-                lambda label: probe.view.adjacency(label).nnz,
-                n,
-            )
+            estimate_bytes(probe.compile(pattern), probe.view.label_stats, n)
             for pattern in patterns[:2]
         )
     )
@@ -194,19 +190,19 @@ def test_warm_exceeds_limits_by_bytes(dblp_small):
 def test_prepared_queries_hold_nothing_outside_the_budget(
     dblp_small, name, options
 ):
-    # w-.w.w-.w is estimated at ~6 KB but its product is ~57 KB: the
-    # estimate lets the set warm, the engine spills the product, and a
-    # prepared query must not keep it alive behind the budget's back.
+    # p-in.p-in- is estimated at ~28 KB, as if papers spread evenly
+    # over the venues, but venue sizes vary and its product is ~49 KB:
+    # the estimate lets the set warm, the engine spills the product, and
+    # a prepared query must not keep it alive behind the budget's back.
     database = dblp_small.database
-    pattern = "w-.w.w-.w"
+    pattern = "p-in.p-in-"
     probe = CommutingMatrixEngine(database)
     plan = probe.compile(parse_pattern(pattern))
     matrix = probe.matrix(parse_pattern(pattern))
     estimate = estimate_bytes(
-        plan, lambda label: probe.view.adjacency(label).nnz,
-        probe.view.num_nodes(),
+        plan, probe.view.label_stats, probe.view.num_nodes()
     )
-    budget = int(2 * estimate)
+    budget = math.ceil(estimate)
     assert budget < matrix.data.nbytes + matrix.indices.nbytes
     queries = database.nodes_of_type("paper")[:3]
     expected = SimilaritySession(database).prepare(

@@ -112,6 +112,15 @@ def test_repair_report(schema):
     assert "b" in report
 
 
+def test_repair_report_counts_an_iterator_of_constraints(fig1):
+    # The chase consumes an iterator; the report still counts what it
+    # was given.
+    constraints = fig1.schema.constraints
+    report = repair_report(fig1, iter(constraints))
+    assert "over {} constraints".format(len(constraints)) in report
+    assert report == repair_report(fig1, list(constraints))
+
+
 def test_chase_makes_dblp_constraint_hold(fig1):
     """Violate the DBLP constraint, then chase it clean."""
     constraint = fig1.schema.constraints[0]
